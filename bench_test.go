@@ -181,7 +181,7 @@ func BenchmarkFigure11SoftwareMasking(b *testing.B) {
 
 // campaignAtWorkers runs one multi-checkpoint campaign with the given
 // worker count; the serial/parallel benchmark pair below shares it so the
-// two measurements differ only in sharding.
+// two measurements differ only in parallelism.
 func campaignAtWorkers(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
@@ -201,14 +201,14 @@ func campaignAtWorkers(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkCampaignSerial is the single-worker baseline of the sharded
-// campaign engine; compare against BenchmarkCampaignParallel for the
+// BenchmarkCampaignSerial is the single-worker baseline of the campaign
+// engine; compare against BenchmarkCampaignParallel for the
 // speedup (the results themselves are bit-identical).
 func BenchmarkCampaignSerial(b *testing.B) {
 	campaignAtWorkers(b, 1)
 }
 
-// BenchmarkCampaignParallel runs the same campaign sharded across all CPUs.
+// BenchmarkCampaignParallel runs the same campaign across all CPUs.
 func BenchmarkCampaignParallel(b *testing.B) {
 	campaignAtWorkers(b, runtime.NumCPU())
 }

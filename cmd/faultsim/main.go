@@ -29,24 +29,24 @@
 //
 // Scale flags (-checkpoints, -trials, -ltrials, -soft-trials) default to a
 // laptop-friendly size; the paper's scale is roughly -checkpoints 270
-// -trials 100 -soft-trials 1200. Campaigns run on -workers goroutines
-// under the -sched scheduler (default: the two-phase work-stealing
-// engine); neither flag ever changes results, only wall-clock time.
+// -trials 100 -soft-trials 1200. Campaigns run on -workers goroutines of
+// the two-phase work-stealing engine; the worker count never changes
+// results, only wall-clock time.
 // -progress prints periodic checkpoints-done/trials-done lines to stderr
 // without perturbing results; each line carries a running tally of HOW
 // trials resolved (taint, quiescence, convergence, monitor, full-horizon,
 // anomaly), and a final per-mechanism breakdown with mean simulated cycles
-// is printed after the last command. -earlystop picks the termination
-// strategy (converge, taint, off) — all three produce byte-identical
-// results; they differ only in simulated cycles per trial.
+// is printed after the last command. -earlystop on|off switches the early
+// trial termination — both produce byte-identical results; they differ
+// only in simulated cycles per trial.
 //
 // Fault-model flags: -fault-model selects what each trial injects —
 // transient (the paper's single bit flip, the default), stuck0/stuck1
 // (stuck-at for a -fault-duration cycle window), intermittent (stuck-at-1
 // for a seeded random duration in [1, -fault-duration]), permanent
 // (stuck-at-1 for the whole trial), or mbu2 (a 2-adjacent-bit upset).
-// Non-transient models auto-restrict early stopping and disable the
-// prover (their soundness arguments need one-shot faults);
+// Non-transient models run without the taint and convergence shortcuts
+// and disable the prover (their soundness arguments need one-shot faults);
 // -model-crosscheck K re-runs K trials per checkpoint with every
 // acceleration off and fails the campaign on any divergence. A final
 // per-model outcome breakdown is printed next to the trial-resolution
@@ -94,7 +94,6 @@ type opts struct {
 	softTrials  int
 	horizon     int
 	workers     int
-	sched       core.SchedMode
 	earlyStop   core.EarlyStopMode
 	prove       core.ProveMode
 	proveCheck  int
@@ -119,8 +118,7 @@ func run(args []string) int {
 	softTrials := fs.Int("soft-trials", 60, "software trials per benchmark per model")
 	horizon := fs.Int("horizon", 10_000, "trial cycle budget")
 	workers := fs.Int("workers", runtime.NumCPU(), "campaign worker goroutines (results are identical for any count)")
-	sched := fs.String("sched", "steal", "campaign scheduler: steal (two-phase work-stealing) or shard (legacy checkpoint sharding)")
-	earlyStop := fs.String("earlystop", "converge", "trial termination: converge (taint shortcuts + trajectory re-convergence certificate), taint (taint shortcuts only), or off (full-horizon equivalence oracle)")
+	earlyStop := fs.String("earlystop", "on", "early trial termination: on (dead-entry, quiescence and re-convergence shortcuts) or off (full-horizon equivalence oracle)")
 	proveFlag := fs.String("prove", "on", "static benign-injection prover: on (sample only unproven bits, re-weight analytically) or off (full-population sampling)")
 	proveCheck := fs.Int("prove-crosscheck", 0, "per-checkpoint soundness oracle: simulate this many proven-benign bits full-horizon and fail the campaign unless all match (0 disables)")
 	faultModel := fs.String("fault-model", "transient", "fault model to inject: "+strings.Join(core.FaultModelNames(), ", "))
@@ -152,11 +150,6 @@ func run(args []string) int {
 	// every flag-controlled field is validated once here; the checks below
 	// it are front-end policy (scale flags that core would default, but a
 	// command line should state explicitly).
-	schedMode, err := core.ParseSchedMode(*sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "faultsim:", err)
-		return 2
-	}
 	earlyStopMode, err := core.ParseEarlyStopMode(*earlyStop)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
@@ -177,7 +170,6 @@ func run(args []string) int {
 		Checkpoints:     *checkpoints,
 		Horizon:         *horizon,
 		Workers:         *workers,
-		Sched:           schedMode,
 		EarlyStop:       earlyStopMode,
 		Prove:           proveMode,
 		ProveCrossCheck: *proveCheck,
@@ -242,7 +234,7 @@ func run(args []string) int {
 	o := &opts{
 		checkpoints: *checkpoints, trials: *trials, ltrials: *ltrials,
 		softTrials: *softTrials, horizon: *horizon, workers: *workers,
-		sched: schedMode, earlyStop: earlyStopMode, prove: proveMode,
+		earlyStop: earlyStopMode, prove: proveMode,
 		proveCheck: *proveCheck, model: model, modelCheck: *modelCheck,
 		progress: *progress,
 		timeout:  *timeout, journal: *journal, resume: *resumeFlag,
@@ -568,7 +560,6 @@ func (r *runner) campaigns(protect pipefault.ProtectConfig, cache *[]*core.Resul
 			Horizon:         r.o.horizon,
 			Populations:     pops,
 			Workers:         r.o.workers,
-			Sched:           r.o.sched,
 			EarlyStop:       r.o.earlyStop,
 			Prove:           r.o.prove,
 			ProveCrossCheck: r.o.proveCheck,

@@ -22,7 +22,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{"zero duration transient", []string{"-fault-duration", "0", "modes"}, 2},
 		{"negative crosscheck", []string{"-model-crosscheck", "-1", "modes"}, 2},
 		{"resume without journal", []string{"-resume", "modes"}, 2},
-		{"bad sched", []string{"-sched", "bogus", "modes"}, 2},
+		{"bad sched", []string{"-sched", "steal", "modes"}, 2},
+		{"bad earlystop", []string{"-earlystop", "taint", "modes"}, 2},
 		{"bad bench", []string{"-bench", "nope", "modes"}, 2},
 		{"default ok", []string{"modes"}, 0},
 		{"transient ok", []string{"-fault-model", "transient", "modes"}, 0},

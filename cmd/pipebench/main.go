@@ -19,19 +19,14 @@
 //
 //	scaling            the same campaign at 1, 2, 4 and NumCPU workers,
 //	                   reporting per-count trials/sec and scaling_efficiency
-//	sched_speedup_4w   the 4-worker campaign under the legacy shard
-//	                   scheduler divided by the same under the work-stealing
-//	                   scheduler (>1 means stealing is faster)
-//	early_stop         the campaign under each termination mode — off
-//	                   (full-horizon), taint, and converge (the default,
-//	                   taint + trajectory re-convergence certificate) —
-//	                   reporting the mean actually-simulated cycles per
-//	                   trial for each as a trajectory, early_stop_speedup
-//	                   (off vs converge) and converge_speedup (taint vs
-//	                   converge); the runs double as an equivalence
-//	                   oracle — any result mismatch fails the run
-//	                   (exit 1) even with -soft, since that is a
-//	                   correctness bug, not runner noise
+//	early_stop         the campaign with early trial termination off
+//	                   (full-horizon) and on (the default: dead-entry,
+//	                   quiescence and re-convergence shortcuts), reporting
+//	                   the mean actually-simulated cycles per trial for
+//	                   each and early_stop_speedup (off vs on); the runs
+//	                   double as an equivalence oracle — any result
+//	                   mismatch fails the run (exit 1) even with -soft,
+//	                   since that is a correctness bug, not runner noise
 //	prove              proven_benign_fraction — the share of the injectable
 //	                   population the static prover certifies benign — and
 //	                   prove_speedup: the wall-clock of an equal-precision
@@ -92,10 +87,8 @@ type metrics struct {
 	NsRestoreSnapshot  float64 `json:"ns_per_restore_snapshot"`
 	NsRestoreJournal   float64 `json:"ns_per_restore_journal"`
 	AllocsPerTrial     float64 `json:"allocs_per_trial"`
-	SchedSpeedup4W     float64 `json:"sched_speedup_4w"`
 	MeanCyclesPerTrial float64 `json:"mean_cycles_per_trial"`
 	EarlyStopSpeedup   float64 `json:"early_stop_speedup"`
-	ConvergeSpeedup    float64 `json:"converge_speedup"`
 	ProvenFraction     float64 `json:"proven_benign_fraction"`
 	ProveSpeedup       float64 `json:"prove_speedup"`
 }
@@ -269,47 +262,17 @@ func main() {
 			nw, wall, speedup, speedup/float64(nw))
 	}
 
-	// Scheduler speedup: the legacy shard engine vs the work-stealing
-	// engine, both at 4 workers on the same campaign. The shard engine
-	// re-steps the program prefix once per worker; the steal engine's
-	// single reachability pass eliminates that redundancy, so the ratio
-	// exceeds 1 even without free CPUs. Each engine's wall is the best
-	// of two runs: a min discards one-sided scheduler/GC noise, which a
-	// single sample of a ratio of wall-clocks amplifies.
-	bestWall := func(c core.Config) float64 {
-		best, _ := campaignWall(c)
-		if again, _ := campaignWall(c); again < best {
-			best = again
-		}
-		return best
-	}
-	shardCfg := cfg
-	shardCfg.Workers = 4
-	shardCfg.Sched = core.SchedShard
-	shardWall := bestWall(shardCfg)
-	stealCfg := cfg
-	stealCfg.Workers = 4
-	stealCfg.Sched = core.SchedSteal
-	stealWall := bestWall(stealCfg)
-	if stealWall > 0 {
-		rep.Metrics.SchedSpeedup4W = shardWall / stealWall
-	}
-	fmt.Fprintf(os.Stderr, "pipebench: sched_speedup_4w   shard %.2fs / steal %.2fs = %.2fx\n",
-		shardWall, stealWall, rep.Metrics.SchedSpeedup4W)
-
 	// Early-stop effectiveness, and the equivalence oracle. The same
-	// campaign runs under every termination mode — the full-horizon loop,
-	// taint shortcuts, and convergence termination (the default) — counting
-	// actually-simulated cycles per trial; the three means form the
-	// mean-cycles-per-trial trajectory. All results must be bit-identical;
-	// a mismatch is a correctness bug in the early-stop machinery, so it
-	// hard-fails the run even with -soft — that flag only pardons
-	// throughput noise.
+	// campaign runs with early termination off (the full-horizon loop) and
+	// on (the default), counting actually-simulated cycles per trial. Both
+	// results must be bit-identical; a mismatch is a correctness bug in the
+	// early-stop machinery, so it hard-fails the run even with -soft — that
+	// flag only pardons throughput noise.
 	earlyStopRun := func(mode core.EarlyStopMode) (*core.Result, float64) {
 		var steps, trials atomic.Int64
 		c := cfg
 		c.EarlyStop = mode
-		c.OnTrialSteps = func(s int) {
+		c.OnTrialResolved = func(_ core.ResolveKind, s int) {
 			steps.Add(int64(s))
 			trials.Add(1)
 		}
@@ -323,35 +286,22 @@ func main() {
 		return res, float64(steps.Load()) / float64(trials.Load())
 	}
 	fullRes, meanOff := earlyStopRun(core.EarlyStopOff)
-	modes := []struct {
-		mode core.EarlyStopMode
-		mean float64
-	}{{core.EarlyStopTaint, 0}, {core.EarlyStopConverge, 0}}
-	rep.EarlyStop = []earlyStopLine{{Mode: "off", MeanCycles: meanOff, SpeedupVsOff: 1}}
-	for i := range modes {
-		res, mean := earlyStopRun(modes[i].mode)
-		if !reflect.DeepEqual(res.Pops, fullRes.Pops) ||
-			!reflect.DeepEqual(res.Scatter, fullRes.Scatter) {
-			fmt.Fprintf(os.Stderr, "pipebench: EQUIVALENCE ORACLE MISMATCH: the %s-terminated campaign"+
-				" differs from the full-horizon campaign; early stopping changed trial outcomes\n",
-				modes[i].mode)
-			os.Exit(1)
-		}
-		modes[i].mean = mean
-		line := earlyStopLine{Mode: modes[i].mode.String(), MeanCycles: mean}
-		if mean > 0 {
-			line.SpeedupVsOff = meanOff / mean
-		}
-		rep.EarlyStop = append(rep.EarlyStop, line)
+	earlyRes, meanOn := earlyStopRun(core.EarlyStopOn)
+	if !reflect.DeepEqual(earlyRes.Pops, fullRes.Pops) ||
+		!reflect.DeepEqual(earlyRes.Scatter, fullRes.Scatter) {
+		fmt.Fprintln(os.Stderr, "pipebench: EQUIVALENCE ORACLE MISMATCH: the early-stopped campaign"+
+			" differs from the full-horizon campaign; early stopping changed trial outcomes")
+		os.Exit(1)
 	}
-	meanTaint, meanConv := modes[0].mean, modes[1].mean
-	rep.Metrics.MeanCyclesPerTrial = meanConv
-	if meanConv > 0 {
-		rep.Metrics.EarlyStopSpeedup = meanOff / meanConv
-		rep.Metrics.ConvergeSpeedup = meanTaint / meanConv
+	onLine := earlyStopLine{Mode: core.EarlyStopOn.String(), MeanCycles: meanOn}
+	rep.Metrics.MeanCyclesPerTrial = meanOn
+	if meanOn > 0 {
+		onLine.SpeedupVsOff = meanOff / meanOn
+		rep.Metrics.EarlyStopSpeedup = onLine.SpeedupVsOff
 	}
-	fmt.Fprintf(os.Stderr, "pipebench: early_stop         %.1f converge / %.1f taint / %.1f full-horizon cycles/trial = %.1fx (converge_speedup %.2fx)\n",
-		meanConv, meanTaint, meanOff, rep.Metrics.EarlyStopSpeedup, rep.Metrics.ConvergeSpeedup)
+	rep.EarlyStop = []earlyStopLine{{Mode: core.EarlyStopOff.String(), MeanCycles: meanOff, SpeedupVsOff: 1}, onLine}
+	fmt.Fprintf(os.Stderr, "pipebench: early_stop         %.1f on / %.1f full-horizon cycles/trial = %.1fx\n",
+		meanOn, meanOff, rep.Metrics.EarlyStopSpeedup)
 
 	// Prover effectiveness. The static prover does not shorten individual
 	// trials — it removes the proven-benign mass from the sampled
@@ -361,11 +311,12 @@ func main() {
 	// campaign's count of informative trials it must scale its trial
 	// budget by 1/(1-f). prove_speedup is that equal-precision full
 	// campaign's wall-clock divided by the prover campaign's, each the
-	// best of two runs (min-of-2, as in sched_speedup_4w). The trial
+	// best of two runs: a min discards one-sided scheduler/GC noise, which
+	// a single sample of a ratio of wall-clocks amplifies. The trial
 	// budget is tripled for this measurement so per-checkpoint fixed
 	// costs (pilot, golden continuations) — paid identically by both
 	// modes — do not wash out the per-trial difference. Under the
-	// default taint early stop the liveness-proven draws were already
+	// default early stop the liveness-proven draws were already
 	// resolved closed-form at near-zero cost, so this ratio is expected
 	// to sit near 1; it grows with the non-liveness rules' coverage and
 	// whenever early stop is off (oracle and -race runs), where every

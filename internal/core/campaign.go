@@ -53,17 +53,8 @@ type Config struct {
 	// and Workers:N are bit-identical.
 	Workers int //pipelint:identity-ok scheduling knob; any worker count produces bit-identical results
 
-	// Sched selects the campaign scheduler. SchedSteal (the default) runs
-	// the two-phase engine: one reachability pass captures a portable
-	// checkpoint image per checkpoint, and a work-stealing pool serves
-	// (checkpoint, trial-batch) units, any worker for any checkpoint.
-	// SchedShard is the legacy engine — checkpoints dealt round-robin, each
-	// worker stepping a private machine through the whole program prefix —
-	// kept as an equivalence oracle. Both produce bit-identical Results.
-	Sched SchedMode //pipelint:identity-ok scheduling knob; both schedulers produce bit-identical results
-
-	// TrialBatch is the number of trials per work-stealing unit under
-	// SchedSteal (default 8). Batching never affects the Result: a batch's
+	// TrialBatch is the number of trials per work-stealing unit (default
+	// 8). Batching never affects the Result: a batch's
 	// RNG stream is the checkpoint stream fast-forwarded to the batch's
 	// first trial, so trial bit picks depend only on (Seed, checkpoint,
 	// flat trial index).
@@ -81,13 +72,6 @@ type Config struct {
 	// it cannot perturb the campaign.
 	OnProgress func(Progress) //pipelint:identity-ok observation-only callback; sees results after they are final
 
-	// Rewind selects how workers rewind the machine between trials. The
-	// default, RewindJournal, replays the state file's first-touch undo
-	// journal — O(words touched) per trial. RewindSnapshot restores a full
-	// per-checkpoint snapshot — O(machine state) per trial — and is kept as
-	// the equivalence oracle; both modes produce bit-identical Results.
-	Rewind RewindMode //pipelint:identity-ok rewind mechanism; both modes produce bit-identical results
-
 	// TrialTimeout, when positive, is the per-trial wall-time watchdog: a
 	// trial whose Step loop exceeds the budget is killed, rolled back via
 	// the normal rewind path, and classified OutAnomaly instead of hanging
@@ -103,14 +87,14 @@ type Config struct {
 	Clock func() int64 //pipelint:identity-ok watchdog time source; see TrialTimeout
 
 	// JournalPath, when set, appends every completed work unit's result to
-	// a campaign journal at this path as it is aggregated: each (checkpoint,
-	// trial-batch) unit under SchedSteal, each whole checkpoint under
-	// SchedShard. Resume replays the journal and re-runs only the missing
-	// units, reproducing an uninterrupted run's exports byte-identically.
+	// a campaign journal at this path as it is aggregated: each checkpoint's
+	// head unit and each (checkpoint, trial-batch) unit. Resume replays the
+	// journal and re-runs only the missing units, reproducing an
+	// uninterrupted run's exports byte-identically.
 	JournalPath string //pipelint:identity-ok journal location; where results are recorded, never what they are
 
-	// EarlyStop selects the trial-termination strategy. EarlyStopConverge
-	// (the default) classifies a trial the moment its outcome is provably
+	// EarlyStop selects the trial-termination strategy. EarlyStopOn (the
+	// default) classifies a trial the moment its outcome is provably
 	// determined, through three composing mechanisms: dead injections
 	// (flipped entry overwritten before the golden run ever reads it)
 	// resolve in O(1) from the golden liveness trace without stepping at
@@ -119,27 +103,20 @@ type Config struct {
 	// from the golden trajectory is provably frozen — every differing entry
 	// untouched by the golden run for the rest of the horizon — resolve in
 	// closed form from the golden monitors at the next convergence keyframe
-	// (see DESIGN.md "Convergence termination"). EarlyStopTaint keeps only
-	// the first two mechanisms (the pre-convergence behavior, retained as
-	// an equivalence oracle); EarlyStopOff steps every trial to
-	// classification or the full horizon — the baseline oracle. All three
-	// modes produce bit-identical Results.
-	EarlyStop EarlyStopMode //pipelint:identity-ok termination strategy; all modes produce bit-identical results
-
-	// OnTrialSteps, if set, receives the number of machine cycles actually
-	// simulated by each trial (0 for trials resolved without stepping).
-	// Instrumentation only — pipebench uses it to measure the early-stop
-	// speedup. Called from worker goroutines; must be safe for concurrent
-	// use.
-	OnTrialSteps func(steps int) //pipelint:identity-ok observation-only instrumentation callback
+	// (see DESIGN.md "Convergence termination"). The engine applies each
+	// mechanism only where the fault model keeps it sound (see
+	// FaultModel.Transient). EarlyStopOff steps every trial to
+	// classification or the full horizon — the baseline oracle. Both modes
+	// produce bit-identical Results.
+	EarlyStop EarlyStopMode //pipelint:identity-ok termination strategy; both modes produce bit-identical results
 
 	// OnTrialResolved, if set, receives how each trial attempt resolved —
-	// which termination mechanism decided it — alongside the cycles it
-	// actually simulated. A trial retried after a contained panic reports
-	// once per attempt (the unwound attempt as ResolveAnomaly), mirroring
-	// OnTrialSteps. Journal-replayed checkpoints report nothing: their
-	// trials are not re-run. Instrumentation only; called from worker
-	// goroutines, must be safe for concurrent use.
+	// which termination mechanism decided it — alongside the machine cycles
+	// it actually simulated (0 for trials resolved without stepping). A
+	// trial retried after a contained panic reports once per attempt (the
+	// unwound attempt as ResolveAnomaly). Journal-replayed checkpoints
+	// report nothing: their trials are not re-run. Instrumentation only;
+	// called from worker goroutines, must be safe for concurrent use.
 	OnTrialResolved func(kind ResolveKind, steps int) //pipelint:identity-ok observation-only instrumentation callback
 
 	// Prove selects the static benign-injection prover. ProveOn (the
@@ -183,51 +160,23 @@ type Config struct {
 	Seed int64
 }
 
-// RewindMode selects the trial rewind mechanism (see Config.Rewind).
-type RewindMode uint8
-
-// Rewind mechanisms.
-const (
-	RewindJournal RewindMode = iota
-	RewindSnapshot
-)
-
-func (r RewindMode) String() string {
-	switch r {
-	case RewindJournal:
-		return "journal"
-	case RewindSnapshot:
-		return "snapshot"
-	}
-	return fmt.Sprintf("rewind(%d)", uint8(r))
-}
-
 // EarlyStopMode selects the trial-termination strategy (see
 // Config.EarlyStop).
 type EarlyStopMode uint8
 
-// Early-stop strategies. EarlyStopConverge is the zero value and therefore
-// the default; EarlyStopOff keeps its historical value. EarlyStop is
-// excluded from the campaign journal identity, so the renumbering cannot
-// invalidate existing journals.
+// Early-stop strategies. EarlyStopOn is the zero value and therefore the
+// default; EarlyStopOff keeps its historical value. EarlyStop is excluded
+// from the campaign journal identity, so the mode set cannot invalidate
+// existing journals.
 const (
-	EarlyStopConverge EarlyStopMode = iota
+	EarlyStopOn EarlyStopMode = iota
 	EarlyStopOff
-	EarlyStopTaint
 )
-
-// taintShortcuts reports whether the mode applies the taint (dead-entry)
-// and quiescence closed forms. Convergence is a strict superset of taint.
-func (e EarlyStopMode) taintShortcuts() bool {
-	return e == EarlyStopTaint || e == EarlyStopConverge
-}
 
 func (e EarlyStopMode) String() string {
 	switch e {
-	case EarlyStopConverge:
-		return "converge"
-	case EarlyStopTaint:
-		return "taint"
+	case EarlyStopOn:
+		return "on"
 	case EarlyStopOff:
 		return "off"
 	}
@@ -237,14 +186,12 @@ func (e EarlyStopMode) String() string {
 // ParseEarlyStopMode maps a flag value to an EarlyStopMode.
 func ParseEarlyStopMode(s string) (EarlyStopMode, error) {
 	switch s {
-	case "converge":
-		return EarlyStopConverge, nil
-	case "taint":
-		return EarlyStopTaint, nil
+	case "on":
+		return EarlyStopOn, nil
 	case "off":
 		return EarlyStopOff, nil
 	}
-	return 0, fmt.Errorf("core: unknown early-stop mode %q (want \"converge\", \"taint\" or \"off\")", s)
+	return 0, fmt.Errorf("core: unknown early-stop mode %q (want \"on\" or \"off\")", s)
 }
 
 // ResolveKind identifies the mechanism that terminated a trial attempt
@@ -343,36 +290,6 @@ func (e *ProveError) Error() string {
 		e.Checkpoint, e.Elem, e.Entry, e.Bit, e.Rule, e.Outcome, e.Mode)
 }
 
-// SchedMode selects the campaign scheduler (see Config.Sched).
-type SchedMode uint8
-
-// Campaign schedulers.
-const (
-	SchedSteal SchedMode = iota
-	SchedShard
-)
-
-func (s SchedMode) String() string {
-	switch s {
-	case SchedSteal:
-		return "steal"
-	case SchedShard:
-		return "shard"
-	}
-	return fmt.Sprintf("sched(%d)", uint8(s))
-}
-
-// ParseSchedMode maps a flag value to a SchedMode.
-func ParseSchedMode(s string) (SchedMode, error) {
-	switch s {
-	case "steal":
-		return SchedSteal, nil
-	case "shard":
-		return SchedShard, nil
-	}
-	return 0, fmt.Errorf("core: unknown scheduler %q (want \"steal\" or \"shard\")", s)
-}
-
 // Progress is a campaign progress snapshot delivered to Config.OnProgress.
 // Totals are the configured campaign size; a workload that architecturally
 // halts before its last checkpoint finishes with CheckpointsDone <
@@ -458,18 +375,8 @@ func (c *Config) Validate() error {
 			return &ConfigError{Field: check.field, Value: check.value, Reason: check.reason}
 		}
 	}
-	switch c.Sched {
-	case SchedSteal, SchedShard:
-	default:
-		return &ConfigError{Field: "Sched", Value: c.Sched, Reason: "unknown scheduler"}
-	}
-	switch c.Rewind {
-	case RewindJournal, RewindSnapshot:
-	default:
-		return &ConfigError{Field: "Rewind", Value: c.Rewind, Reason: "unknown rewind mode"}
-	}
 	switch c.EarlyStop {
-	case EarlyStopConverge, EarlyStopTaint, EarlyStopOff:
+	case EarlyStopOn, EarlyStopOff:
 	default:
 		return &ConfigError{Field: "EarlyStop", Value: c.EarlyStop, Reason: "unknown early-stop mode"}
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // newTestEngine builds an engine positioned at a warmed-up checkpoint of
-// the given workload, with a golden continuation already recorded into the
-// worker's reusable buffers.
+// the given workload, with a golden continuation already recorded as the
+// worker's current golden run.
 func newTestEngine(t *testing.T, w *workload.Workload, warmup uint64) (*worker, *goldenRun) {
 	t.Helper()
 	prog, err := w.Program()
@@ -35,10 +35,10 @@ func newTestEngine(t *testing.T, w *workload.Workload, warmup uint64) (*worker, 
 	snap := m.Snapshot()
 	m.Mem.BeginUndo()
 	mark := m.Mem.Mark()
-	en.goldenContinuation(en.g)
+	g := en.goldenContinuation()
 	m.Restore(snap)
 	m.Mem.RollbackTo(mark)
-	return en, en.g
+	return en, g
 }
 
 // flipRef builds a BitRef for a named element.

@@ -43,14 +43,13 @@ func TestContainmentSoak(t *testing.T) {
 	}
 	w := newWorker(cfg, m, uint64(cfg.Horizon+2000))
 
-	// Replay the checkpoint() preamble: golden continuation, then rewind.
+	// Replay a batch unit's preamble: golden continuation, then rewind.
 	m.BeginJournal()
 	m.Mark(&w.ckMark)
 	m.Mem.BeginUndo()
 	memMark := m.Mem.Mark()
-	g := &w.gOwned
-	w.goldenContinuation(g)
-	w.rewind(nil, &w.ckMark)
+	w.goldenContinuation()
+	m.RollbackTo(&w.ckMark)
 	m.Mem.RollbackTo(memMark)
 
 	base := m.Digest()
@@ -62,7 +61,7 @@ func TestContainmentSoak(t *testing.T) {
 		elems++
 		for _, entry := range sweepIdx(e.Entries()) {
 			for _, bit := range sweepIdx(e.Width()) {
-				trial := w.runTrialContained(state.BitRef{Elem: e, Entry: entry, Bit: bit}, 0, swept, nil)
+				trial := w.runTrialContained(state.BitRef{Elem: e, Entry: entry, Bit: bit}, 0, swept)
 				swept++
 				if trial.Outcome == OutAnomaly {
 					anomalies++
@@ -86,68 +85,67 @@ func TestContainmentSoak(t *testing.T) {
 // attempt and the fresh-restore retry must complete the campaign with
 // exactly one OutAnomaly trial carrying the panic record, and every other
 // trial must be bit-identical to the panic-free baseline — the anomaly
-// must not leak into its neighbors. Exercised under both schedulers.
+// must not leak into its neighbors. Exercised on a parallel work-stealing
+// pool, where the wedged trial shares a worker with other checkpoints'
+// batches.
 func TestInducedPanicAnomaly(t *testing.T) {
 	const wedgeCk, wedgeIdx = 1, 2
-	for _, sched := range []SchedMode{SchedSteal, SchedShard} {
-		t.Run(sched.String(), func(t *testing.T) {
-			cfg := stealTestConfig()
-			cfg.Sched = sched
-			cfg.Workers = 4
-			base, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("steal", func(t *testing.T) {
+		cfg := stealTestConfig()
+		cfg.Workers = 4
+		base, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			testTrialHook = func(ck, idx, attempt int) {
-				if ck == wedgeCk && idx == wedgeIdx {
-					panic("induced trial wedge")
-				}
+		testTrialHook = func(ck, idx, attempt int) {
+			if ck == wedgeCk && idx == wedgeIdx {
+				panic("induced trial wedge")
 			}
-			defer func() { testTrialHook = nil }()
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("campaign died instead of containing the panic: %v", err)
-			}
+		}
+		defer func() { testTrialHook = nil }()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("campaign died instead of containing the panic: %v", err)
+		}
 
-			anomalies := 0
-			for name, p := range res.Pops { //pipelint:unordered-ok assertions are per-population; no ordered output
-				bp := base.Pops[name]
-				if len(p.Trials) != len(bp.Trials) {
-					t.Fatalf("%s: %d trials, baseline %d", name, len(p.Trials), len(bp.Trials))
+		anomalies := 0
+		for name, p := range res.Pops { //pipelint:unordered-ok assertions are per-population; no ordered output
+			bp := base.Pops[name]
+			if len(p.Trials) != len(bp.Trials) {
+				t.Fatalf("%s: %d trials, baseline %d", name, len(p.Trials), len(bp.Trials))
+			}
+			for i, tr := range p.Trials {
+				if tr.Outcome == OutAnomaly {
+					anomalies++
+					a := tr.Anomaly
+					if a == nil {
+						t.Fatalf("%s trial %d: OutAnomaly without an Anomaly record", name, i)
+					}
+					if !strings.Contains(a.Panic, "induced trial wedge") {
+						t.Errorf("anomaly panic = %q, want the induced wedge", a.Panic)
+					}
+					if a.Stack == "" || a.Attempts != 2 || a.Checkpoint != wedgeCk {
+						t.Errorf("anomaly record incomplete: attempts=%d ck=%d stack=%d bytes",
+							a.Attempts, a.Checkpoint, len(a.Stack))
+					}
+					bt := bp.Trials[i]
+					if tr.Elem != bt.Elem || tr.Bit != bt.Bit || tr.Checkpoint != bt.Checkpoint {
+						t.Errorf("anomaly coordinates (%s bit %d ck %d) drifted from baseline (%s bit %d ck %d): containment perturbed the RNG stream",
+							tr.Elem, tr.Bit, tr.Checkpoint, bt.Elem, bt.Bit, bt.Checkpoint)
+					}
+					continue
 				}
-				for i, tr := range p.Trials {
-					if tr.Outcome == OutAnomaly {
-						anomalies++
-						a := tr.Anomaly
-						if a == nil {
-							t.Fatalf("%s trial %d: OutAnomaly without an Anomaly record", name, i)
-						}
-						if !strings.Contains(a.Panic, "induced trial wedge") {
-							t.Errorf("anomaly panic = %q, want the induced wedge", a.Panic)
-						}
-						if a.Stack == "" || a.Attempts != 2 || a.Checkpoint != wedgeCk {
-							t.Errorf("anomaly record incomplete: attempts=%d ck=%d stack=%d bytes",
-								a.Attempts, a.Checkpoint, len(a.Stack))
-						}
-						bt := bp.Trials[i]
-						if tr.Elem != bt.Elem || tr.Bit != bt.Bit || tr.Checkpoint != bt.Checkpoint {
-							t.Errorf("anomaly coordinates (%s bit %d ck %d) drifted from baseline (%s bit %d ck %d): containment perturbed the RNG stream",
-								tr.Elem, tr.Bit, tr.Checkpoint, bt.Elem, bt.Bit, bt.Checkpoint)
-						}
-						continue
-					}
-					if tr != bp.Trials[i] {
-						t.Errorf("%s trial %d differs from baseline after a contained anomaly: %+v != %+v",
-							name, i, tr, bp.Trials[i])
-					}
+				if tr != bp.Trials[i] {
+					t.Errorf("%s trial %d differs from baseline after a contained anomaly: %+v != %+v",
+						name, i, tr, bp.Trials[i])
 				}
 			}
-			if anomalies != 1 {
-				t.Fatalf("%d anomalies, want exactly 1", anomalies)
-			}
-		})
-	}
+		}
+		if anomalies != 1 {
+			t.Fatalf("%d anomalies, want exactly 1", anomalies)
+		}
+	})
 }
 
 // TestTransientPanicRetry: a panic on the first attempt only (a one-shot

@@ -13,13 +13,13 @@ import (
 )
 
 // TestConvergeEquivalenceMatrix is the correctness oracle of convergence
-// termination: under both schedulers, 1 and 4 workers, and both rewind
-// mechanisms, the converge-terminated campaign must be bit-identical —
-// trial for trial, including Cycles — to both the taint-terminated and the
-// full-horizon runs, and must reproduce the checked-in export goldens byte
-// for byte. The goldens predate early stopping entirely, so they pin that
-// the trajectory trace and re-convergence certificate moved classification
-// earlier in wall time but nowhere else.
+// termination across batch geometry: at 1 and 8 workers and trial batches
+// of 1 and 3, the early-stopped campaign must be bit-identical — trial for
+// trial, including Cycles — to the full-horizon run, and must reproduce the
+// checked-in export goldens byte for byte. The goldens predate early
+// stopping entirely, so they pin that the trajectory trace and
+// re-convergence certificate moved classification earlier in wall time but
+// nowhere else.
 func TestConvergeEquivalenceMatrix(t *testing.T) {
 	wantJSON, err := os.ReadFile(filepath.Join("testdata", "export_golden.json"))
 	if err != nil {
@@ -29,34 +29,24 @@ func TestConvergeEquivalenceMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []SchedMode{SchedShard, SchedSteal} {
-		for _, workers := range []int{1, 4} {
-			for _, rewind := range []RewindMode{RewindJournal, RewindSnapshot} {
-				name := fmt.Sprintf("%v-w%d-%v", sched, workers, rewind)
-				conv := earlyStopCampaign(t, EarlyStopConverge, sched, workers, rewind)
-				taint := earlyStopCampaign(t, EarlyStopTaint, sched, workers, rewind)
-				full := earlyStopCampaign(t, EarlyStopOff, sched, workers, rewind)
-				resultsEqual(t, name+"-conv-vs-off", conv, full)
-				resultsEqual(t, name+"-conv-vs-taint", conv, taint)
-				var gotJSON, gotCSV bytes.Buffer
-				if err := conv.WriteJSON(&gotJSON); err != nil {
-					t.Fatal(err)
-				}
-				if err := conv.WriteCSV(&gotCSV); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(gotJSON.Bytes(), wantJSON) {
-					t.Errorf("%s: converge JSON export deviates from golden", name)
-				}
-				if !bytes.Equal(gotCSV.Bytes(), wantCSV) {
-					t.Errorf("%s: converge CSV export deviates from golden", name)
-				}
+	for _, workers := range []int{1, 8} {
+		for _, batch := range []int{1, 3} {
+			name := fmt.Sprintf("w%d-b%d", workers, batch)
+			conv := earlyStopCampaign(t, EarlyStopOn, workers, batch)
+			full := earlyStopCampaign(t, EarlyStopOff, workers, batch)
+			resultsEqual(t, name+"-on-vs-off", conv, full)
+			gotJSON, gotCSV := exportBytes(t, conv)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("%s: early-stopped JSON export deviates from golden", name)
+			}
+			if !bytes.Equal(gotCSV, wantCSV) {
+				t.Errorf("%s: early-stopped CSV export deviates from golden", name)
 			}
 		}
 	}
 }
 
-// convergeSearch runs converge-mode trials over a deterministic enumeration
+// convergeSearch runs early-stopped trials over a deterministic enumeration
 // of injectable bits until pick returns true, returning that trial and its
 // instrumentation. The worker RNG is never involved: targeted trials take
 // explicit BitRefs, so convergence termination cannot perturb the campaign
@@ -173,7 +163,7 @@ func TestConvergeCopyClosureDrain(t *testing.T) {
 		found = true
 		en.cfg.EarlyStop = EarlyStopOff
 		slow := runTargeted(t, en, g, "rat.arch", i, 0)
-		en.cfg.EarlyStop = EarlyStopConverge
+		en.cfg.EarlyStop = EarlyStopOn
 		if fast != slow {
 			t.Errorf("rat.arch[%d] bit 0: certificate %+v != full horizon %+v", i, fast, slow)
 		}
@@ -194,18 +184,15 @@ func TestConvergeJournalIdentityExcluded(t *testing.T) {
 		cfg.setDefaults()
 		return journalHeaderFor(&cfg)
 	}
-	off := mk(EarlyStopOff)
-	for _, es := range []EarlyStopMode{EarlyStopConverge, EarlyStopTaint} {
-		if h := mk(es); !h.equal(off) {
-			t.Errorf("journal identity differs between EarlyStop %v and off: %+v vs %+v", es, h, off)
-		}
+	if on, off := mk(EarlyStopOn), mk(EarlyStopOff); !on.equal(off) {
+		t.Errorf("journal identity differs between EarlyStop on and off: %+v vs %+v", on, off)
 	}
 }
 
 // TestResumeFlipsEarlyStopMode: a campaign started under the full-horizon
-// loop, killed mid-flight, and resumed under convergence termination must
+// loop, killed mid-flight, and resumed with early stopping on must
 // reproduce the uninterrupted run byte for byte — the journal splices
-// full-horizon units into a converge-mode completion and nothing shows.
+// full-horizon units into an early-stopped completion and nothing shows.
 func TestResumeFlipsEarlyStopMode(t *testing.T) {
 	cfg := stealTestConfig()
 	cfg.EarlyStop = EarlyStopOff
@@ -232,10 +219,10 @@ func TestResumeFlipsEarlyStopMode(t *testing.T) {
 	}
 
 	jcfg.OnProgress = nil
-	jcfg.EarlyStop = EarlyStopConverge
+	jcfg.EarlyStop = EarlyStopOn
 	resumed, err := Resume(context.Background(), jcfg)
 	if err != nil {
-		t.Fatalf("resume under converge mode: %v", err)
+		t.Fatalf("resume with early stopping on: %v", err)
 	}
 	gotJSON, gotCSV := exportBytes(t, resumed)
 	if !bytes.Equal(gotJSON, baseJSON) {
@@ -246,17 +233,11 @@ func TestResumeFlipsEarlyStopMode(t *testing.T) {
 	}
 }
 
-// TestConvergeModeStrings pins the flag-facing name, parser and default.
+// TestConvergeModeStrings pins the default early-stop mode and the
+// resolution-kind names.
 func TestConvergeModeStrings(t *testing.T) {
-	if EarlyStopConverge != 0 {
-		t.Error("EarlyStopConverge must be the zero value (the Config default)")
-	}
-	if EarlyStopConverge.String() != "converge" {
-		t.Errorf("EarlyStopConverge.String() = %q", EarlyStopConverge)
-	}
-	got, err := ParseEarlyStopMode("converge")
-	if err != nil || got != EarlyStopConverge {
-		t.Errorf("ParseEarlyStopMode(converge) = %v, %v", got, err)
+	if EarlyStopOn != 0 {
+		t.Error("EarlyStopOn must be the zero value (the Config default)")
 	}
 	for k, want := range map[ResolveKind]string{
 		ResolveTaint: "taint", ResolveQuiesce: "quiescence",

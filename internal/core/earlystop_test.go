@@ -12,24 +12,14 @@ import (
 
 // earlyStopCampaign runs the golden-test campaign (the same configuration
 // whose exports are pinned in testdata/) under an explicit early-stop mode,
-// scheduler, worker count and rewind mechanism.
-func earlyStopCampaign(t *testing.T, es EarlyStopMode, sched SchedMode, workers int, rewind RewindMode) *Result {
+// worker count and trial batch (0 means the default).
+func earlyStopCampaign(t *testing.T, es EarlyStopMode, workers, batch int) *Result {
 	t.Helper()
-	res, err := Run(Config{
-		Workload:    workload.Tiny,
-		Checkpoints: 2,
-		Horizon:     800,
-		Populations: []Population{
-			{Name: "l+r", Trials: 4},
-			{Name: "l", LatchOnly: true, Trials: 3},
-		},
-		Seed:      11,
-		Workers:   workers,
-		Sched:     sched,
-		Rewind:    rewind,
-		EarlyStop: es,
-		Prove:     ProveOff, // goldens pin the full-population draw sequence
-	})
+	cfg := goldenConfig()
+	cfg.Workers = workers
+	cfg.TrialBatch = batch
+	cfg.EarlyStop = es
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +27,11 @@ func earlyStopCampaign(t *testing.T, es EarlyStopMode, sched SchedMode, workers 
 }
 
 // TestEarlyStopEquivalenceMatrix is the correctness oracle of the
-// early-stop machinery: under both schedulers, 1 and 4 workers, and both
-// rewind mechanisms, the taint-terminated campaign must be bit-identical —
-// trial for trial, including Cycles — to the full-horizon run, and both
-// must reproduce the checked-in export goldens byte for byte. The goldens
-// predate early stopping entirely, so they pin that classification moved
-// earlier in wall time but nowhere else.
+// early-stop machinery: at 1 and 4 workers the early-stopped campaign must
+// be bit-identical — trial for trial, including Cycles — to the
+// full-horizon run, and both must reproduce the checked-in export goldens
+// byte for byte. The goldens predate early stopping entirely, so they pin
+// that classification moved earlier in wall time but nowhere else.
 func TestEarlyStopEquivalenceMatrix(t *testing.T) {
 	wantJSON, err := os.ReadFile(filepath.Join("testdata", "export_golden.json"))
 	if err != nil {
@@ -52,31 +41,21 @@ func TestEarlyStopEquivalenceMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []SchedMode{SchedShard, SchedSteal} {
-		for _, workers := range []int{1, 4} {
-			for _, rewind := range []RewindMode{RewindJournal, RewindSnapshot} {
-				name := fmt.Sprintf("%v-w%d-%v", sched, workers, rewind)
-				taint := earlyStopCampaign(t, EarlyStopTaint, sched, workers, rewind)
-				full := earlyStopCampaign(t, EarlyStopOff, sched, workers, rewind)
-				resultsEqual(t, name, taint, full)
-				for _, run := range []struct {
-					mode string
-					res  *Result
-				}{{"taint", taint}, {"off", full}} {
-					var gotJSON, gotCSV bytes.Buffer
-					if err := run.res.WriteJSON(&gotJSON); err != nil {
-						t.Fatal(err)
-					}
-					if err := run.res.WriteCSV(&gotCSV); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(gotJSON.Bytes(), wantJSON) {
-						t.Errorf("%s-%s: JSON export deviates from golden", name, run.mode)
-					}
-					if !bytes.Equal(gotCSV.Bytes(), wantCSV) {
-						t.Errorf("%s-%s: CSV export deviates from golden", name, run.mode)
-					}
-				}
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("w%d", workers)
+		on := earlyStopCampaign(t, EarlyStopOn, workers, 0)
+		full := earlyStopCampaign(t, EarlyStopOff, workers, 0)
+		resultsEqual(t, name, on, full)
+		for _, run := range []struct {
+			mode string
+			res  *Result
+		}{{"on", on}, {"off", full}} {
+			gotJSON, gotCSV := exportBytes(t, run.res)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("%s-%s: JSON export deviates from golden", name, run.mode)
+			}
+			if !bytes.Equal(gotCSV, wantCSV) {
+				t.Errorf("%s-%s: CSV export deviates from golden", name, run.mode)
 			}
 		}
 	}
@@ -115,7 +94,7 @@ func TestEarlyStopDeadEntryFastPath(t *testing.T) {
 	elem, entry := deadBit(t, en, g)
 
 	var steps []int
-	en.cfg.OnTrialSteps = func(s int) { steps = append(steps, s) }
+	en.cfg.OnTrialResolved = func(_ ResolveKind, s int) { steps = append(steps, s) }
 
 	fast := runTargeted(t, en, g, elem, entry, 0)
 	if len(steps) != 1 || steps[0] != 0 {
@@ -142,7 +121,7 @@ func TestEarlyStopQuiescenceFastForward(t *testing.T) {
 	en, g := newTestEngine(t, workload.Tiny, 600)
 
 	var steps []int
-	en.cfg.OnTrialSteps = func(s int) { steps = append(steps, s) }
+	en.cfg.OnTrialResolved = func(_ ResolveKind, s int) { steps = append(steps, s) }
 
 	fast := runTargeted(t, en, g, "ms.halted", 0, 0)
 	en.cfg.EarlyStop = EarlyStopOff
@@ -165,25 +144,28 @@ func TestEarlyStopQuiescenceFastForward(t *testing.T) {
 	}
 }
 
-// TestEarlyStopModeStrings pins the flag-facing names and the parser.
+// TestEarlyStopModeStrings pins the flag-facing names and the parser,
+// which accepts exactly "on" and "off".
 func TestEarlyStopModeStrings(t *testing.T) {
-	if EarlyStopTaint.String() != "taint" || EarlyStopOff.String() != "off" {
-		t.Errorf("EarlyStopMode strings: %q, %q", EarlyStopTaint, EarlyStopOff)
-	}
 	if s := EarlyStopMode(99).String(); s == "" {
 		t.Error("unknown EarlyStopMode must still print")
 	}
 	for _, tc := range []struct {
 		in   string
 		want EarlyStopMode
-	}{{"taint", EarlyStopTaint}, {"off", EarlyStopOff}} {
+	}{{"on", EarlyStopOn}, {"off", EarlyStopOff}} {
 		got, err := ParseEarlyStopMode(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseEarlyStopMode(%q) = %v, %v", tc.in, got, err)
 		}
+		if got.String() != tc.in {
+			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.in)
+		}
 	}
-	if _, err := ParseEarlyStopMode("bogus"); err == nil {
-		t.Error("ParseEarlyStopMode accepted a bogus mode")
+	for _, bad := range []string{"bogus", "taint", "converge"} {
+		if _, err := ParseEarlyStopMode(bad); err == nil {
+			t.Errorf("ParseEarlyStopMode accepted %q", bad)
+		}
 	}
 	if err := (&Config{Workload: workload.Tiny, EarlyStop: EarlyStopMode(9)}).Validate(); err == nil {
 		t.Error("Validate accepted an unknown EarlyStop mode")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -49,25 +48,23 @@ type keyframe struct {
 }
 
 // goldenRun is a checkpoint's fault-free continuation: the per-cycle
-// whole-machine trajectory digest and the retired-instruction trace. One
-// goldenRun is owned by each worker and reused across its checkpoints —
-// the digest and event slices are truncated, the retired set is cleared,
-// and all three keep their high-water capacity instead of being
-// reallocated per checkpoint.
+// whole-machine trajectory digest and the retired-instruction trace. A
+// checkpoint's head unit records it once; it is then immutable and shared
+// by every trial batch of that checkpoint.
 type goldenRun struct {
 	digests []uint64 // composite digest (state ^ memory) after cycle i+1
 	events  []uarch.RetireEvent
 	retired map[uint64]struct{} // shadow seqnos that commit
 
-	// Early-stop liveness data (EarlyStopTaint/EarlyStopConverge): the
-	// golden continuation's touch trace over every entry, plus the cycles
+	// Early-stop liveness data (EarlyStopOn, or the prover): the golden
+	// continuation's touch trace over every entry, plus the cycles
 	// at which the fault-free run itself would trip each trial-loop
 	// monitor. A trial whose flipped entry is overwritten before the golden
 	// run ever reads it behaves bit-identically to the golden run, so its
 	// outcome is a pure function of these fields (see
 	// (*worker).resolveDead). traced gates the fast path: goldens built
-	// without tracing (EarlyStopOff, legacy test preambles) leave it false
-	// and every trial takes the full loop.
+	// without tracing (EarlyStopOff with ProveOff, non-transient models)
+	// leave it false and every trial takes the full loop.
 	trace    *state.TouchTrace
 	lockedAt uint64 // first cycle the no-retire streak reaches LockedCycles
 	itlbAt   uint64 // first cycle the illegal-fetch-stall streak reaches 30
@@ -75,7 +72,7 @@ type goldenRun struct {
 	excMode  FailureMode
 	traced   bool
 
-	// Convergence-certificate data (EarlyStopConverge): state keyframes at
+	// Convergence-certificate data (EarlyStopOn): state keyframes at
 	// convStride boundaries up to the trial horizon, plus the golden run's
 	// per-cycle retire/illegal-fetch bits and cumulative retire-event
 	// counts, which let tryConverge replay the remaining trial-loop
@@ -88,28 +85,6 @@ type goldenRun struct {
 	evCount     []uint32 // evCount[c-1] = len(events) after cycle c
 }
 
-// reset prepares the buffers for the next checkpoint, keeping capacity.
-func (g *goldenRun) reset(horizon uint64) {
-	if cap(g.digests) < int(horizon) {
-		g.digests = make([]uint64, 0, horizon)
-	}
-	g.digests = g.digests[:0]
-	g.events = g.events[:0]
-	if g.retired == nil {
-		g.retired = make(map[uint64]struct{})
-	} else {
-		clear(g.retired)
-	}
-	g.lockedAt, g.itlbAt, g.excAt = 0, 0, 0
-	g.excMode = FailNone
-	g.traced = false
-	g.conv = false
-	g.keyframes = g.keyframes[:0]
-	g.retireBits = g.retireBits[:0]
-	g.illegalBits = g.illegalBits[:0]
-	g.evCount = g.evCount[:0]
-}
-
 // bitAt reads cycle c's flag from a per-cycle bitset.
 func bitAt(bits []uint64, c uint64) bool {
 	return bits[(c-1)>>6]>>((c-1)&63)&1 == 1
@@ -118,40 +93,6 @@ func bitAt(bits []uint64, c uint64) bool {
 // setBitAt sets cycle c's flag in a pre-sized per-cycle bitset.
 func setBitAt(bits []uint64, c uint64) {
 	bits[(c-1)>>6] |= 1 << ((c - 1) & 63)
-}
-
-// growWords returns a zeroed word slice of length n, reusing capacity.
-func growWords(bits []uint64, n int) []uint64 {
-	if cap(bits) < n {
-		return make([]uint64, n)
-	}
-	bits = bits[:n]
-	for i := range bits {
-		bits[i] = 0
-	}
-	return bits
-}
-
-// ckResult is one checkpoint's complete outcome: per-population trial lists
-// plus the Figure 6 scatter inputs. Workers send one over the scheduler's
-// channel; aggregation replays them in checkpoint order so the assembled
-// Result is independent of worker count and completion order.
-type ckResult struct {
-	ck         int
-	validInsns int
-	pops       []popTrials // aligned with Config.Populations
-	// proven, when the prover ran, holds one stratum per population
-	// (aligned with Config.Populations): the proven-benign and total
-	// injectable bit counts the analytic re-weighting needs. err carries a
-	// cross-check oracle violation; the scheduler aborts the campaign on it.
-	proven []ProvenStratum
-	err    error
-}
-
-// popTrials is one population's share of a checkpoint.
-type popTrials struct {
-	trials []Trial
-	benign int
 }
 
 // trialMonitor is the per-trial divergence/exception classifier state. It
@@ -216,12 +157,10 @@ func (t *trialMonitor) onExc(ev uarch.ExcEvent) {
 	}
 }
 
-// worker runs golden continuations and trials on a private machine. Under
-// SchedShard the scheduler hands each worker a cloned machine and a
-// disjoint checkpoint set; under SchedSteal every worker serves arbitrary
-// checkpoints by materializing their portable images, and g may point at a
-// checkpoint's *shared* golden run (read-only once published). Workers
-// never share mutable state.
+// worker runs golden continuations and trials on a private machine. Every
+// worker serves arbitrary checkpoints by materializing their portable
+// images, and g points at the current checkpoint's *shared* golden run
+// (read-only once published). Workers never share mutable state.
 type worker struct {
 	cfg Config
 	m   *uarch.Machine
@@ -229,10 +168,8 @@ type worker struct {
 	model FaultModel
 	//pipelint:shadow-ok golden-run horizon derived from the schedule, not injectable machine state
 	horizonG uint64
-	//pipelint:shadow-ok current golden run (owned buffer or shared immutable); engine scaffolding
+	//pipelint:shadow-ok current golden run (being recorded, or shared immutable); engine scaffolding
 	g *goldenRun
-	//pipelint:shadow-ok reusable golden-run buffers for the shard path; engine scaffolding
-	gOwned goldenRun
 	//pipelint:shadow-ok per-trial classifier scratch, reset each trial; never injectable machine state
 	mon trialMonitor
 	//pipelint:shadow-ok reusable rewind marks for the undo journal; engine scaffolding
@@ -249,7 +186,6 @@ type worker struct {
 // newWorker wires up a worker's reusable buffers and callbacks.
 func newWorker(cfg Config, m *uarch.Machine, horizonG uint64) *worker {
 	w := &worker{cfg: cfg, m: m, horizonG: horizonG, model: resolveModel(cfg.Model)}
-	w.g = &w.gOwned
 	w.onGolden = func(ev uarch.RetireEvent) {
 		w.g.events = append(w.g.events, ev)
 		w.g.retired[ev.Seq] = struct{}{}
@@ -259,50 +195,20 @@ func newWorker(cfg Config, m *uarch.Machine, horizonG uint64) *worker {
 	return w
 }
 
-// run advances the worker's machine through its checkpoints (assigned in
-// ascending cycle order) and sends one ckResult per checkpoint reached. A
-// machine that architecturally halts before reaching a checkpoint skips
-// that checkpoint and all later ones, exactly as the serial engine did.
-// Checkpoints the campaign journal already holds are stepped through but
-// not re-run (aggregation injects their journaled results), and a
-// cancelled context stops the worker at the next checkpoint boundary —
-// the in-flight checkpoint always completes, so every emitted ckResult is
-// whole.
-func (w *worker) run(ctx context.Context, cks []int, cycles []uint64, prior *priorUnits, out chan<- *ckResult) {
-	for _, ck := range cks {
-		if ctx.Err() != nil {
-			return
-		}
-		for w.m.Cycle < cycles[ck] && !w.m.Halted() {
-			w.m.Step()
-		}
-		if w.m.Halted() {
-			return
-		}
-		if prior.completeCk(ck) {
-			continue // journal-replayed; aggregation already has its result
-		}
-		cr := w.checkpoint(ck)
-		out <- cr
-		if cr.err != nil {
-			return // cross-check violation; the campaign is aborting
-		}
-	}
-}
-
 // goldenContinuation steps the worker's machine through the fault-free
-// continuation, filling g with the per-cycle digests and retirement trace.
-// Under EarlyStopTaint it additionally records the liveness data the
-// closed-form trial classifier needs: a first-touch trace over injectable
-// entries and the cycles at which the golden run itself trips the locked,
-// iTLB-stall and exception monitors. The monitor probes (FetchStalledIllegal,
-// retire accounting) run with the trace attached, so every state read a
-// trial's per-cycle classification would perform is captured — the
-// soundness condition for treating an unread-then-overwritten entry as
-// dead. The caller rewinds the machine afterwards.
-func (w *worker) goldenContinuation(g *goldenRun) {
+// continuation and returns the per-cycle digests and retirement trace.
+// Under EarlyStopOn (or with the prover on) it additionally records the
+// liveness data the closed-form trial classifier needs: a first-touch
+// trace over injectable entries and the cycles at which the golden run
+// itself trips the locked, iTLB-stall and exception monitors. The monitor
+// probes (FetchStalledIllegal, retire accounting) run with the trace
+// attached, so every state read a trial's per-cycle classification would
+// perform is captured — the soundness condition for treating an
+// unread-then-overwritten entry as dead. The caller rewinds the machine
+// afterwards.
+func (w *worker) goldenContinuation() *goldenRun {
 	m := w.m
-	g.reset(w.horizonG)
+	g := &goldenRun{digests: make([]uint64, 0, w.horizonG), retired: make(map[uint64]struct{})}
 	w.g = g
 	m.OnRetire = w.onGolden
 	// The prover consumes the same liveness data as the taint fast path, so
@@ -315,15 +221,11 @@ func (w *worker) goldenContinuation(g *goldenRun) {
 	// trials run the full loop, accelerated only by quiescence once the
 	// fault has expired (see runTrial's armed gating).
 	transient := w.model.Transient()
-	conv := transient && w.cfg.EarlyStop == EarlyStopConverge
-	traced := conv || (transient && w.cfg.EarlyStop == EarlyStopTaint) || w.cfg.Prove != ProveOff
+	conv := transient && w.cfg.EarlyStop == EarlyStopOn
+	traced := conv || w.cfg.Prove != ProveOff
 	var cyc uint64
 	if traced {
-		if g.trace == nil {
-			g.trace = m.F.NewTouchTrace()
-		} else {
-			g.trace.Reset()
-		}
+		g.trace = m.F.NewTouchTrace()
 		m.F.StartTrace(g.trace)
 		m.OnExc = func(ev uarch.ExcEvent) {
 			if g.excAt != 0 {
@@ -339,11 +241,9 @@ func (w *worker) goldenContinuation(g *goldenRun) {
 	}
 	if conv {
 		nw := int(w.horizonG+63) / 64
-		g.retireBits = growWords(g.retireBits, nw)
-		g.illegalBits = growWords(g.illegalBits, nw)
-		if cap(g.evCount) < int(w.horizonG) {
-			g.evCount = make([]uint32, 0, w.horizonG)
-		}
+		g.retireBits = make([]uint64, nw)
+		g.illegalBits = make([]uint64, nw)
+		g.evCount = make([]uint32, 0, w.horizonG)
 	}
 	noRetire := 0
 	itlbCnt := 0
@@ -385,17 +285,9 @@ func (w *worker) goldenContinuation(g *goldenRun) {
 			}
 			g.evCount = append(g.evCount, uint32(len(g.events)))
 			if cyc&(convStride-1) == 0 && cyc <= uint64(w.cfg.Horizon) {
-				// Reuse the snapshot allocated for this slot by a previous
-				// checkpoint's golden run, if any (reset truncates the slice
-				// but keeps the backing array).
-				ki := int(cyc/convStride) - 1
-				var reuse *state.Snapshot
-				if ki < cap(g.keyframes) {
-					reuse = g.keyframes[:cap(g.keyframes)][ki].snap
-				}
 				g.keyframes = append(g.keyframes, keyframe{
 					cyc:       cyc,
-					snap:      m.F.SnapshotInto(reuse),
+					snap:      m.F.Snapshot(),
 					memDigest: m.Mem.Digest(),
 				})
 			}
@@ -408,6 +300,7 @@ func (w *worker) goldenContinuation(g *goldenRun) {
 	m.OnRetire = nil
 	g.traced = traced
 	g.conv = conv
+	return g
 }
 
 // checkpointSeed derives the per-checkpoint RNG seed from the campaign seed
@@ -429,79 +322,6 @@ func splitmix64(x uint64) uint64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return x
-}
-
-// checkpoint runs the golden continuation and all trial populations at the
-// machine's current cycle, then rewinds the machine so it can continue to
-// the worker's next checkpoint.
-//
-// The default rewind path (RewindJournal) never copies machine state: one
-// journal mark brackets the whole checkpoint, the golden continuation and
-// each trial are rolled back by replaying only the words they dirtied, and
-// the journal is discarded when the checkpoint's last trial is done.
-// RewindSnapshot keeps the historical full Snapshot/Restore per trial as
-// the equivalence oracle — both paths produce bit-identical results.
-func (w *worker) checkpoint(ck int) *ckResult {
-	m := w.m
-	useSnap := w.cfg.Rewind == RewindSnapshot
-	var snap *uarch.Snapshot
-	if useSnap {
-		snap = m.Snapshot()
-	} else {
-		m.BeginJournal()
-		m.Mark(&w.ckMark)
-	}
-	m.Mem.BeginUndo()
-	memMark := m.Mem.Mark()
-
-	// Golden continuation.
-	g := &w.gOwned
-	w.goldenContinuation(g)
-	w.rewind(snap, &w.ckMark)
-	m.Mem.RollbackTo(memMark)
-
-	validInsns := 0
-	for _, s := range m.InFlightSeqs() {
-		if _, ok := g.retired[s]; ok {
-			validInsns++
-		}
-	}
-
-	proof := w.computeProof(g)
-	cr := &ckResult{ck: ck, validInsns: validInsns, pops: make([]popTrials, len(w.cfg.Populations))}
-	cr.proven = provenStrata(proof, ck, w.cfg.Populations)
-	if err := w.crossCheck(proof, ck, snap); err != nil {
-		cr.err = err
-	} else {
-		total := 0
-		for _, pop := range w.cfg.Populations {
-			total += pop.Trials
-		}
-		sel := w.modelCheckSet(ck, total)
-		rng := rand.New(rand.NewSource(checkpointSeed(w.cfg.Seed, ck)))
-		flat := 0
-		for pi, pop := range w.cfg.Populations {
-			pt := &cr.pops[pi]
-			pt.trials = make([]Trial, 0, pop.Trials)
-			for t := 0; t < pop.Trials; t++ {
-				bit := drawBit(m.F, proof, rng, pop.LatchOnly)
-				trial := w.runTrialContained(bit, ck, flat, snap)
-				if cr.err == nil && sel[flat] {
-					cr.err = w.modelCheckTrial(bit, ck, flat, snap, trial)
-				}
-				flat++
-				pt.trials = append(pt.trials, trial)
-				if trial.Outcome == OutMatch || trial.Outcome == OutGray {
-					pt.benign++
-				}
-			}
-		}
-	}
-	if !useSnap {
-		m.CommitJournal()
-	}
-	m.Mem.Rollback()
-	return cr
 }
 
 // computeProof runs the static benign-injection prover over the machine's
@@ -568,7 +388,7 @@ const crossCheckSalt = 0x70726f7665 // "prove"
 // µArch Match — the exact claim every proof rule makes. The machine must be
 // at checkpoint state; each check trial rewinds through the same
 // containment boundary ordinary trials use, so the oracle perturbs nothing.
-func (w *worker) crossCheck(proof *prove.Proof, ck int, snap *uarch.Snapshot) error {
+func (w *worker) crossCheck(proof *prove.Proof, ck int) error {
 	if proof == nil || w.cfg.ProveCrossCheck <= 0 {
 		return nil
 	}
@@ -581,7 +401,7 @@ func (w *worker) crossCheck(proof *prove.Proof, ck int, snap *uarch.Snapshot) er
 		if !ok {
 			return nil // nothing proven at this checkpoint
 		}
-		trial := w.runTrialContained(bit, ck, -1-k, snap)
+		trial := w.runTrialContained(bit, ck, -1-k)
 		if trial.Outcome != OutMatch {
 			rule, _ := proof.Proven(bit)
 			return &ProveError{
@@ -605,7 +425,7 @@ const modelCheckSalt = 0x636865636b // "check"
 // modelCheckSet picks the flat trial indices the fault-model cross-check
 // oracle re-runs at one checkpoint: ModelCrossCheck draws from a dedicated
 // salted stream, so the selection depends only on (Seed, checkpoint) and is
-// identical across schedulers and workers. Nil when the oracle is off.
+// identical across workers and batch geometries. Nil when the oracle is off.
 func (w *worker) modelCheckSet(ck, total int) map[int]bool {
 	if w.cfg.ModelCrossCheck <= 0 || total <= 0 {
 		return nil
@@ -626,13 +446,13 @@ func (w *worker) modelCheckSet(ck, total int) map[int]bool {
 // side are skipped: watchdog expiries are wall-clock events, not
 // classifications. The re-run rewinds through the ordinary containment
 // boundary, so the oracle perturbs nothing.
-func (w *worker) modelCheckTrial(bit state.BitRef, ck, idx int, snap *uarch.Snapshot, got Trial) error {
+func (w *worker) modelCheckTrial(bit state.BitRef, ck, idx int, got Trial) error {
 	if got.Outcome == OutAnomaly {
 		return nil
 	}
 	saved := w.cfg.EarlyStop
 	w.cfg.EarlyStop = EarlyStopOff
-	check := w.runTrialContained(bit, ck, idx, snap)
+	check := w.runTrialContained(bit, ck, idx)
 	w.cfg.EarlyStop = saved
 	if check.Outcome == OutAnomaly {
 		return nil
@@ -686,8 +506,8 @@ func (w *worker) attemptTrial(bit state.BitRef, ck, idx, attempt int) (trial Tri
 // runTrialContained is the containment boundary around one trial: mark the
 // rewind point, run the trial with panics recovered, and roll the machine
 // back whether the trial classified, panicked or hit the watchdog. The
-// rollback replays the state-file undo journal (or restores the checkpoint
-// snapshot under RewindSnapshot), which a mid-Step panic cannot corrupt:
+// rollback replays the state-file undo journal, which a mid-Step panic
+// cannot corrupt:
 // the journal is an append-only first-touch log, complete for every word
 // the doomed trial dirtied. A panicking trial is retried once on the
 // freshly restored state — the machine is deterministic, so a recurring
@@ -698,16 +518,13 @@ func (w *worker) attemptTrial(bit state.BitRef, ck, idx, attempt int) (trial Tri
 // stream is untouched (the bit was drawn by the caller) and rollback
 // restores the exact pre-trial state, so subsequent trials are bit-
 // identical to an anomaly-free run's.
-func (w *worker) runTrialContained(bit state.BitRef, ck, idx int, snap *uarch.Snapshot) Trial {
+func (w *worker) runTrialContained(bit state.BitRef, ck, idx int) Trial {
 	m := w.m
-	useSnap := snap != nil
 	for attempt := 0; ; attempt++ {
 		tmark := m.Mem.Mark()
-		if !useSnap {
-			m.Mark(&w.trialMark)
-		}
+		m.Mark(&w.trialMark)
 		trial, pv, stack := w.attemptTrial(bit, ck, idx, attempt)
-		w.rewind(snap, &w.trialMark)
+		m.RollbackTo(&w.trialMark)
 		m.Mem.RollbackTo(tmark)
 		if pv == nil {
 			trial.Checkpoint = int32(ck)
@@ -738,16 +555,6 @@ func (w *worker) runTrialContained(bit state.BitRef, ck, idx int, snap *uarch.Sn
 			},
 		}
 	}
-}
-
-// rewind rolls the machine back to the checkpoint state through whichever
-// mechanism the campaign selected.
-func (w *worker) rewind(snap *uarch.Snapshot, mark *uarch.MarkPoint) {
-	if snap != nil {
-		w.m.Restore(snap)
-		return
-	}
-	w.m.RollbackTo(mark)
 }
 
 // resolveDead decides, without flipping the bit or stepping the machine,
@@ -860,14 +667,15 @@ func (w *worker) finishQuiescent(trial Trial, cyc, horizon, noRetire, itlbCnt in
 // seed the model's dedicated per-trial RNG (intermittent durations), which
 // is decoupled from the bit-draw stream.
 //
-// Under EarlyStopTaint two provably exact shortcuts apply. First, if the
+// Under EarlyStopOn three provably exact shortcuts apply. First, if the
 // golden liveness trace shows the flipped entry is dead (resolveDead), the
 // trial returns in O(1) without flipping or stepping — zero perturbation:
 // the RNG stream is untouched (the bit was drawn by the caller) and the
 // machine never leaves checkpoint state. Second, once the injected machine
 // quiesces mid-trial (Machine.Quiescent), the rest of the loop is resolved
-// in closed form (finishQuiescent). EarlyStopConverge keeps both and adds
-// the keyframe certificate (tryConverge): at every convStride boundary a
+// in closed form (finishQuiescent). Third, the keyframe certificate
+// (tryConverge), armed only when the golden run recorded keyframes (g.conv,
+// transient models): at every convStride boundary a
 // still-running trial is diffed against the golden keyframe, and if every
 // differing entry is provably untouched by the golden run for the rest of
 // the horizon, the trial's future is bit-identical to the golden run's and
@@ -906,13 +714,10 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	// Dead-trial resolution assumes the corruption dies with the first
 	// overwrite, so it stands down for non-transient models (whose goldens
 	// are untraced anyway — the model gate here is defense in depth).
-	if g.traced && w.model.Transient() && w.cfg.EarlyStop.taintShortcuts() {
+	if g.traced && w.model.Transient() && w.cfg.EarlyStop == EarlyStopOn {
 		if out, mode, cyc, ok := w.resolveDead(bit, horizon); ok && (deadline == 0 || cyc < watchdogStride) {
 			trial.Outcome, trial.Mode = out, mode
 			trial.Cycles = int32(cyc)
-			if w.cfg.OnTrialSteps != nil {
-				w.cfg.OnTrialSteps(0)
-			}
 			if w.cfg.OnTrialResolved != nil {
 				w.cfg.OnTrialResolved(ResolveTaint, 0)
 			}
@@ -931,9 +736,6 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	defer func() {
 		m.OnRetire = nil
 		m.OnExc = nil
-		if w.cfg.OnTrialSteps != nil {
-			w.cfg.OnTrialSteps(steps)
-		}
 		if w.cfg.OnTrialResolved != nil {
 			w.cfg.OnTrialResolved(kind, steps)
 		}
@@ -942,7 +744,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	// Arm the fault model at the drawn bit. Models that consume randomness
 	// (intermittent durations) get a dedicated stream seeded from the trial's
 	// campaign coordinates, so model randomness is identical across
-	// schedulers, workers, retries and resume, and never perturbs the
+	// workers, retries and resume, and never perturbs the
 	// bit-draw stream. One-shot models return a nil ArmedFault and the loop
 	// below is bit-identical to the pre-interface engine.
 	var mrng *rand.Rand
@@ -954,7 +756,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		defer armed.Disarm()
 	}
 
-	conv := g.conv && w.cfg.EarlyStop == EarlyStopConverge && deadline == 0
+	conv := g.conv && w.cfg.EarlyStop == EarlyStopOn && deadline == 0
 	noRetire := 0
 	itlbCnt := 0
 	lastRetired := m.Retired
@@ -1024,7 +826,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 			trial.Outcome = OutMatch
 			return trial
 		}
-		if armed == nil && w.cfg.EarlyStop.taintShortcuts() && deadline == 0 && cyc < horizon && m.Quiescent() {
+		if armed == nil && w.cfg.EarlyStop == EarlyStopOn && deadline == 0 && cyc < horizon && m.Quiescent() {
 			kind = ResolveQuiesce
 			return w.finishQuiescent(trial, cyc, horizon, noRetire, itlbCnt)
 		}

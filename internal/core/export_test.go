@@ -12,12 +12,12 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden export files")
 
-// goldenCampaign runs the reference campaign used by the export golden
-// tests. Everything is pinned — workload, seed, checkpoint count — so the
-// exported bytes are a stable artifact of the simulator.
-func goldenCampaign(t *testing.T, workers int) *Result {
-	t.Helper()
-	res, err := Run(Config{
+// goldenConfig is the reference campaign whose exports are pinned in
+// testdata/. Everything that affects results is fixed — workload, seed,
+// checkpoint count — so the exported bytes are a stable artifact of the
+// simulator; callers vary only scheduling and early-stop knobs.
+func goldenConfig() Config {
+	return Config{
 		Workload:    workload.Tiny,
 		Checkpoints: 2,
 		Horizon:     800,
@@ -25,10 +25,17 @@ func goldenCampaign(t *testing.T, workers int) *Result {
 			{Name: "l+r", Trials: 4},
 			{Name: "l", LatchOnly: true, Trials: 3},
 		},
-		Seed:    11,
-		Workers: workers,
-		Prove:   ProveOff, // goldens pin the full-population draw sequence
-	})
+		Seed:  11,
+		Prove: ProveOff, // goldens pin the full-population draw sequence
+	}
+}
+
+// goldenCampaign runs the reference campaign at the given worker count.
+func goldenCampaign(t *testing.T, workers int) *Result {
+	t.Helper()
+	cfg := goldenConfig()
+	cfg.Workers = workers
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,10 @@ import (
 // the quiescence fast path, convergence certificates) and every prove rule
 // assume an overwrite kills the fault. That holds for one-shot models
 // (Transient reports true) and is false while a stuck-at is asserting, so
-// Config.Validate auto-restricts EarlyStop and Prove per model (see
-// Config.restrictToModel) and the trial loop gates the per-cycle digest
-// match and quiescence checks on the fault no longer being armed.
+// Config.Validate auto-restricts Prove per model (see
+// Config.restrictToModel), the golden run arms the early-stop liveness
+// data only for transient models, and the trial loop gates the per-cycle
+// digest match and quiescence checks on the fault no longer being armed.
 //
 // The interface is sealed (the unexported method): the engine's soundness
 // gating enumerates the models, so new ones must be added here, next to
@@ -237,18 +238,17 @@ func validateModel(m FaultModel) error {
 	return nil
 }
 
-// restrictToModel narrows EarlyStop and Prove to what the configured model
-// keeps sound. The prover's per-bit benign proofs only cover the exact
-// single-bit transient flip, so any other model forces ProveOff. The
-// convergence certificate additionally assumes a one-shot fault (a frozen
-// delta stays frozen only if nothing keeps re-corrupting it), so
-// non-transient models downgrade EarlyStopConverge to EarlyStopTaint; the
-// remaining taint-mode shortcuts are themselves gated in the trial loop —
-// dead-trial resolution stands down entirely and quiescence applies only
-// once no fault is armed — which is exactly the "full-horizon semantics
-// except quiescence-with-no-armed-fault" contract. Run through Validate,
-// before the journal identity is derived, so Prove's contribution to the
-// identity header reflects what the campaign actually does.
+// restrictToModel narrows Prove to what the configured model keeps sound.
+// The prover's per-bit benign proofs only cover the exact single-bit
+// transient flip, so any other model forces ProveOff. EarlyStop needs no
+// narrowing: the engine gates each early-stop shortcut on the model
+// itself. Non-transient models get an untraced golden run without
+// keyframes, so dead-trial resolution and the convergence certificate
+// stand down, and quiescence applies only once no fault is armed — exactly
+// the "full-horizon semantics except quiescence-with-no-armed-fault"
+// contract. Run through Validate, before the journal identity is derived,
+// so Prove's contribution to the identity header reflects what the
+// campaign actually does.
 func (c *Config) restrictToModel() {
 	m := resolveModel(c.Model)
 	if _, ok := m.(TransientFlip); ok {
@@ -258,9 +258,6 @@ func (c *Config) restrictToModel() {
 		return
 	}
 	c.Prove = ProveOff
-	if !m.Transient() && c.EarlyStop == EarlyStopConverge {
-		c.EarlyStop = EarlyStopTaint
-	}
 }
 
 // ParseFaultModel maps a -fault-model flag value (plus the -fault-duration

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pipefault/internal/state"
+	"pipefault/internal/workload"
 )
 
 // TestParseFaultModel: the flag grammar maps to models, rejects unknown
@@ -113,23 +114,24 @@ func TestValidateModel(t *testing.T) {
 	}
 }
 
-// TestRestrictToModel: Validate narrows EarlyStop/Prove/ModelCrossCheck to
-// what each model keeps sound — the transparent default path stays
-// untouched (and keeps the oracle off), non-transient models lose the
-// prover and the convergence certificate, one-shot MultiBit loses only the
-// prover.
+// TestRestrictToModel: Validate narrows Prove/ModelCrossCheck to what each
+// model keeps sound — the transparent default path stays untouched (and
+// keeps the oracle off), every other model loses the prover. EarlyStop is
+// never rewritten: for a non-transient model the engine itself records an
+// untraced golden run without keyframes, so dead-trial resolution and the
+// convergence certificate stand down.
 func TestRestrictToModel(t *testing.T) {
 	base := stealTestConfig()
 
 	cfg := base
 	cfg.Model = nil
-	cfg.EarlyStop = EarlyStopConverge
+	cfg.EarlyStop = EarlyStopOn
 	cfg.Prove = ProveOn
 	cfg.ModelCrossCheck = 7
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.EarlyStop != EarlyStopConverge || cfg.Prove != ProveOn {
+	if cfg.EarlyStop != EarlyStopOn || cfg.Prove != ProveOn {
 		t.Errorf("transient config was restricted: EarlyStop=%v Prove=%v", cfg.EarlyStop, cfg.Prove)
 	}
 	if cfg.ModelCrossCheck != 0 {
@@ -138,7 +140,7 @@ func TestRestrictToModel(t *testing.T) {
 
 	cfg = base
 	cfg.Model = StuckAt{Polarity: 1, Duration: 30}
-	cfg.EarlyStop = EarlyStopConverge
+	cfg.EarlyStop = EarlyStopOn
 	cfg.Prove = ProveOn
 	cfg.ModelCrossCheck = 2
 	if err := cfg.Validate(); err != nil {
@@ -147,8 +149,13 @@ func TestRestrictToModel(t *testing.T) {
 	if cfg.Prove != ProveOff {
 		t.Errorf("stuck-at config kept Prove=%v, want ProveOff", cfg.Prove)
 	}
-	if cfg.EarlyStop != EarlyStopTaint {
-		t.Errorf("stuck-at config kept EarlyStop=%v, want downgrade to EarlyStopTaint", cfg.EarlyStop)
+	if cfg.EarlyStop != EarlyStopOn {
+		t.Errorf("stuck-at config rewrote EarlyStop to %v", cfg.EarlyStop)
+	}
+	en, _ := newTestEngine(t, workload.Tiny, 600)
+	en.cfg.Prove, en.model = cfg.Prove, resolveModel(cfg.Model)
+	if g := en.goldenContinuation(); g.traced || g.conv {
+		t.Errorf("stuck-at golden run armed traced=%v conv=%v; taint and convergence must stand down", g.traced, g.conv)
 	}
 	if cfg.ModelCrossCheck != 2 {
 		t.Errorf("stuck-at config lost ModelCrossCheck=%d, want 2", cfg.ModelCrossCheck)
@@ -156,7 +163,7 @@ func TestRestrictToModel(t *testing.T) {
 
 	cfg = base
 	cfg.Model = MultiBit{Span: 2}
-	cfg.EarlyStop = EarlyStopConverge
+	cfg.EarlyStop = EarlyStopOn
 	cfg.Prove = ProveOn
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -164,8 +171,8 @@ func TestRestrictToModel(t *testing.T) {
 	if cfg.Prove != ProveOff {
 		t.Errorf("MBU config kept Prove=%v, want ProveOff (per-bit proofs do not cover spans)", cfg.Prove)
 	}
-	if cfg.EarlyStop != EarlyStopConverge {
-		t.Errorf("MBU config downgraded EarlyStop to %v; one-shot models keep convergence", cfg.EarlyStop)
+	if cfg.EarlyStop != EarlyStopOn {
+		t.Errorf("MBU config rewrote EarlyStop to %v; one-shot models keep convergence", cfg.EarlyStop)
 	}
 
 	cfg = base
@@ -453,40 +460,35 @@ func TestStuckAtBitLaneWriters(t *testing.T) {
 }
 
 // TestTransientFlipExportCompat: an explicit TransientFlip model is
-// byte-identical to the default nil model across the scheduler × workers ×
-// rewind matrix — the interface seam adds nothing to the classic campaign.
+// byte-identical to the default nil model at any worker count — the
+// interface seam adds nothing to the classic campaign. Subtests are named
+// for the engine (work-stealing) and rewind (undo journal) they run.
 func TestTransientFlipExportCompat(t *testing.T) {
-	for _, sched := range []SchedMode{SchedSteal, SchedShard} {
-		for _, workers := range []int{1, 4} {
-			for _, rewind := range []RewindMode{RewindJournal, RewindSnapshot} {
-				t.Run(fmt.Sprintf("%v-w%d-%v", sched, workers, rewind), func(t *testing.T) {
-					cfg := stealTestConfig()
-					cfg.Sched = sched
-					cfg.Workers = workers
-					cfg.Rewind = rewind
-					base, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Model = TransientFlip{}
-					explicit, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					baseJSON, baseCSV := exportBytes(t, base)
-					gotJSON, gotCSV := exportBytes(t, explicit)
-					if !bytes.Equal(gotJSON, baseJSON) {
-						t.Errorf("explicit TransientFlip JSON differs from default model:\n--- default ---\n%s\n--- explicit ---\n%s", baseJSON, gotJSON)
-					}
-					if !bytes.Equal(gotCSV, baseCSV) {
-						t.Error("explicit TransientFlip CSV differs from default model")
-					}
-					if base.Model != "transient" || explicit.Model != "transient" {
-						t.Errorf("Result.Model = %q / %q, want \"transient\"", base.Model, explicit.Model)
-					}
-				})
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("steal-w%d-journal", workers), func(t *testing.T) {
+			cfg := stealTestConfig()
+			cfg.Workers = workers
+			base, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			cfg.Model = TransientFlip{}
+			explicit, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseJSON, baseCSV := exportBytes(t, base)
+			gotJSON, gotCSV := exportBytes(t, explicit)
+			if !bytes.Equal(gotJSON, baseJSON) {
+				t.Errorf("explicit TransientFlip JSON differs from default model:\n--- default ---\n%s\n--- explicit ---\n%s", baseJSON, gotJSON)
+			}
+			if !bytes.Equal(gotCSV, baseCSV) {
+				t.Error("explicit TransientFlip CSV differs from default model")
+			}
+			if base.Model != "transient" || explicit.Model != "transient" {
+				t.Errorf("Result.Model = %q / %q, want \"transient\"", base.Model, explicit.Model)
+			}
+		})
 	}
 }
 
@@ -501,10 +503,10 @@ func nonTransientModels() []FaultModel {
 	}
 }
 
-// TestModelSchedulerEquivalence: for every gated model, both schedulers and
-// any worker count produce the identical Result — including the
-// intermittent model, whose per-trial random durations must come from the
-// dedicated (Seed, checkpoint, index) stream and not from scheduling order.
+// TestModelSchedulerEquivalence: for every gated model, Workers 1, 4 and 8
+// produce the identical Result — including the intermittent model, whose
+// per-trial random durations must come from the dedicated (Seed,
+// checkpoint, index) stream and not from scheduling order.
 // ModelCrossCheck is on, so each run also passes the full-horizon soundness
 // oracle on a sample of its own trials.
 func TestModelSchedulerEquivalence(t *testing.T) {
@@ -513,29 +515,27 @@ func TestModelSchedulerEquivalence(t *testing.T) {
 			cfg := stealTestConfig()
 			cfg.Model = model
 			cfg.ModelCrossCheck = 2
-			cfg.Sched = SchedShard
 			cfg.Workers = 1
-			shard, err := Run(cfg)
+			serial, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if shard.Model != model.String() {
-				t.Errorf("Result.Model = %q, want %q", shard.Model, model.String())
+			if serial.Model != model.String() {
+				t.Errorf("Result.Model = %q, want %q", serial.Model, model.String())
 			}
-			for _, workers := range []int{1, 4} {
-				cfg.Sched = SchedSteal
+			for _, workers := range []int{4, 8} {
 				cfg.Workers = workers
-				steal, err := Run(cfg)
+				parallel, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				resultsEqual(t, fmt.Sprintf("%s-w%d", model, workers), shard, steal)
+				resultsEqual(t, fmt.Sprintf("%s-w%d", model, workers), serial, parallel)
 			}
 		})
 	}
 }
 
-// TestModelEarlyStopEquivalence: the auto-restricted acceleration
+// TestModelEarlyStopEquivalence: the model-gated acceleration
 // (quiescence once disarmed, and taint/convergence where the model is
 // one-shot) must not change a single classification — every gated model's
 // accelerated run is byte-identical to its EarlyStopOff full-horizon run.
@@ -549,7 +549,7 @@ func TestModelEarlyStopEquivalence(t *testing.T) {
 		t.Run(model.String(), func(t *testing.T) {
 			cfg := stealTestConfig()
 			cfg.Model = model
-			cfg.EarlyStop = EarlyStopConverge // restricted per model by Validate
+			cfg.EarlyStop = EarlyStopOn // gated per model by the engine
 			fast, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 
 // The campaign journal (Config.JournalPath) makes campaigns durable: the
 // aggregation goroutine appends one JSON line per completed work unit —
-// a (checkpoint, trial-batch) unit under SchedSteal, a whole checkpoint
-// under SchedShard — as the unit's results fold in. Resume reads the
+// a checkpoint's head or one (checkpoint, trial-batch) unit — as the
+// unit's results fold in. Resume reads the
 // journal back, verifies its header against the campaign's identity
 // (workload, seed, schedule, populations, protection), and re-runs only
 // the units the journal does not cover. Because trial bit draws depend
@@ -40,7 +40,7 @@ var ErrJournalMismatch = errors.New("core: campaign journal belongs to a differe
 
 // journalHeader pins the identity of the campaign a journal belongs to:
 // every field that affects trial results. Scheduling knobs (Workers,
-// TrialBatch, MaxImages, Sched, Rewind, TrialTimeout) are deliberately
+// TrialBatch, MaxImages, TrialTimeout) are deliberately
 // absent — they never perturb results, so a campaign may be resumed with
 // different parallelism than it started with.
 type journalHeader struct {
@@ -115,9 +115,9 @@ func (h journalHeader) equal(o journalHeader) bool {
 // journalUnit is one completed work unit. A head record (Head == true)
 // carries the checkpoint's golden-run validInsns; a trial record carries
 // a contiguous run of the checkpoint's flat trial sequence starting at
-// Start. The shard engine writes one record per checkpoint that is both
-// (head + full trial run); the steal engine writes a head record and one
-// record per batch.
+// Start. The engine writes a head record and one record per batch. Older
+// journals may hold one record per checkpoint that is both (head + full
+// trial run); the reader accepts either shape.
 type journalUnit struct {
 	Ck     int              `json:"ck"`
 	Head   bool             `json:"head,omitempty"`
@@ -258,7 +258,7 @@ func (j *campaignJournal) close() error {
 // flat trial indices already have results and which checkpoints have
 // their golden-run head. An empty priorUnits (every fresh run) covers
 // nothing. It is written once by the reader and then only read, from the
-// aggregation goroutine and (completeCk only) the shard workers.
+// aggregation goroutine and the engine's setup.
 type priorUnits struct {
 	valid  []int     // validInsns per checkpoint; -1 = head not journaled
 	trials [][]Trial // flat trial slots, allocated on first coverage

@@ -9,8 +9,8 @@ import (
 	"pipefault/internal/workload"
 )
 
-// TestParallelSerialEquivalence is the determinism contract of the sharded
-// engine: with the same seed, Workers:1 and Workers:4 must produce
+// TestParallelSerialEquivalence is the determinism contract of the
+// campaign engine: with the same seed, Workers:1 and Workers:4 must produce
 // bit-identical results — same trial lists per population, same scatter
 // points, same golden measurements.
 func TestParallelSerialEquivalence(t *testing.T) {

@@ -41,8 +41,8 @@ func TestProveModeStrings(t *testing.T) {
 }
 
 // proveCampaign runs the golden-test campaign (scaled up so sampled rates
-// carry statistical weight) under an explicit prover mode.
-func proveCampaign(t *testing.T, mode ProveMode, sched SchedMode, workers int) *Result {
+// carry statistical weight) under an explicit prover mode and worker count.
+func proveCampaign(t *testing.T, mode ProveMode, workers int) *Result {
 	t.Helper()
 	res, err := Run(Config{
 		Workload:    workload.Tiny,
@@ -54,7 +54,6 @@ func proveCampaign(t *testing.T, mode ProveMode, sched SchedMode, workers int) *
 		},
 		Seed:    11,
 		Workers: workers,
-		Sched:   sched,
 		Prove:   mode,
 	})
 	if err != nil {
@@ -63,53 +62,51 @@ func proveCampaign(t *testing.T, mode ProveMode, sched SchedMode, workers int) *
 	return res
 }
 
-// TestProveEquivalenceMatrix is the prover's statistical oracle: under both
-// schedulers and worker counts, the Prove-on campaign must (a) be
-// bit-identical to every other Prove-on run, (b) prove a nonzero population
-// fraction, and (c) report re-weighted rates that agree with the
-// full-population campaign within the combined sampling tolerance — the
-// prover redistributes trials, it must not shift the estimated physics.
+// TestProveEquivalenceMatrix is the prover's statistical oracle: at 1, 4
+// and 8 workers, the Prove-on campaign must (a) be bit-identical to every
+// other Prove-on run, (b) prove a nonzero population fraction, and (c)
+// report re-weighted rates that agree with the full-population (ProveOff)
+// campaign within the combined sampling tolerance — the prover
+// redistributes trials, it must not shift the estimated physics.
 func TestProveEquivalenceMatrix(t *testing.T) {
-	off := proveCampaign(t, ProveOff, SchedShard, 1)
+	off := proveCampaign(t, ProveOff, 1)
 	var baseJSON []byte
-	for _, sched := range []SchedMode{SchedShard, SchedSteal} {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%v-w%d", sched, workers)
-			on := proveCampaign(t, ProveOn, sched, workers)
-			var buf bytes.Buffer
-			if err := on.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 4, 8} {
+		name := fmt.Sprintf("w%d", workers)
+		on := proveCampaign(t, ProveOn, workers)
+		var buf bytes.Buffer
+		if err := on.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if baseJSON == nil {
+			baseJSON = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), baseJSON) {
+			t.Errorf("%s: Prove-on export differs across worker counts", name)
+		}
+		for popName, p := range on.Pops { //pipelint:unordered-ok per-population assertions are independent
+			if p.ProvenFraction() <= 0 {
+				t.Errorf("%s/%s: proven fraction is zero; the liveness rule alone should prove bits", name, popName)
 			}
-			if baseJSON == nil {
-				baseJSON = buf.Bytes()
-			} else if !bytes.Equal(buf.Bytes(), baseJSON) {
-				t.Errorf("%s: Prove-on export differs across schedulers/workers", name)
+			po := off.Pops[popName]
+			// Tolerance: both estimates carry sampling error; their
+			// worst-case CI95 half-widths bound how far two unbiased
+			// estimates of the same rate can sit apart (plus slack for
+			// the tiny-trial regime).
+			tol := p.WorstCaseCI95() + po.WorstCaseCI95() + 0.05
+			for _, o := range []Outcome{OutMatch, OutGray, OutSDC, OutTerminated} {
+				got, want := p.OutcomeRate(o), po.OutcomeRate(o)
+				if math.Abs(got-want) > tol {
+					t.Errorf("%s/%s: %v rate %.3f (prove on) vs %.3f (off), tolerance %.3f",
+						name, popName, o, got, want, tol)
+				}
 			}
-			for popName, p := range on.Pops { //pipelint:unordered-ok per-population assertions are independent
-				if p.ProvenFraction() <= 0 {
-					t.Errorf("%s/%s: proven fraction is zero; the liveness rule alone should prove bits", name, popName)
-				}
-				po := off.Pops[popName]
-				// Tolerance: both estimates carry sampling error; their
-				// worst-case CI95 half-widths bound how far two unbiased
-				// estimates of the same rate can sit apart (plus slack for
-				// the tiny-trial regime).
-				tol := p.WorstCaseCI95() + po.WorstCaseCI95() + 0.05
-				for _, o := range []Outcome{OutMatch, OutGray, OutSDC, OutTerminated} {
-					got, want := p.OutcomeRate(o), po.OutcomeRate(o)
-					if math.Abs(got-want) > tol {
-						t.Errorf("%s/%s: %v rate %.3f (prove on) vs %.3f (off), tolerance %.3f",
-							name, popName, o, got, want, tol)
-					}
-				}
-				if math.Abs(p.FailureRate()-po.FailureRate()) > tol {
-					t.Errorf("%s/%s: failure rate %.3f vs %.3f beyond tolerance %.3f",
-						name, popName, p.FailureRate(), po.FailureRate(), tol)
-				}
-				if math.Abs(p.MaskRate()-po.MaskRate()) > tol {
-					t.Errorf("%s/%s: mask rate %.3f vs %.3f beyond tolerance %.3f",
-						name, popName, p.MaskRate(), po.MaskRate(), tol)
-				}
+			if math.Abs(p.FailureRate()-po.FailureRate()) > tol {
+				t.Errorf("%s/%s: failure rate %.3f vs %.3f beyond tolerance %.3f",
+					name, popName, p.FailureRate(), po.FailureRate(), tol)
+			}
+			if math.Abs(p.MaskRate()-po.MaskRate()) > tol {
+				t.Errorf("%s/%s: mask rate %.3f vs %.3f beyond tolerance %.3f",
+					name, popName, p.MaskRate(), po.MaskRate(), tol)
 			}
 		}
 	}
@@ -121,30 +118,27 @@ func TestProveEquivalenceMatrix(t *testing.T) {
 // empirical validation of every prover rule and every uarch.ProofHints
 // declaration on a real workload.
 func TestProveCrossCheckOracle(t *testing.T) {
-	for _, sched := range []SchedMode{SchedShard, SchedSteal} {
-		t.Run(sched.String(), func(t *testing.T) {
-			res, err := Run(Config{
-				Workload:    workload.Gzip,
-				Checkpoints: 3,
-				Populations: []Population{
-					{Name: "l+r", Trials: 4},
-					{Name: "l", LatchOnly: true, Trials: 2},
-				},
-				Seed:            42,
-				Workers:         4,
-				Sched:           sched,
-				ProveCrossCheck: 12,
-			})
-			if err != nil {
-				t.Fatalf("cross-check oracle failed: %v", err)
-			}
-			for name, p := range res.Pops { //pipelint:unordered-ok per-population assertions are independent
-				if p.ProvenFraction() <= 0 {
-					t.Errorf("%s: nothing proven on Gzip; oracle ran vacuously", name)
-				}
-			}
+	t.Run("steal", func(t *testing.T) {
+		res, err := Run(Config{
+			Workload:    workload.Gzip,
+			Checkpoints: 3,
+			Populations: []Population{
+				{Name: "l+r", Trials: 4},
+				{Name: "l", LatchOnly: true, Trials: 2},
+			},
+			Seed:            42,
+			Workers:         4,
+			ProveCrossCheck: 12,
 		})
-	}
+		if err != nil {
+			t.Fatalf("cross-check oracle failed: %v", err)
+		}
+		for name, p := range res.Pops { //pipelint:unordered-ok per-population assertions are independent
+			if p.ProvenFraction() <= 0 {
+				t.Errorf("%s: nothing proven on Gzip; oracle ran vacuously", name)
+			}
+		}
+	})
 }
 
 // TestCrossCheckCatchesUnsoundHint: an unsound semantic declaration must be
@@ -176,8 +170,9 @@ func TestCrossCheckCatchesUnsoundHint(t *testing.T) {
 				break // entry never re-converges; mask rule proves nothing
 			}
 			en.cfg.ProveCrossCheck = 4
-			snap := en.m.Snapshot()
-			err := en.crossCheck(proof, 0, snap)
+			en.m.BeginJournal()
+			err := en.crossCheck(proof, 0)
+			en.m.CommitJournal()
 			var pe *ProveError
 			if !errors.As(err, &pe) {
 				t.Fatalf("%s[0].%d: crossCheck = %v, want a *ProveError", elem, bit, err)
@@ -217,8 +212,8 @@ func TestProveResumeIdentity(t *testing.T) {
 // must degrade the merged population to plain sampled rates rather than
 // mis-weight.
 func TestMergeMixedProve(t *testing.T) {
-	on := proveCampaign(t, ProveOn, SchedShard, 1)
-	off := proveCampaign(t, ProveOff, SchedShard, 1)
+	on := proveCampaign(t, ProveOn, 1)
+	off := proveCampaign(t, ProveOff, 1)
 	merged := Merge("mixed", []*Result{on, off})
 	for name, p := range merged.Pops { //pipelint:unordered-ok per-population assertions are independent
 		if len(p.Proven) != 0 {
@@ -228,7 +223,7 @@ func TestMergeMixedProve(t *testing.T) {
 			t.Errorf("%s: mixed-mode merge reports proven fraction %v", name, f)
 		}
 	}
-	both := Merge("both", []*Result{on, proveCampaign(t, ProveOn, SchedSteal, 4)})
+	both := Merge("both", []*Result{on, proveCampaign(t, ProveOn, 4)})
 	for name, p := range both.Pops { //pipelint:unordered-ok per-population assertions are independent
 		if len(p.Proven) == 0 {
 			t.Errorf("%s: same-mode merge dropped the proven strata", name)

@@ -27,118 +27,177 @@ func exportBytes(t *testing.T, r *Result) (jsonB, csvB []byte) {
 
 // TestResumeEquivalence: kill a journaled campaign mid-flight, then Resume
 // it — the final exports must be byte-identical to an uninterrupted run,
-// across both schedulers and worker counts, and the partial result flushed
-// at cancellation must contain only whole checkpoints. A torn final
-// journal line (the crash wrote half a record) must be tolerated.
+// at 1 and 4 workers, and the partial result flushed at cancellation must
+// contain only whole checkpoints. A torn final journal line (the crash
+// wrote half a record) must be tolerated.
 func TestResumeEquivalence(t *testing.T) {
-	for _, sched := range []SchedMode{SchedSteal, SchedShard} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v-w%d", sched, workers), func(t *testing.T) {
-				cfg := stealTestConfig()
-				cfg.Sched = sched
-				cfg.Workers = workers
-				base, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				baseJSON, baseCSV := exportBytes(t, base)
-
-				jcfg := cfg
-				jcfg.JournalPath = filepath.Join(t.TempDir(), "campaign.jsonl")
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				jcfg.OnProgress = func(p Progress) {
-					if p.TrialsDone >= 1 {
-						cancel()
-					}
-				}
-				partial, err := RunContext(ctx, jcfg)
-				if err != nil {
-					// The usual case: the cancel landed before the engine
-					// drained, and the partial result holds only the
-					// checkpoints that completed.
-					var cerr *CanceledError
-					if !errors.As(err, &cerr) {
-						t.Fatalf("interrupted run: %v", err)
-					}
-					if partial == nil {
-						t.Fatal("cancellation returned no partial result")
-					}
-					perCk := 0
-					for _, p := range jcfg.Populations {
-						perCk += p.Trials
-					}
-					got := 0
-					for _, p := range partial.Pops { //pipelint:unordered-ok summing counts is order-independent
-						got += p.Total()
-					}
-					if got%perCk != 0 {
-						t.Errorf("partial result holds %d trials, not a whole number of checkpoints (%d per ck)", got, perCk)
-					}
-					if int64(got) != cerr.TrialsDone {
-						t.Errorf("CanceledError reports %d trials done, partial result holds %d", cerr.TrialsDone, got)
-					}
-				}
-
-				// Emulate a torn final record: the process died mid-write.
-				f, err := os.OpenFile(jcfg.JournalPath, os.O_APPEND|os.O_WRONLY, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.WriteString(`{"ck":0,"trials":[{"o":`); err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					t.Fatal(err)
-				}
-
-				jcfg.OnProgress = nil
-				resumed, err := Resume(context.Background(), jcfg)
-				if err != nil {
-					t.Fatalf("resume: %v", err)
-				}
-				gotJSON, gotCSV := exportBytes(t, resumed)
-				if !bytes.Equal(gotJSON, baseJSON) {
-					t.Errorf("resumed JSON export differs from the uninterrupted run:\n--- base ---\n%s\n--- resumed ---\n%s", baseJSON, gotJSON)
-				}
-				if !bytes.Equal(gotCSV, baseCSV) {
-					t.Errorf("resumed CSV export differs from the uninterrupted run:\n--- base ---\n%s\n--- resumed ---\n%s", baseCSV, gotCSV)
-				}
-			})
-		}
-	}
-}
-
-// TestResumeCompleteJournal: resuming a campaign whose journal already
-// covers every unit replays the result without running a single trial.
-func TestResumeCompleteJournal(t *testing.T) {
-	for _, sched := range []SchedMode{SchedSteal, SchedShard} {
-		t.Run(sched.String(), func(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("steal-w%d", workers), func(t *testing.T) {
 			cfg := stealTestConfig()
-			cfg.Sched = sched
-			cfg.Workers = 2
-			cfg.JournalPath = filepath.Join(t.TempDir(), "campaign.jsonl")
+			cfg.Workers = workers
 			base, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			baseJSON, baseCSV := exportBytes(t, base)
 
-			var ran atomic.Int32
-			testTrialHook = func(ck, idx, attempt int) { ran.Add(1) }
-			defer func() { testTrialHook = nil }()
-			resumed, err := Resume(context.Background(), cfg)
+			jcfg := cfg
+			jcfg.JournalPath = filepath.Join(t.TempDir(), "campaign.jsonl")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			jcfg.OnProgress = func(p Progress) {
+				if p.TrialsDone >= 1 {
+					cancel()
+				}
+			}
+			partial, err := RunContext(ctx, jcfg)
+			if err != nil {
+				// The usual case: the cancel landed before the engine
+				// drained, and the partial result holds only the
+				// checkpoints that completed.
+				var cerr *CanceledError
+				if !errors.As(err, &cerr) {
+					t.Fatalf("interrupted run: %v", err)
+				}
+				if partial == nil {
+					t.Fatal("cancellation returned no partial result")
+				}
+				perCk := 0
+				for _, p := range jcfg.Populations {
+					perCk += p.Trials
+				}
+				got := 0
+				for _, p := range partial.Pops { //pipelint:unordered-ok summing counts is order-independent
+					got += p.Total()
+				}
+				if got%perCk != 0 {
+					t.Errorf("partial result holds %d trials, not a whole number of checkpoints (%d per ck)", got, perCk)
+				}
+				if int64(got) != cerr.TrialsDone {
+					t.Errorf("CanceledError reports %d trials done, partial result holds %d", cerr.TrialsDone, got)
+				}
+			}
+
+			// Emulate a torn final record: the process died mid-write.
+			f, err := os.OpenFile(jcfg.JournalPath, os.O_APPEND|os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := ran.Load(); n != 0 {
-				t.Errorf("resume of a complete journal re-ran %d trials", n)
+			if _, err := f.WriteString(`{"ck":0,"trials":[{"o":`); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			jcfg.OnProgress = nil
+			resumed, err := Resume(context.Background(), jcfg)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
 			}
 			gotJSON, gotCSV := exportBytes(t, resumed)
-			if !bytes.Equal(gotJSON, baseJSON) || !bytes.Equal(gotCSV, baseCSV) {
-				t.Error("replayed exports differ from the original run")
+			if !bytes.Equal(gotJSON, baseJSON) {
+				t.Errorf("resumed JSON export differs from the uninterrupted run:\n--- base ---\n%s\n--- resumed ---\n%s", baseJSON, gotJSON)
+			}
+			if !bytes.Equal(gotCSV, baseCSV) {
+				t.Errorf("resumed CSV export differs from the uninterrupted run:\n--- base ---\n%s\n--- resumed ---\n%s", baseCSV, gotCSV)
 			}
 		})
+	}
+}
+
+// TestResumeCompleteJournal: resuming a campaign whose journal already
+// covers every unit replays the result without running a single trial.
+func TestResumeCompleteJournal(t *testing.T) {
+	t.Run("steal", func(t *testing.T) {
+		cfg := stealTestConfig()
+		cfg.Workers = 2
+		cfg.JournalPath = filepath.Join(t.TempDir(), "campaign.jsonl")
+		base, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseJSON, baseCSV := exportBytes(t, base)
+
+		var ran atomic.Int32
+		testTrialHook = func(ck, idx, attempt int) { ran.Add(1) }
+		defer func() { testTrialHook = nil }()
+		resumed, err := Resume(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ran.Load(); n != 0 {
+			t.Errorf("resume of a complete journal re-ran %d trials", n)
+		}
+		gotJSON, gotCSV := exportBytes(t, resumed)
+		if !bytes.Equal(gotJSON, baseJSON) || !bytes.Equal(gotCSV, baseCSV) {
+			t.Error("replayed exports differ from the original run")
+		}
+	})
+}
+
+// copyFixture copies a testdata journal into a fresh temp file, since
+// Resume appends to the journal it replays.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestResumeCombinedRecordJournal: journals written by the retired
+// checkpoint-sharded engine hold one combined record per checkpoint (head
+// plus every trial) instead of a head record and per-batch records. The
+// fixtures were recorded from that engine on stealTestConfig at Workers 2.
+// Resuming the complete journal must replay it without running a trial,
+// and resuming the copy truncated after its first checkpoint must finish
+// the campaign with exports byte-identical to a fresh run.
+func TestResumeCombinedRecordJournal(t *testing.T) {
+	cfg := stealTestConfig()
+	cfg.Workers = 2
+	fresh, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, wantCSV := exportBytes(t, fresh)
+
+	var ran atomic.Int32
+	testTrialHook = func(ck, idx, attempt int) { ran.Add(1) }
+	defer func() { testTrialHook = nil }()
+
+	cfg.JournalPath = copyFixture(t, "shard_journal.jsonl")
+	replayed, err := Resume(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("resume of the complete journal: %v", err)
+	}
+	if n := ran.Load(); n != 0 {
+		t.Errorf("resume of a complete combined-record journal re-ran %d trials", n)
+	}
+	gotJSON, gotCSV := exportBytes(t, replayed)
+	if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotCSV, wantCSV) {
+		t.Error("replayed combined-record journal exports differ from a fresh run")
+	}
+
+	cfg.JournalPath = copyFixture(t, "shard_journal_truncated.jsonl")
+	resumed, err := Resume(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("resume of the truncated journal: %v", err)
+	}
+	if n := ran.Load(); n == 0 {
+		t.Error("resume of the truncated journal ran no trials")
+	}
+	gotJSON, gotCSV = exportBytes(t, resumed)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("resumed JSON export differs from a fresh run:\n--- fresh ---\n%s\n--- resumed ---\n%s", wantJSON, gotJSON)
+	}
+	if !bytes.Equal(gotCSV, wantCSV) {
+		t.Error("resumed CSV export differs from a fresh run")
 	}
 }
 

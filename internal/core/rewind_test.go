@@ -2,58 +2,77 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"pipefault/internal/workload"
 )
 
-// rewindCampaign runs the golden-test campaign under an explicit rewind
-// mechanism, scheduler, and worker count.
-func rewindCampaign(t *testing.T, mode RewindMode, sched SchedMode, workers int) *Result {
+// rewindCampaign runs the golden-test campaign at an explicit worker count
+// and trial batch (0 means the default).
+func rewindCampaign(t *testing.T, workers, batch int) *Result {
 	t.Helper()
-	res, err := Run(Config{
-		Workload:    workload.Tiny,
-		Checkpoints: 2,
-		Horizon:     800,
-		Populations: []Population{
-			{Name: "l+r", Trials: 4},
-			{Name: "l", LatchOnly: true, Trials: 3},
-		},
-		Seed:    11,
-		Workers: workers,
-		Rewind:  mode,
-		Sched:   sched,
-		Prove:   ProveOff, // goldens pin the full-population draw sequence
-	})
+	cfg := goldenConfig()
+	cfg.Workers = workers
+	cfg.TrialBatch = batch
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// TestRewindEquivalence is the correctness oracle of both rewind paths and
-// both schedulers at campaign scale: the undo-journal rewind path and the
-// full Snapshot/Restore path, under the shard engine and the work-stealing
-// engine at 1, 4 and 8 workers, must all produce byte-identical exports
-// (JSON and CSV) matching the checked-in golden files — which predate both
-// the journal and the steal engine, so the goldens pin that none of these
-// mechanisms changed the simulator's observable behavior.
+// resumedGoldenCampaign runs the golden-test campaign with a journal,
+// cancels it after its first finished unit, and resumes it to completion.
+func resumedGoldenCampaign(t *testing.T, workers int) *Result {
+	t.Helper()
+	cfg := goldenConfig()
+	cfg.Workers = workers
+	cfg.JournalPath = filepath.Join(t.TempDir(), "campaign.jsonl")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.OnProgress = func(p Progress) {
+		if p.TrialsDone >= 1 {
+			cancel()
+		}
+	}
+	if _, err := RunContext(ctx, cfg); err != nil {
+		var cerr *CanceledError
+		if !errors.As(err, &cerr) {
+			t.Fatalf("interrupted run: %v", err)
+		}
+	}
+	cfg.OnProgress = nil
+	res, err := Resume(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	return res
+}
+
+// TestRewindEquivalence is the campaign-scale correctness oracle of the
+// undo-journal rewind and the work-stealing engine: at 1, 4 and 8 workers,
+// at two trial batch sizes, and after an interrupted run is resumed from
+// its journal, the campaign must produce byte-identical exports (JSON and
+// CSV) matching the checked-in golden files — which predate both the
+// journal rewind and the work-stealing engine, so the goldens pin that
+// none of these mechanisms changed the simulator's observable behavior.
 func TestRewindEquivalence(t *testing.T) {
-	runs := []struct {
+	type run struct {
 		name string
 		res  *Result
-	}{
-		{"journal-shard-w1", rewindCampaign(t, RewindJournal, SchedShard, 1)},
-		{"journal-shard-w4", rewindCampaign(t, RewindJournal, SchedShard, 4)},
-		{"snapshot-shard-w1", rewindCampaign(t, RewindSnapshot, SchedShard, 1)},
-		{"snapshot-shard-w4", rewindCampaign(t, RewindSnapshot, SchedShard, 4)},
-		{"journal-steal-w1", rewindCampaign(t, RewindJournal, SchedSteal, 1)},
-		{"journal-steal-w8", rewindCampaign(t, RewindJournal, SchedSteal, 8)},
-		{"snapshot-steal-w1", rewindCampaign(t, RewindSnapshot, SchedSteal, 1)},
-		{"snapshot-steal-w8", rewindCampaign(t, RewindSnapshot, SchedSteal, 8)},
 	}
+	var runs []run
+	for _, workers := range []int{1, 4, 8} {
+		for _, batch := range []int{0, 3} {
+			runs = append(runs, run{fmt.Sprintf("w%d-b%d", workers, batch), rewindCampaign(t, workers, batch)})
+		}
+	}
+	runs = append(runs,
+		run{"resumed-w1", resumedGoldenCampaign(t, 1)},
+		run{"resumed-w4", resumedGoldenCampaign(t, 4)})
 	encoders := []struct {
 		name   string
 		golden string
@@ -74,20 +93,10 @@ func TestRewindEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got.Bytes(), want) {
-					t.Errorf("%s: export deviates from golden — rewind paths are not equivalent\n--- got ---\n%s\n--- want ---\n%s",
+					t.Errorf("%s: export deviates from golden\n--- got ---\n%s\n--- want ---\n%s",
 						run.name, got.Bytes(), want)
 				}
 			}
 		})
-	}
-}
-
-// TestRewindModeString pins the flag-facing names.
-func TestRewindModeString(t *testing.T) {
-	if RewindJournal.String() != "journal" || RewindSnapshot.String() != "snapshot" {
-		t.Errorf("RewindMode strings: %q, %q", RewindJournal, RewindSnapshot)
-	}
-	if s := RewindMode(99).String(); s == "" {
-		t.Error("unknown RewindMode must still print")
 	}
 }

@@ -14,18 +14,15 @@ import (
 
 // Run executes a microarchitectural fault-injection campaign.
 //
-// The campaign runs in two phases under the default scheduler
-// (Config.Sched == SchedSteal): a single reachability pass advances one
+// The campaign runs in two phases: a single reachability pass advances one
 // machine through the workload once, capturing a portable checkpoint image
 // (bit-store snapshot + memory image) at every checkpoint into a bounded
 // pool, while a work-stealing pool of Config.Workers goroutines pulls
 // (checkpoint, trial-batch) units — any worker serves any checkpoint by
-// materializing its image. Config.Sched == SchedShard selects the legacy
-// engine (round-robin checkpoint sharding over cloned machines), kept as
-// an equivalence oracle. Trial RNG streams depend only on (Seed,
+// materializing its image. Trial RNG streams depend only on (Seed,
 // checkpoint index, flat trial index) and aggregation is replayed in
 // checkpoint order, so the assembled Result is bit-identical for any
-// worker count, batch size and scheduler.
+// worker count and batch size.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
@@ -144,12 +141,12 @@ func selectCheckpoints(cfg *Config, total, horizonG uint64) ([]uint64, error) {
 	return cycles, nil
 }
 
-// runCampaign runs the chosen engine over preselected checkpoint cycles.
-// It is the internal entry point below cycle selection, so tests can drive
-// the engines with synthetic checkpoint schedules (e.g. cycles past the
+// runCampaign runs the engine over preselected checkpoint cycles. It is
+// the internal entry point below cycle selection, so tests can drive the
+// engine with synthetic checkpoint schedules (e.g. cycles past the
 // architectural halt). It owns the campaign journal: opened (or, on
 // resume, replayed then reopened for append) here, written by the
-// engines' aggregation loops, closed on the way out.
+// engine's aggregation loop, closed on the way out.
 func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machine, cycles []uint64, horizonG uint64, res *Result, resume bool) (*Result, error) {
 	if horizonG < uint64(cfg.Horizon) {
 		return nil, fmt.Errorf("core: trial horizon %d exceeds the golden-run horizon %d; the convergence check would run past the golden digest trace",
@@ -176,12 +173,7 @@ func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machi
 			return nil, err
 		}
 	}
-	var err error
-	if cfg.Sched == SchedShard {
-		res, err = runShard(ctx, cfg, newMachine, cycles, horizonG, res, prior, jw)
-	} else {
-		res, err = runSteal(ctx, cfg, newMachine, cycles, horizonG, res, prior, jw)
-	}
+	res, err := runSteal(ctx, cfg, newMachine, cycles, horizonG, res, prior, jw)
 	if jerr := jw.close(); err == nil && jerr != nil {
 		err = jerr
 	}
@@ -197,9 +189,9 @@ type engineGuard struct {
 	err error
 }
 
-// capture is deferred directly inside worker goroutines; after, if
-// non-nil, runs when a panic was recovered (the steal engine passes the
-// pool abort so sibling workers drain instead of waiting forever).
+// capture is deferred directly inside worker goroutines; after runs when
+// a panic was recovered (the engine passes the pool abort so sibling
+// workers drain instead of waiting forever).
 func (g *engineGuard) capture(what string, after func()) {
 	r := recover()
 	if r == nil {
@@ -210,47 +202,13 @@ func (g *engineGuard) capture(what string, after func()) {
 		g.err = fmt.Errorf("core: %s panicked outside trial containment: %v\n%s", what, r, debug.Stack())
 	}
 	g.mu.Unlock()
-	if after != nil {
-		after()
-	}
+	after()
 }
 
 func (g *engineGuard) get() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.err
-}
-
-// flatTrials concatenates a checkpoint result's populations into the flat
-// trial layout (population order, the same layout the steal engine and
-// the campaign journal use).
-func flatTrials(cr *ckResult) []Trial {
-	n := 0
-	for _, pt := range cr.pops {
-		n += len(pt.trials)
-	}
-	out := make([]Trial, 0, n)
-	for _, pt := range cr.pops {
-		out = append(out, pt.trials...)
-	}
-	return out
-}
-
-// priorCkResult reassembles a journal-covered checkpoint into the shard
-// engine's ckResult form.
-func priorCkResult(cfg *Config, prior *priorUnits, ck int, popStart []int) *ckResult {
-	cr := &ckResult{ck: ck, validInsns: prior.valid[ck], pops: make([]popTrials, len(cfg.Populations)), proven: prior.proven[ck]}
-	for pi := range cfg.Populations {
-		seg := prior.trials[ck][popStart[pi]:popStart[pi+1]]
-		pt := &cr.pops[pi]
-		pt.trials = append([]Trial(nil), seg...)
-		for _, t := range seg {
-			if t.Outcome == OutMatch || t.Outcome == OutGray {
-				pt.benign++
-			}
-		}
-	}
-	return cr
 }
 
 // popStarts returns the flat-layout start offset of each population (with
@@ -261,123 +219,6 @@ func popStarts(cfg *Config) []int {
 		popStart[i+1] = popStart[i] + p.Trials
 	}
 	return popStart
-}
-
-// runShard is the legacy checkpoint-sharded engine: checkpoints are dealt
-// round-robin to workers, each worker steps a private machine (cloned from
-// one shared warm-up pre-pass) monotonically through its checkpoints, and
-// per-checkpoint results stream back over a channel. Journal-covered
-// checkpoints are replayed into the aggregation instead of re-run.
-func runShard(ctx context.Context, cfg Config, newMachine func() *uarch.Machine, cycles []uint64, horizonG uint64, res *Result, prior *priorUnits, jw *campaignJournal) (*Result, error) {
-	// Shared pre-pass: one machine runs the warm-up to the earliest
-	// checkpoint; workers clone it rather than each re-simulating the
-	// warm-up region.
-	template := newMachine()
-	for template.Cycle < cycles[0] && !template.Halted() {
-		template.Step()
-	}
-	if template.Halted() {
-		return res, nil // no checkpoint is reachable; defensive, cycles[0] < total
-	}
-
-	nw := cfg.Workers
-	if nw > len(cycles) {
-		nw = len(cycles)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-
-	// Clone every worker machine before any worker starts stepping: the
-	// template is worker 0's machine, so cloning after launch would race
-	// with it.
-	machines := make([]*uarch.Machine, nw)
-	machines[0] = template
-	for i := 1; i < nw; i++ {
-		machines[i] = template.Clone()
-	}
-
-	// Round-robin checkpoint assignment keeps each worker's cycle list
-	// ascending (cycles are sorted) and balances load. The derived context
-	// lets aggregation abort the whole pool on a prove cross-check failure.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	guard := &engineGuard{}
-	resCh := make(chan *ckResult, len(cycles))
-	var wg sync.WaitGroup
-	for i := 0; i < nw; i++ {
-		var cks []int
-		for ck := i; ck < len(cycles); ck += nw {
-			cks = append(cks, ck)
-		}
-		w := newWorker(cfg, machines[i], horizonG)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer guard.capture("shard worker", nil)
-			w.run(ctx, cks, cycles, prior, resCh)
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(resCh)
-	}()
-
-	// Deterministic, checkpoint-ordered aggregation: bucket by checkpoint
-	// index as results arrive, then fold in index order. Journal-covered
-	// checkpoints are injected up front.
-	prog := newProgressTracker(cfg, len(cycles))
-	popStart := popStarts(&cfg)
-	byCk := make([]*ckResult, len(cycles))
-	for ck := range byCk {
-		if prior.completeCk(ck) {
-			byCk[ck] = priorCkResult(&cfg, prior, ck, popStart)
-			prog.add(prior.total, true)
-		}
-	}
-	var proveErr error
-	for cr := range resCh {
-		if cr.err != nil {
-			if proveErr == nil {
-				proveErr = cr.err
-				cancel() // abort the campaign: a wrong proof poisons the re-weighted rates
-			}
-			continue
-		}
-		byCk[cr.ck] = cr
-		flat := flatTrials(cr)
-		jw.unit(cr.ck, true, cr.validInsns, 0, flat, cr.proven)
-		prog.add(len(flat), true)
-	}
-	if err := guard.get(); err != nil {
-		return nil, err
-	}
-	if proveErr != nil {
-		return nil, proveErr
-	}
-	for _, cr := range byCk {
-		if cr == nil {
-			continue // machine halted before this checkpoint, or cancelled
-		}
-		for pi, pop := range cfg.Populations {
-			pt := &cr.pops[pi]
-			pr := res.Pops[pop.Name]
-			pr.Trials = append(pr.Trials, pt.trials...)
-			if cr.proven != nil {
-				pr.Proven = append(pr.Proven, cr.proven[pi])
-			}
-			res.Scatter[pop.Name] = append(res.Scatter[pop.Name], ScatterPoint{
-				Checkpoint: cr.ck,
-				ValidInsns: cr.validInsns,
-				Benign:     pt.benign,
-				Trials:     pop.Trials,
-			})
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return res, &CanceledError{TrialsDone: prog.snap.TrialsDone, CheckpointsDone: prog.snap.CheckpointsDone, Err: err}
-	}
-	return res, nil
 }
 
 // progressTracker funnels aggregation-side completion counts into the

@@ -10,7 +10,7 @@ import (
 	"pipefault/internal/uarch"
 )
 
-// The work-stealing campaign engine (Config.Sched == SchedSteal).
+// The two-phase work-stealing campaign engine.
 //
 // Phase 1 — reachability: a single pilot machine advances through the
 // workload once, capturing at each checkpoint a portable image (bit-store
@@ -29,8 +29,8 @@ import (
 // fast-forwarded by replaying the preceding trials' bit draws (draws
 // depend only on the rng and the frozen element layout, never on machine
 // state), and aggregation places trials by flat index and folds in
-// checkpoint order — so the Result is bit-identical to the shard engine
-// for any Workers, TrialBatch and MaxImages.
+// checkpoint order — so the Result is bit-identical for any Workers,
+// TrialBatch and MaxImages.
 //
 // Robustness: per-trial panics and watchdog expiries are contained inside
 // runTrialContained (see engine.go). Cancellation aborts the pool —
@@ -204,7 +204,7 @@ func (p *stealPool) finishBatch(img *ckImage) {
 // runStealPilot is phase 1: one machine steps through the workload once,
 // capturing a portable image at every checkpoint cycle. A machine that
 // architecturally halts early simply stops admitting checkpoints; the
-// unreached ones produce no results, exactly as under the shard engine.
+// unreached ones produce no results.
 // Journal-complete checkpoints (skip) are stepped through but not
 // captured; a cancelled context stops the pilot at the next checkpoint.
 func runStealPilot(ctx context.Context, m *uarch.Machine, cycles []uint64, p *stealPool, skip []bool) {
@@ -256,26 +256,17 @@ func (sw *stealWorker) ensureAt(img *ckImage) {
 }
 
 // golden runs the checkpoint's fault-free continuation on the worker's
-// machine and rewinds. Unlike the shard path it fills a fresh goldenRun —
-// the run outlives this worker's visit, shared by every batch unit.
-func (w *worker) golden(img *ckImage) (*goldenRun, int) {
+// machine and rewinds. The goldenRun outlives this worker's visit, shared
+// by every batch unit of the checkpoint.
+func (w *worker) golden() (*goldenRun, int) {
 	m := w.m
-	useSnap := w.cfg.Rewind == RewindSnapshot
-	var snap *uarch.Snapshot
-	if useSnap {
-		snap = img.snap
-	} else {
-		m.BeginJournal()
-		m.Mark(&w.ckMark)
-	}
+	m.BeginJournal()
+	m.Mark(&w.ckMark)
 	m.Mem.BeginUndo()
 
-	g := &goldenRun{}
-	w.goldenContinuation(g)
-	w.rewind(snap, &w.ckMark)
-	if !useSnap {
-		m.CommitJournal()
-	}
+	g := w.goldenContinuation()
+	m.RollbackTo(&w.ckMark)
+	m.CommitJournal()
 	m.Mem.Rollback()
 
 	validInsns := 0
@@ -287,29 +278,21 @@ func (w *worker) golden(img *ckImage) (*goldenRun, int) {
 	return g, validInsns
 }
 
-// crossCheckAt runs the prover's soundness oracle for a steal head unit.
+// crossCheckAt runs the prover's soundness oracle for a head unit.
 // Between units the machine sits exactly at the image's checkpoint state
 // with no bracket open (worker.golden closed its own), so the oracle's
 // check trials get a fresh journal/undo bracket of their own. w.g still
 // points at the golden run worker.golden just recorded, which is what the
 // check trials classify against.
-func (w *worker) crossCheckAt(img *ckImage, proof *prove.Proof) error {
+func (w *worker) crossCheckAt(ck int, proof *prove.Proof) error {
 	if proof == nil || w.cfg.ProveCrossCheck <= 0 {
 		return nil
 	}
 	m := w.m
-	useSnap := w.cfg.Rewind == RewindSnapshot
-	var snap *uarch.Snapshot
-	if useSnap {
-		snap = img.snap
-	} else {
-		m.BeginJournal()
-	}
+	m.BeginJournal()
 	m.Mem.BeginUndo()
-	err := w.crossCheck(proof, img.ck, snap)
-	if !useSnap {
-		m.CommitJournal()
-	}
+	err := w.crossCheck(proof, ck)
+	m.CommitJournal()
 	m.Mem.Rollback()
 	return err
 }
@@ -340,7 +323,6 @@ func missingBatches(prior *priorUnits, ck, totalPerCk, trialBatch, batches int) 
 func (w *worker) runBatch(img *ckImage, batch int, popOf []int) stealMsg {
 	m := w.m
 	w.g = img.golden
-	useSnap := w.cfg.Rewind == RewindSnapshot
 	start := batch * w.cfg.TrialBatch
 	end := start + w.cfg.TrialBatch
 	if end > len(popOf) {
@@ -352,12 +334,7 @@ func (w *worker) runBatch(img *ckImage, batch int, popOf []int) stealMsg {
 		drawBit(m.F, img.proof, rng, w.cfg.Populations[popOf[i]].LatchOnly)
 	}
 
-	var snap *uarch.Snapshot
-	if useSnap {
-		snap = img.snap
-	} else {
-		m.BeginJournal()
-	}
+	m.BeginJournal()
 	m.Mem.BeginUndo()
 	// The fault-model cross-check oracle selects its trials by flat index
 	// from a dedicated salted stream, so the same trials are re-checked no
@@ -368,15 +345,13 @@ func (w *worker) runBatch(img *ckImage, batch int, popOf []int) stealMsg {
 	for i := start; i < end; i++ {
 		pop := w.cfg.Populations[popOf[i]]
 		bit := drawBit(m.F, img.proof, rng, pop.LatchOnly)
-		trial := w.runTrialContained(bit, img.ck, i, snap)
+		trial := w.runTrialContained(bit, img.ck, i)
 		if msg.err == nil && sel[i] {
-			msg.err = w.modelCheckTrial(bit, img.ck, i, snap, trial)
+			msg.err = w.modelCheckTrial(bit, img.ck, i, trial)
 		}
 		trials = append(trials, trial)
 	}
-	if !useSnap {
-		m.CommitJournal()
-	}
+	m.CommitJournal()
 	m.Mem.Rollback()
 	msg.trials = trials
 	return msg
@@ -393,10 +368,10 @@ func runStealWorker(id int, cfg Config, newMachine func() *uarch.Machine, horizo
 		}
 		sw.ensureAt(u.img)
 		if u.batch < 0 {
-			g, validInsns := sw.w.golden(u.img)
+			g, validInsns := sw.w.golden()
 			proof := sw.w.computeProof(g)
 			strata := provenStrata(proof, u.img.ck, cfg.Populations)
-			err := sw.w.crossCheckAt(u.img, proof)
+			err := sw.w.crossCheckAt(u.img.ck, proof)
 			var batches []int
 			if err == nil {
 				nb := (len(popOf) + cfg.TrialBatch - 1) / cfg.TrialBatch

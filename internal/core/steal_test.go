@@ -40,31 +40,6 @@ func resultsEqual(t *testing.T, name string, a, b *Result) {
 	}
 }
 
-// TestStealShardEquivalence: the work-stealing engine must be bit-identical
-// to the legacy shard engine — same trials, same scatter — across worker
-// counts and rewind modes.
-func TestStealShardEquivalence(t *testing.T) {
-	for _, rewind := range []RewindMode{RewindJournal, RewindSnapshot} {
-		cfg := stealTestConfig()
-		cfg.Rewind = rewind
-		cfg.Sched = SchedShard
-		cfg.Workers = 1
-		shard, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4} {
-			cfg.Sched = SchedSteal
-			cfg.Workers = workers
-			steal, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resultsEqual(t, fmt.Sprintf("%v-w%d", rewind, workers), shard, steal)
-		}
-	}
-}
-
 // TestTrialBatchInvariance: the batch size is a scheduling knob, never a
 // semantic one — any TrialBatch must yield the identical Result, including
 // a batch larger than a checkpoint's whole trial count.
@@ -144,12 +119,11 @@ func campaignFixture(t *testing.T, cfg *Config) (func() *uarch.Machine, *Result,
 
 // TestHaltBeforeLastCheckpoint: a checkpoint scheduled past the machine's
 // architectural halt must be skipped — not deadlock the pool, not produce
-// partial trials — under both schedulers, and the reachable checkpoints
-// must still agree between them.
+// partial trials — at any worker count, and the reachable checkpoint must
+// agree between a serial and a parallel pool.
 func TestHaltBeforeLastCheckpoint(t *testing.T) {
-	run := func(sched SchedMode, workers int) *Result {
+	run := func(workers int) *Result {
 		cfg := stealTestConfig()
-		cfg.Sched = sched
 		cfg.Workers = workers
 		newMachine, res, total := campaignFixture(t, &cfg)
 		// One reachable checkpoint, two scheduled after the halt.
@@ -162,20 +136,22 @@ func TestHaltBeforeLastCheckpoint(t *testing.T) {
 		return res
 	}
 
-	steal := run(SchedSteal, 4)
-	shard := run(SchedShard, 4)
+	serial := run(1)
+	parallel := run(4)
 
-	wantTrials := map[string]int{"l+r": 5, "l": 3} // one reachable checkpoint's worth
-	for pop, want := range wantTrials {
-		if got := steal.Pops[pop].Total(); got != want {
-			t.Errorf("steal %s: %d trials, want %d (only checkpoint 0 is reachable)", pop, got, want)
-		}
-		if len(steal.Scatter[pop]) != 1 {
-			t.Errorf("steal %s: %d scatter points, want 1", pop, len(steal.Scatter[pop]))
+	wantTrials := map[string]int{"l+r": 5, "l": 3}                            // one reachable checkpoint's worth
+	for name, res := range map[string]*Result{"w1": serial, "w4": parallel} { //pipelint:unordered-ok per-run assertions are independent
+		for pop, want := range wantTrials {
+			if got := res.Pops[pop].Total(); got != want {
+				t.Errorf("%s %s: %d trials, want %d (only checkpoint 0 is reachable)", name, pop, got, want)
+			}
+			if len(res.Scatter[pop]) != 1 {
+				t.Errorf("%s %s: %d scatter points, want 1", name, pop, len(res.Scatter[pop]))
+			}
 		}
 	}
-	if !reflect.DeepEqual(steal.Pops, shard.Pops) || !reflect.DeepEqual(steal.Scatter, shard.Scatter) {
-		t.Error("steal and shard disagree on the reachable prefix")
+	if !reflect.DeepEqual(serial.Pops, parallel.Pops) || !reflect.DeepEqual(serial.Scatter, parallel.Scatter) {
+		t.Error("Workers 1 and 4 disagree on the reachable prefix")
 	}
 }
 
@@ -209,8 +185,7 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-warmup", func(c *Config) { c.WarmupCycles = -1 }, "WarmupCycles"},
 		{"negative-batch", func(c *Config) { c.TrialBatch = -2 }, "TrialBatch"},
 		{"negative-images", func(c *Config) { c.MaxImages = -3 }, "MaxImages"},
-		{"bad-sched", func(c *Config) { c.Sched = SchedMode(77) }, "scheduler"},
-		{"bad-rewind", func(c *Config) { c.Rewind = RewindMode(77) }, "rewind"},
+		{"bad-earlystop", func(c *Config) { c.EarlyStop = EarlyStopMode(77) }, "early-stop"},
 		{"empty-pop-name", func(c *Config) { c.Populations[0].Name = "" }, "name"},
 		{"dup-pop-name", func(c *Config) { c.Populations[1].Name = "l+r" }, "duplicate"},
 		{"negative-trials", func(c *Config) { c.Populations[0].Trials = -4 }, "Trials"},
@@ -234,10 +209,9 @@ func TestConfigValidate(t *testing.T) {
 // non-decreasing counts ending at the campaign totals, and wiring it up
 // must not perturb the Result.
 func TestOnProgress(t *testing.T) {
-	for _, sched := range []SchedMode{SchedSteal, SchedShard} {
+	for _, workers := range []int{1, 4} {
 		cfg := stealTestConfig()
-		cfg.Sched = sched
-		cfg.Workers = 4
+		cfg.Workers = workers
 		base, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -249,46 +223,24 @@ func TestOnProgress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resultsEqual(t, fmt.Sprintf("progress-%v", sched), base, res)
+		resultsEqual(t, fmt.Sprintf("progress-w%d", workers), base, res)
 
 		if len(snaps) == 0 {
-			t.Fatalf("%v: no progress callbacks", sched)
+			t.Fatalf("w%d: no progress callbacks", workers)
 		}
 		var prev Progress
 		for i, p := range snaps {
 			if p.TrialsDone < prev.TrialsDone || p.CheckpointsDone < prev.CheckpointsDone {
-				t.Fatalf("%v: progress regressed at callback %d: %+v after %+v", sched, i, p, prev)
+				t.Fatalf("w%d: progress regressed at callback %d: %+v after %+v", workers, i, p, prev)
 			}
 			prev = p
 		}
 		final := snaps[len(snaps)-1]
 		if final.CheckpointsDone != 3 || final.TrialsDone != 3*8 {
-			t.Errorf("%v: final progress %+v, want 3 checkpoints and 24 trials", sched, final)
+			t.Errorf("w%d: final progress %+v, want 3 checkpoints and 24 trials", workers, final)
 		}
 		if final.Checkpoints != 3 || final.Trials != 24 {
-			t.Errorf("%v: totals %+v, want Checkpoints=3 Trials=24", sched, final)
+			t.Errorf("w%d: totals %+v, want Checkpoints=3 Trials=24", workers, final)
 		}
-	}
-}
-
-// TestParseSchedMode pins the flag-facing scheduler names.
-func TestParseSchedMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SchedMode
-	}{{"steal", SchedSteal}, {"shard", SchedShard}} {
-		got, err := ParseSchedMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseSchedMode(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.in)
-		}
-	}
-	if _, err := ParseSchedMode("lifo"); err == nil {
-		t.Error("ParseSchedMode accepted an unknown name")
-	}
-	if s := SchedMode(99).String(); s == "" {
-		t.Error("unknown SchedMode must still print")
 	}
 }

@@ -31,10 +31,7 @@ func SurveyProofs(cfg Config) ([]ProofCoverage, error) {
 		return nil, err
 	}
 	cfg.setDefaults()
-	// The survey never builds checkpoint images, so golden runs rewind
-	// through the state-file journal regardless of the configured mode;
-	// and the prover always runs — a ProveOff survey would be empty.
-	cfg.Rewind = RewindJournal
+	// The prover always runs — a ProveOff survey would be empty.
 	cfg.Prove = ProveOn
 	prog, err := cfg.Workload.Program()
 	if err != nil {
@@ -62,9 +59,9 @@ func SurveyProofs(cfg Config) ([]ProofCoverage, error) {
 		return nil, err
 	}
 
-	// One machine walks the sorted schedule monotonically, exactly like a
-	// single shard worker; at each checkpoint the worker records the golden
-	// continuation and the prover partitions the population.
+	// One machine walks the sorted schedule monotonically, like the
+	// campaign's reachability pilot; at each checkpoint the worker records
+	// the golden continuation and the prover partitions the population.
 	m := newMachine()
 	w := newWorker(cfg, m, horizonG)
 	f := m.F
@@ -73,7 +70,7 @@ func SurveyProofs(cfg Config) ([]ProofCoverage, error) {
 		for m.Cycle < cycle {
 			m.Step()
 		}
-		g, _ := w.golden(&ckImage{})
+		g, _ := w.golden()
 		proof := w.computeProof(g)
 		out = append(out, ProofCoverage{
 			Checkpoint: ck,

@@ -24,8 +24,7 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"negative-batch", func(c *Config) { c.TrialBatch = -1 }, "TrialBatch"},
 		{"negative-images", func(c *Config) { c.MaxImages = -1 }, "MaxImages"},
 		{"negative-timeout", func(c *Config) { c.TrialTimeout = -time.Second }, "TrialTimeout"},
-		{"bad-sched", func(c *Config) { c.Sched = SchedMode(99) }, "Sched"},
-		{"bad-rewind", func(c *Config) { c.Rewind = RewindMode(99) }, "Rewind"},
+		{"bad-earlystop", func(c *Config) { c.EarlyStop = EarlyStopMode(99) }, "EarlyStop"},
 		{"unnamed-population", func(c *Config) { c.Populations[0].Name = "" }, "Populations"},
 		{"duplicate-population", func(c *Config) { c.Populations[1].Name = c.Populations[0].Name }, "Populations"},
 		{"negative-trials", func(c *Config) { c.Populations[0].Trials = -1 }, "Populations"},

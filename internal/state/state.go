@@ -915,19 +915,6 @@ func (f *File) Snapshot() *Snapshot {
 	return &Snapshot{words: append([]uint64(nil), f.words...), digest: f.digest}
 }
 
-// SnapshotInto refreshes s with the current contents, reusing its backing
-// storage when the layout matches. A nil s allocates, so callers can keep a
-// slice of reusable snapshots that amortizes to zero allocation across
-// golden runs.
-func (f *File) SnapshotInto(s *Snapshot) *Snapshot {
-	if s == nil || len(s.words) != len(f.words) {
-		return f.Snapshot()
-	}
-	copy(s.words, f.words)
-	s.digest = f.digest
-	return s
-}
-
 // getFrom extracts entry i's value from an alternate word array with the
 // file's frozen layout (a Snapshot's backing store).
 func (e *Elem) getFrom(words []uint64, i int) uint64 {

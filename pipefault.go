@@ -129,7 +129,7 @@ func WorkloadByName(name string) *Workload {
 }
 
 // RunCampaign executes a microarchitectural fault-injection campaign
-// (Sections 2-4 of the paper). Checkpoints are sharded across
+// (Sections 2-4 of the paper). Trial batches are spread across
 // cfg.Workers goroutines (default: all CPUs); the worker count never
 // affects the result, only wall-clock time.
 func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
