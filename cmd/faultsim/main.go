@@ -46,11 +46,15 @@
 // for a seeded random duration in [1, -fault-duration]), permanent
 // (stuck-at-1 for the whole trial), or mbu2 (a 2-adjacent-bit upset).
 // Non-transient models run without the taint and convergence shortcuts
-// and disable the prover (their soundness arguments need one-shot faults);
-// -model-crosscheck K re-runs K trials per checkpoint with every
-// acceleration off and fails the campaign on any divergence. A final
-// per-model outcome breakdown is printed next to the trial-resolution
-// report.
+// and disable the prover (their soundness arguments need one-shot faults).
+// A final per-model outcome breakdown is printed next to the
+// trial-resolution report.
+//
+// -crosscheck K arms the runtime soundness oracle for every fault model:
+// at each checkpoint, K sampled bits are re-run with every acceleration
+// off and must classify exactly as the campaign does, and, when the
+// prover ran, K proven-benign bits are simulated full-horizon and must
+// classify µArch Match. Any violation fails the campaign.
 //
 // Robustness flags: -timeout arms the per-trial watchdog (livelocked
 // trials are killed and counted as anomalies instead of hanging a
@@ -96,9 +100,8 @@ type opts struct {
 	workers     int
 	earlyStop   core.EarlyStopMode
 	prove       core.ProveMode
-	proveCheck  int
+	crossCheck  int
 	model       core.FaultModel
-	modelCheck  int
 	progress    bool
 	timeout     time.Duration
 	journal     string
@@ -120,10 +123,9 @@ func run(args []string) int {
 	workers := fs.Int("workers", runtime.NumCPU(), "campaign worker goroutines (results are identical for any count)")
 	earlyStop := fs.String("earlystop", "on", "early trial termination: on (dead-entry, quiescence and re-convergence shortcuts) or off (full-horizon equivalence oracle)")
 	proveFlag := fs.String("prove", "on", "static benign-injection prover: on (sample only unproven bits, re-weight analytically) or off (full-population sampling)")
-	proveCheck := fs.Int("prove-crosscheck", 0, "per-checkpoint soundness oracle: simulate this many proven-benign bits full-horizon and fail the campaign unless all match (0 disables)")
+	crossCheck := fs.Int("crosscheck", 0, "per-checkpoint soundness oracle: check this many sampled bits (and as many proven-benign bits) against full-horizon runs and fail the campaign on any disagreement (0 disables)")
 	faultModel := fs.String("fault-model", "transient", "fault model to inject: "+strings.Join(core.FaultModelNames(), ", "))
 	faultDuration := fs.Int("fault-duration", 100, "stuck-at assertion window in cycles (stuck0/stuck1; the upper bound of an intermittent fault's random window)")
-	modelCheck := fs.Int("model-crosscheck", 0, "per-checkpoint fault-model soundness oracle: re-run this many trials with all acceleration off and fail the campaign on any classification divergence (0 disables; forced 0 for transient)")
 	progress := fs.Bool("progress", false, "print periodic campaign progress to stderr")
 	timeout := fs.Duration("timeout", 0, "per-trial watchdog budget; a livelocked trial is killed and counted as an anomaly (0 disables)")
 	journal := fs.String("journal", "", "campaign journal path base; each campaign appends completed units to <base>-<prot>-<bench>.jsonl for -resume")
@@ -166,16 +168,15 @@ func run(args []string) int {
 		return 2
 	}
 	proto := core.Config{
-		Workload:        workload.Tiny, // validation placeholder; real campaigns set their own
-		Checkpoints:     *checkpoints,
-		Horizon:         *horizon,
-		Workers:         *workers,
-		EarlyStop:       earlyStopMode,
-		Prove:           proveMode,
-		ProveCrossCheck: *proveCheck,
-		Model:           model,
-		ModelCrossCheck: *modelCheck,
-		TrialTimeout:    *timeout,
+		Workload:     workload.Tiny, // validation placeholder; real campaigns set their own
+		Checkpoints:  *checkpoints,
+		Horizon:      *horizon,
+		Workers:      *workers,
+		EarlyStop:    earlyStopMode,
+		Prove:        proveMode,
+		CrossCheck:   *crossCheck,
+		Model:        model,
+		TrialTimeout: *timeout,
 		Populations: []core.Population{
 			{Name: "l+r", Trials: *trials},
 			{Name: "l", LatchOnly: true, Trials: *ltrials},
@@ -194,7 +195,6 @@ func run(args []string) int {
 		{*softTrials < 1, fmt.Sprintf("-soft-trials must be >= 1 (got %d)", *softTrials)},
 		{*horizon < 1, fmt.Sprintf("-horizon must be >= 1 (got %d)", *horizon)},
 		{*faultDuration < 1, fmt.Sprintf("-fault-duration must be >= 1 (got %d)", *faultDuration)},
-		{*modelCheck < 0, fmt.Sprintf("-model-crosscheck must be >= 0 (got %d)", *modelCheck)},
 		{*resumeFlag && *journal == "", "-resume requires -journal"},
 	} {
 		if check.bad {
@@ -235,7 +235,7 @@ func run(args []string) int {
 		checkpoints: *checkpoints, trials: *trials, ltrials: *ltrials,
 		softTrials: *softTrials, horizon: *horizon, workers: *workers,
 		earlyStop: earlyStopMode, prove: proveMode,
-		proveCheck: *proveCheck, model: model, modelCheck: *modelCheck,
+		crossCheck: *crossCheck, model: model,
 		progress: *progress,
 		timeout:  *timeout, journal: *journal, resume: *resumeFlag,
 		seed: *seed, verbose: *verbose,
@@ -554,19 +554,18 @@ func (r *runner) campaigns(protect pipefault.ProtectConfig, cache *[]*core.Resul
 			pops = append(pops, core.Population{Name: "l", LatchOnly: true, Trials: r.o.ltrials})
 		}
 		cfg := core.Config{
-			Workload:        w,
-			Protect:         protect,
-			Checkpoints:     r.o.checkpoints,
-			Horizon:         r.o.horizon,
-			Populations:     pops,
-			Workers:         r.o.workers,
-			EarlyStop:       r.o.earlyStop,
-			Prove:           r.o.prove,
-			ProveCrossCheck: r.o.proveCheck,
-			Model:           r.o.model,
-			ModelCrossCheck: r.o.modelCheck,
-			TrialTimeout:    r.o.timeout,
-			Seed:            r.o.seed + int64(i),
+			Workload:     w,
+			Protect:      protect,
+			Checkpoints:  r.o.checkpoints,
+			Horizon:      r.o.horizon,
+			Populations:  pops,
+			Workers:      r.o.workers,
+			EarlyStop:    r.o.earlyStop,
+			Prove:        r.o.prove,
+			CrossCheck:   r.o.crossCheck,
+			Model:        r.o.model,
+			TrialTimeout: r.o.timeout,
+			Seed:         r.o.seed + int64(i),
 		}
 		cfg.OnTrialResolved = func(kind core.ResolveKind, steps int) {
 			r.resolved[kind].Add(1)

@@ -20,7 +20,9 @@ func TestRunFlagValidation(t *testing.T) {
 		{"zero duration", []string{"-fault-model", "stuck1", "-fault-duration", "0", "modes"}, 2},
 		{"negative duration", []string{"-fault-model", "intermittent", "-fault-duration", "-7", "modes"}, 2},
 		{"zero duration transient", []string{"-fault-duration", "0", "modes"}, 2},
-		{"negative crosscheck", []string{"-model-crosscheck", "-1", "modes"}, 2},
+		{"negative crosscheck", []string{"-crosscheck", "-1", "modes"}, 2},
+		{"removed prove oracle flag", []string{"-prove-crosscheck", "3", "modes"}, 2},
+		{"removed model oracle flag", []string{"-model-crosscheck", "3", "modes"}, 2},
 		{"resume without journal", []string{"-resume", "modes"}, 2},
 		{"bad sched", []string{"-sched", "steal", "modes"}, 2},
 		{"bad earlystop", []string{"-earlystop", "taint", "modes"}, 2},
@@ -30,7 +32,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{"stuck0 ok", []string{"-fault-model", "stuck0", "-fault-duration", "25", "modes"}, 0},
 		{"intermittent ok", []string{"-fault-model", "intermittent", "-fault-duration", "25", "modes"}, 0},
 		{"permanent ok", []string{"-fault-model", "permanent", "modes"}, 0},
-		{"mbu2 ok", []string{"-fault-model", "mbu2", "-model-crosscheck", "2", "modes"}, 0},
+		{"mbu2 ok", []string{"-fault-model", "mbu2", "-crosscheck", "2", "modes"}, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -42,7 +44,7 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 // TestRunNonTransientCampaign: one minimal end-to-end stuck-at campaign
-// through the real CLI path, with the fault-model soundness oracle armed.
+// through the real CLI path, with the runtime soundness oracle armed.
 func TestRunNonTransientCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real campaign")
@@ -50,7 +52,7 @@ func TestRunNonTransientCampaign(t *testing.T) {
 	args := []string{
 		"-bench", "gzip", "-checkpoints", "1", "-trials", "3", "-ltrials", "2",
 		"-horizon", "600", "-fault-model", "stuck1", "-fault-duration", "30",
-		"-model-crosscheck", "1", "fig3",
+		"-crosscheck", "1", "fig3",
 	}
 	if got := run(args); got != 0 {
 		t.Errorf("run(%q) = %d, want 0", args, got)

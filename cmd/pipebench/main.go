@@ -7,31 +7,29 @@
 //	          [-baseline FILE] [-regress-pct P] [-soft]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
-// Four measurements are taken with testing.Benchmark:
+// Three measurements are taken with testing.Benchmark:
 //
 //	pipeline_cycles    raw detailed-model stepping speed (cycles/sec)
 //	campaign           end-to-end injection campaign (trials/sec, allocs/trial)
-//	restore_snapshot   full-state Snapshot/Restore rewind (ns/restore)
 //	restore_journal    undo-journal Mark/RollbackTo rewind of a 64-word
 //	                   working set (ns/restore)
 //
-// Two further measurements time whole campaigns wall-clock:
+// One further measurement runs the campaign twice more:
 //
-//	scaling            the same campaign at 1, 2, 4 and NumCPU workers,
-//	                   reporting per-count trials/sec and scaling_efficiency
 //	early_stop         the campaign with early trial termination off
 //	                   (full-horizon) and on (the default: dead-entry,
 //	                   quiescence and re-convergence shortcuts), reporting
 //	                   the mean actually-simulated cycles per trial for
-//	                   each and early_stop_speedup (off vs on); the runs
-//	                   double as an equivalence oracle — any result
-//	                   mismatch fails the run (exit 1) even with -soft,
-//	                   since that is a correctness bug, not runner noise
-//	prove              proven_benign_fraction — the share of the injectable
-//	                   population the static prover certifies benign — and
-//	                   prove_speedup: the wall-clock of an equal-precision
-//	                   full-population campaign (trials scaled by 1/(1-f))
-//	                   divided by the prover campaign's
+//	                   each and early_stop_speedup (off vs on), plus
+//	                   proven_benign_fraction — the share of the
+//	                   injectable population the static prover certifies
+//	                   benign — from the default run. That the two runs
+//	                   classify identically is checked by
+//	                   TestConvergeEquivalenceGzip in internal/core, not
+//	                   here.
+//
+// Time to a target precision, end to end and per layer, is measured by
+// the repository benchmark (bench/), not by pipebench.
 //
 // With -baseline, the fresh headline metrics are compared against a
 // previously committed report: a drop of more than -regress-pct percent in
@@ -51,12 +49,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pipefault/internal/core"
 	"pipefault/internal/mem"
@@ -72,25 +68,15 @@ type benchLine struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-type scalingLine struct {
-	Workers           int     `json:"workers"`
-	WallSec           float64 `json:"wall_sec"`
-	TrialsPerSec      float64 `json:"trials_per_sec"`
-	SpeedupVs1W       float64 `json:"speedup_vs_1w"`
-	ScalingEfficiency float64 `json:"scaling_efficiency"`
-}
-
 type metrics struct {
 	CyclesPerSec       float64 `json:"cycles_per_sec"`
 	StepNsPerCycle     float64 `json:"step_ns_per_cycle"`
 	TrialsPerSec       float64 `json:"trials_per_sec"`
-	NsRestoreSnapshot  float64 `json:"ns_per_restore_snapshot"`
 	NsRestoreJournal   float64 `json:"ns_per_restore_journal"`
 	AllocsPerTrial     float64 `json:"allocs_per_trial"`
 	MeanCyclesPerTrial float64 `json:"mean_cycles_per_trial"`
 	EarlyStopSpeedup   float64 `json:"early_stop_speedup"`
 	ProvenFraction     float64 `json:"proven_benign_fraction"`
-	ProveSpeedup       float64 `json:"prove_speedup"`
 }
 
 // earlyStopLine is one point on the termination-mode trajectory: how many
@@ -102,20 +88,14 @@ type earlyStopLine struct {
 }
 
 type report struct {
-	Suite   string `json:"suite"`
-	Go      string `json:"go"`
-	NumCPU  int    `json:"num_cpu"`
-	Workers int    `json:"workers"`
-	Quick   bool   `json:"quick"`
-	// ScalingUnreliable marks the scaling sweep as meaningless: on a
-	// single-CPU box every worker count collapses to ~1x, so the sweep is
-	// skipped and consumers (the CI regression gate included) must ignore
-	// the scaling section entirely.
-	ScalingUnreliable bool            `json:"scaling_unreliable,omitempty"`
-	Metrics           metrics         `json:"metrics"`
-	Scaling           []scalingLine   `json:"scaling"`
-	EarlyStop         []earlyStopLine `json:"early_stop"`
-	Benchmarks        []benchLine     `json:"benchmarks"`
+	Suite      string          `json:"suite"`
+	Go         string          `json:"go"`
+	NumCPU     int             `json:"num_cpu"`
+	Workers    int             `json:"workers"`
+	Quick      bool            `json:"quick"`
+	Metrics    metrics         `json:"metrics"`
+	EarlyStop  []earlyStopLine `json:"early_stop"`
+	Benchmarks []benchLine     `json:"benchmarks"`
 }
 
 func main() {
@@ -220,54 +200,9 @@ func main() {
 		rep.Metrics.AllocsPerTrial = float64(camp.AllocsPerOp()) / float64(trialsPerOp)
 	}
 
-	// Worker-count scaling sweep: the same campaign wall-clocked at 1, 2, 4
-	// and NumCPU workers. scaling_efficiency = speedup / workers. On a
-	// single-CPU box every count collapses to ~1× and the ratios are pure
-	// scheduler noise, so the sweep is skipped and the report is tagged
-	// scaling_unreliable — the CI regression gate ignores the scaling
-	// section on tagged reports (it only ever compares cycles_per_sec and
-	// trials_per_sec, which stay meaningful).
-	campaignWall := func(c core.Config) (float64, int) {
-		start := time.Now()
-		res, err := core.Run(c)
-		if err != nil {
-			fatal(err)
-		}
-		return time.Since(start).Seconds(), res.Pops["l+r"].Total()
-	}
-	if runtime.NumCPU() == 1 {
-		rep.ScalingUnreliable = true
-		fmt.Fprintln(os.Stderr, "pipebench: single CPU; skipping worker-scaling sweep (scaling_unreliable)")
-	}
-	var base float64
-	for _, nw := range scalingCounts() {
-		if rep.ScalingUnreliable && nw != 1 {
-			continue
-		}
-		c := cfg
-		c.Workers = nw
-		wall, trials := campaignWall(c)
-		if base == 0 {
-			base = wall
-		}
-		speedup := base / wall
-		rep.Scaling = append(rep.Scaling, scalingLine{
-			Workers:           nw,
-			WallSec:           wall,
-			TrialsPerSec:      float64(trials) / wall,
-			SpeedupVs1W:       speedup,
-			ScalingEfficiency: speedup / float64(nw),
-		})
-		fmt.Fprintf(os.Stderr, "pipebench: scaling %2d workers  %7.2fs  speedup %.2fx  efficiency %.2f\n",
-			nw, wall, speedup, speedup/float64(nw))
-	}
-
-	// Early-stop effectiveness, and the equivalence oracle. The same
-	// campaign runs with early termination off (the full-horizon loop) and
-	// on (the default), counting actually-simulated cycles per trial. Both
-	// results must be bit-identical; a mismatch is a correctness bug in the
-	// early-stop machinery, so it hard-fails the run even with -soft — that
-	// flag only pardons throughput noise.
+	// Early-stop effectiveness: the same campaign runs with early
+	// termination off (the full-horizon loop) and on (the default),
+	// counting actually-simulated cycles per trial.
 	earlyStopRun := func(mode core.EarlyStopMode) (*core.Result, float64) {
 		var steps, trials atomic.Int64
 		c := cfg
@@ -285,14 +220,8 @@ func main() {
 		}
 		return res, float64(steps.Load()) / float64(trials.Load())
 	}
-	fullRes, meanOff := earlyStopRun(core.EarlyStopOff)
-	earlyRes, meanOn := earlyStopRun(core.EarlyStopOn)
-	if !reflect.DeepEqual(earlyRes.Pops, fullRes.Pops) ||
-		!reflect.DeepEqual(earlyRes.Scatter, fullRes.Scatter) {
-		fmt.Fprintln(os.Stderr, "pipebench: EQUIVALENCE ORACLE MISMATCH: the early-stopped campaign"+
-			" differs from the full-horizon campaign; early stopping changed trial outcomes")
-		os.Exit(1)
-	}
+	_, meanOff := earlyStopRun(core.EarlyStopOff)
+	onRes, meanOn := earlyStopRun(core.EarlyStopOn)
 	onLine := earlyStopLine{Mode: core.EarlyStopOn.String(), MeanCycles: meanOn}
 	rep.Metrics.MeanCyclesPerTrial = meanOn
 	if meanOn > 0 {
@@ -300,76 +229,16 @@ func main() {
 		rep.Metrics.EarlyStopSpeedup = onLine.SpeedupVsOff
 	}
 	rep.EarlyStop = []earlyStopLine{{Mode: core.EarlyStopOff.String(), MeanCycles: meanOff, SpeedupVsOff: 1}, onLine}
-	fmt.Fprintf(os.Stderr, "pipebench: early_stop         %.1f on / %.1f full-horizon cycles/trial = %.1fx\n",
-		meanOn, meanOff, rep.Metrics.EarlyStopSpeedup)
+	rep.Metrics.ProvenFraction = onRes.Pops["l+r"].ProvenFraction()
+	fmt.Fprintf(os.Stderr, "pipebench: early_stop         %.1f on / %.1f full-horizon cycles/trial = %.1fx; %.1f%% proven benign\n",
+		meanOn, meanOff, rep.Metrics.EarlyStopSpeedup, 100*rep.Metrics.ProvenFraction)
 
-	// Prover effectiveness. The static prover does not shorten individual
-	// trials — it removes the proven-benign mass from the sampled
-	// population and re-weights analytically, so each sampled trial is an
-	// informative one. A full-population campaign wastes a fraction f of
-	// its samples re-discovering proven outcomes; to match the prover
-	// campaign's count of informative trials it must scale its trial
-	// budget by 1/(1-f). prove_speedup is that equal-precision full
-	// campaign's wall-clock divided by the prover campaign's, each the
-	// best of two runs: a min discards one-sided scheduler/GC noise, which
-	// a single sample of a ratio of wall-clocks amplifies. The trial
-	// budget is tripled for this measurement so per-checkpoint fixed
-	// costs (pilot, golden continuations) — paid identically by both
-	// modes — do not wash out the per-trial difference. Under the
-	// default early stop the liveness-proven draws were already
-	// resolved closed-form at near-zero cost, so this ratio is expected
-	// to sit near 1; it grows with the non-liveness rules' coverage and
-	// whenever early stop is off (oracle and -race runs), where every
-	// avoided draw is a full-horizon simulation.
-	proveTrials := 3 * cfg.Populations[0].Trials
-	proveOnce := func(c core.Config) (*core.Result, float64) {
-		start := time.Now()
-		res, err := core.Run(c)
-		if err != nil {
-			fatal(err)
-		}
-		return res, time.Since(start).Seconds()
-	}
-	proveWall := func(mode core.ProveMode, trials int) (*core.Result, float64) {
-		c := cfg
-		c.Prove = mode
-		c.Populations = []core.Population{{Name: "l+r", Trials: trials}}
-		res, wall := proveOnce(c)
-		if _, again := proveOnce(c); again < wall {
-			wall = again
-		}
-		return res, wall
-	}
-	onRes, onWall := proveWall(core.ProveOn, proveTrials)
-	frac := onRes.Pops["l+r"].ProvenFraction()
-	rep.Metrics.ProvenFraction = frac
-	if frac > 0 && frac < 1 {
-		scaled := int(float64(proveTrials)/(1-frac) + 0.5)
-		_, offWall := proveWall(core.ProveOff, scaled)
-		if onWall > 0 {
-			rep.Metrics.ProveSpeedup = offWall / onWall
-		}
-		fmt.Fprintf(os.Stderr, "pipebench: prove              %.1f%% proven; off needs %d trials for %d informative: %.2fs / %.2fs = %.2fx\n",
-			100*frac, scaled, proveTrials, offWall, onWall, rep.Metrics.ProveSpeedup)
-	} else {
-		fmt.Fprintf(os.Stderr, "pipebench: prove              proven fraction %.3f; speedup not measured\n", frac)
-	}
-
-	// Rewind mechanisms, measured on a warmed machine. The snapshot path
-	// copies the whole bit-store; the journal path rolls back a 64-word
+	// Journal rewind, measured on a warmed machine: roll back a 64-word
 	// dirty set, the shape of a short trial.
 	m = newMachine()
 	for i := 0; i < 2000 && !m.Halted(); i++ {
 		m.Step()
 	}
-	snap := m.Snapshot()
-	snapRes := record("restore_snapshot", testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m.Restore(snap)
-		}
-	}))
-	rep.Metrics.NsRestoreSnapshot = nsPerOp(snapRes)
-
 	prf := m.F.Elem("prf.value")
 	m.BeginJournal()
 	var mp uarch.MarkPoint
@@ -419,22 +288,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// scalingCounts returns the deduplicated, ascending worker counts for the
-// scaling sweep: 1, 2, 4 and NumCPU.
-func scalingCounts() []int {
-	counts := []int{1, 2, 4}
-	ncpu := runtime.NumCPU()
-	seen := map[int]bool{}
-	var out []int
-	for _, n := range append(counts, ncpu) {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // checkBaseline compares the fresh headline throughput metrics against a

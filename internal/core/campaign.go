@@ -130,32 +130,25 @@ type Config struct {
 	// journal identity.
 	Prove ProveMode
 
-	// ProveCrossCheck is the prover's soundness oracle: when positive, K
-	// proven-benign bits per checkpoint are sampled (from a dedicated RNG
-	// stream) and simulated full-horizon with early stopping disabled; any
-	// that does not classify µArch Match hard-fails the campaign with a
-	// *ProveError. Zero disables the oracle. The check can only abort the
-	// campaign, never change its results.
-	ProveCrossCheck int //pipelint:identity-ok soundness oracle; can only abort the campaign, never change results
-
 	// Model selects the fault model each trial injects: TransientFlip (the
 	// nil default — today's single transient bit flip), StuckAt (stuck-at-0/1
 	// over a transient window, an intermittent seeded-random duration, or
 	// permanently), or MultiBit (adjacent-bit MBUs within one entry). The
 	// model changes what every trial simulates, so it is part of the
-	// campaign's journal identity; Validate auto-restricts EarlyStop and
-	// Prove to the modes that are sound for the chosen model (see
-	// restrictToModel).
+	// campaign's journal identity; Validate auto-restricts Prove to what
+	// is sound for the chosen model (see restrictToModel).
 	Model FaultModel
 
-	// ModelCrossCheck is the non-transient models' soundness oracle: when
-	// positive, K random trials per checkpoint are re-run with every
-	// acceleration disabled (full-horizon semantics) and must classify
-	// identically; any divergence hard-fails the campaign with a
-	// *ModelCheckError. Zero disables the oracle; it is forced to zero for
-	// TransientFlip, whose equivalence oracles are the export goldens. The
-	// check can only abort the campaign, never change its results.
-	ModelCrossCheck int //pipelint:identity-ok soundness oracle; can only abort the campaign, never change results
+	// CrossCheck is the campaign's runtime soundness oracle: when positive,
+	// each checkpoint's head unit checks CrossCheck samples against the
+	// unaccelerated reference before any trial batch runs. Each sample
+	// draws one must-simulate bit the way a trial is drawn and requires
+	// the campaign's own run of it to classify exactly like its
+	// full-horizon run; when the prover ran, it also simulates one
+	// proven-benign bit full-horizon and requires µArch Match. Any
+	// violation aborts the campaign with a *CrossCheckError. Zero disables
+	// the oracle. It can only abort the campaign, never change its results.
+	CrossCheck int //pipelint:identity-ok soundness oracle; can only abort the campaign, never change results
 
 	Seed int64
 }
@@ -271,25 +264,6 @@ func ParseProveMode(s string) (ProveMode, error) {
 	return 0, fmt.Errorf("core: unknown prove mode %q (want \"on\" or \"off\")", s)
 }
 
-// A ProveError reports a soundness violation caught by the prover's
-// cross-check oracle: an injection the static analysis proved benign did
-// not simulate to µArch Match. It aborts the campaign — a wrong proof means
-// the analytically re-weighted rates cannot be trusted.
-type ProveError struct {
-	Checkpoint int
-	Elem       string
-	Entry      int
-	Bit        int
-	Rule       string
-	Outcome    Outcome
-	Mode       FailureMode
-}
-
-func (e *ProveError) Error() string {
-	return fmt.Sprintf("core: prove cross-check failed at checkpoint %d: %s[%d].%d proven benign by rule %s but simulated to %v/%v",
-		e.Checkpoint, e.Elem, e.Entry, e.Bit, e.Rule, e.Outcome, e.Mode)
-}
-
 // Progress is a campaign progress snapshot delivered to Config.OnProgress.
 // Totals are the configured campaign size; a workload that architecturally
 // halts before its last checkpoint finishes with CheckpointsDone <
@@ -370,6 +344,7 @@ func (c *Config) Validate() error {
 		{c.TrialBatch < 0, "TrialBatch", c.TrialBatch, "TrialBatch must be >= 1 (0 means the default)"},
 		{c.MaxImages < 0, "MaxImages", c.MaxImages, "MaxImages must be >= 1 (0 means the default)"},
 		{c.TrialTimeout < 0, "TrialTimeout", c.TrialTimeout, "TrialTimeout must be >= 0 (0 disables the watchdog)"},
+		{c.CrossCheck < 0, "CrossCheck", c.CrossCheck, "CrossCheck must be >= 0 (0 disables the oracle)"},
 	} {
 		if check.bad {
 			return &ConfigError{Field: check.field, Value: check.value, Reason: check.reason}
@@ -385,14 +360,8 @@ func (c *Config) Validate() error {
 	default:
 		return &ConfigError{Field: "Prove", Value: c.Prove, Reason: "unknown prove mode"}
 	}
-	if c.ProveCrossCheck < 0 {
-		return &ConfigError{Field: "ProveCrossCheck", Value: c.ProveCrossCheck, Reason: "ProveCrossCheck must be >= 0 (0 disables the oracle)"}
-	}
 	if err := validateModel(c.Model); err != nil {
 		return err
-	}
-	if c.ModelCrossCheck < 0 {
-		return &ConfigError{Field: "ModelCrossCheck", Value: c.ModelCrossCheck, Reason: "ModelCrossCheck must be >= 0 (0 disables the oracle)"}
 	}
 	c.restrictToModel()
 	seen := make(map[string]bool, len(c.Populations))

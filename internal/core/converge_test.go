@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pipefault/internal/workload"
@@ -43,6 +44,38 @@ func TestConvergeEquivalenceMatrix(t *testing.T) {
 				t.Errorf("%s: early-stopped CSV export deviates from golden", name)
 			}
 		}
+	}
+}
+
+// TestConvergeEquivalenceGzip is the early-stop equivalence oracle on a
+// real workload: a Gzip campaign with every shortcut on (dead-entry
+// resolution, quiescence, convergence, with the prover) must be identical
+// — trial for trial, Cycles included, and scatter point for scatter point
+// — to the same campaign stepped full-horizon.
+func TestConvergeEquivalenceGzip(t *testing.T) {
+	cfg := Config{
+		Workload:    workload.Gzip,
+		Checkpoints: 4,
+		Populations: []Population{
+			{Name: "l+r", Trials: 12},
+			{Name: "l", LatchOnly: true, Trials: 6},
+		},
+		Seed: 4242,
+	}
+	on, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.EarlyStop = EarlyStopOff
+	off, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(on.Pops, off.Pops) {
+		t.Error("early-stopped trials differ from the full-horizon campaign's")
+	}
+	if !reflect.DeepEqual(on.Scatter, off.Scatter) {
+		t.Error("early-stopped scatter differs from the full-horizon campaign's")
 	}
 }
 

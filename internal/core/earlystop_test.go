@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,7 +32,9 @@ func earlyStopCampaign(t *testing.T, es EarlyStopMode, workers, batch int) *Resu
 // be bit-identical — trial for trial, including Cycles — to the
 // full-horizon run, and both must reproduce the checked-in export goldens
 // byte for byte. The goldens predate early stopping entirely, so they pin
-// that classification moved earlier in wall time but nowhere else.
+// that classification moved earlier in wall time but nowhere else. A third
+// run arms the CrossCheck oracle: it must pass and, being abort-only,
+// leave the exports byte-identical too.
 func TestEarlyStopEquivalenceMatrix(t *testing.T) {
 	wantJSON, err := os.ReadFile(filepath.Join("testdata", "export_golden.json"))
 	if err != nil {
@@ -46,10 +49,17 @@ func TestEarlyStopEquivalenceMatrix(t *testing.T) {
 		on := earlyStopCampaign(t, EarlyStopOn, workers, 0)
 		full := earlyStopCampaign(t, EarlyStopOff, workers, 0)
 		resultsEqual(t, name, on, full)
+		cfg := goldenConfig()
+		cfg.Workers = workers
+		cfg.CrossCheck = 8
+		checked, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: cross-checked campaign: %v", name, err)
+		}
 		for _, run := range []struct {
 			mode string
 			res  *Result
-		}{{"on", on}, {"off", full}} {
+		}{{"on", on}, {"off", full}, {"crosscheck", checked}} {
 			gotJSON, gotCSV := exportBytes(t, run.res)
 			if !bytes.Equal(gotJSON, wantJSON) {
 				t.Errorf("%s-%s: JSON export deviates from golden", name, run.mode)
@@ -169,5 +179,41 @@ func TestEarlyStopModeStrings(t *testing.T) {
 	}
 	if err := (&Config{Workload: workload.Tiny, EarlyStop: EarlyStopMode(9)}).Validate(); err == nil {
 		t.Error("Validate accepted an unknown EarlyStop mode")
+	}
+}
+
+// TestCrossCheckCatchesTamperedTrace: the oracle must catch an unsound
+// shortcut on the default transient model, with no proof in play. Zeroing
+// the golden run's first-read stamps makes every entry look overwritten
+// before it is read, so dead-entry resolution classifies live injections
+// from the golden run's own monitors. The campaign's run of a sampled bit
+// then disagrees with its full-horizon run, and the must-simulate half of
+// the oracle has to report it.
+func TestCrossCheckCatchesTamperedTrace(t *testing.T) {
+	en, g := newTestEngine(t, workload.Tiny, 600)
+	en.cfg.Prove = ProveOff
+	en.cfg.EarlyStop = EarlyStopOn
+	en.cfg.CrossCheck = 8
+	if !g.traced || !en.model.Transient() {
+		t.Fatal("fixture needs a traced golden run under the transient model")
+	}
+	for i := range g.trace.FirstRead {
+		g.trace.FirstRead[i] = 0
+	}
+	err := en.crossCheck(0, nil)
+	var ce *CrossCheckError
+	if !errors.As(err, &ce) {
+		t.Fatalf("crossCheck = %v, want a *CrossCheckError", err)
+	}
+	t.Logf("oracle: %v", err)
+	if ce.Rule != "" {
+		t.Errorf("Rule = %q, want a must-simulate sample (no proof ran)", ce.Rule)
+	}
+	if ce.Outcome == ce.RefOutcome {
+		t.Errorf("claimed %v/%v in %d cycles against reference %v/%v in %d cycles; want differing outcomes",
+			ce.Outcome, ce.Mode, ce.Cycles, ce.RefOutcome, ce.RefMode, ce.RefCycles)
+	}
+	if en.cfg.EarlyStop != EarlyStopOn {
+		t.Error("crossCheck leaked EarlyStopOff into the worker config")
 	}
 }

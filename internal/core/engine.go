@@ -380,100 +380,124 @@ func drawBit(f *state.File, proof *prove.Proof, rng *rand.Rand, latchOnly bool) 
 
 // crossCheckSalt decorrelates the cross-check oracle's RNG stream from the
 // checkpoint's trial stream.
-const crossCheckSalt = 0x70726f7665 // "prove"
+const crossCheckSalt = 0x636865636b // "check"
 
-// crossCheck is the prover's soundness oracle: it samples ProveCrossCheck
-// proven-benign bits, simulates each full-horizon with every early-stop
-// shortcut disabled, and reports an error unless all of them classify
-// µArch Match — the exact claim every proof rule makes. The machine must be
-// at checkpoint state; each check trial rewinds through the same
-// containment boundary ordinary trials use, so the oracle perturbs nothing.
-func (w *worker) crossCheck(proof *prove.Proof, ck int) error {
-	if proof == nil || w.cfg.ProveCrossCheck <= 0 {
+// crossCheck is the campaign's runtime soundness oracle (Config.CrossCheck).
+// It runs on a checkpoint's head unit, after the golden run and the proof,
+// and checks every shortcut the engine takes against the unaccelerated
+// reference. Sample k sits at trial coordinates (ck, -1-k), drawn from one
+// salted stream that depends only on (Seed, ck), so Workers and TrialBatch
+// never change which bits are checked:
+//
+//   - a must-simulate bit, drawn exactly like a campaign trial, is run
+//     under the campaign's own config and again with EarlyStopOff; the two
+//     must agree on outcome, failure mode and classification cycle. This
+//     checks dead-entry resolution, quiescence, convergence and the fault
+//     model's gating of each. A sample where either run is an anomaly
+//     (watchdog expiry, contained panic) is skipped: those are not
+//     classifications;
+//   - when a proof exists, one proven-benign bit is run full-horizon with
+//     EarlyStopOff and must classify µArch Match — the claim every proof
+//     rule makes.
+//
+// The machine must sit at checkpoint state with no journal bracket open
+// (worker.golden closes its own). Each check trial rewinds through the
+// containment boundary ordinary trials use, so the oracle perturbs
+// nothing; it can only abort the campaign.
+func (w *worker) crossCheck(ck int, proof *prove.Proof) error {
+	if w.cfg.CrossCheck <= 0 {
 		return nil
 	}
+	m := w.m
+	m.BeginJournal()
+	m.Mem.BeginUndo()
+	mode := w.cfg.EarlyStop
+	defer func() {
+		w.cfg.EarlyStop = mode
+		m.CommitJournal()
+		m.Mem.Rollback()
+	}()
 	rng := rand.New(rand.NewSource(checkpointSeed(w.cfg.Seed, ck) ^ crossCheckSalt))
-	saved := w.cfg.EarlyStop
-	w.cfg.EarlyStop = EarlyStopOff
-	defer func() { w.cfg.EarlyStop = saved }()
-	for k := 0; k < w.cfg.ProveCrossCheck; k++ {
+	for k := 0; k < w.cfg.CrossCheck; k++ {
+		idx := -1 - k
+		bit := drawBit(m.F, proof, rng, false)
+		w.cfg.EarlyStop = mode
+		got := w.runTrialContained(bit, ck, idx)
+		w.cfg.EarlyStop = EarlyStopOff
+		ref := w.runTrialContained(bit, ck, idx)
+		if got.Outcome != OutAnomaly && ref.Outcome != OutAnomaly &&
+			(got.Outcome != ref.Outcome || got.Mode != ref.Mode || got.Cycles != ref.Cycles) {
+			return w.crossCheckError(ck, idx, bit, "", got, ref)
+		}
+		if proof == nil {
+			continue
+		}
 		bit, ok := proof.ProvenSample(rng, false)
 		if !ok {
-			return nil // nothing proven at this checkpoint
+			continue // nothing proven at this checkpoint
 		}
-		trial := w.runTrialContained(bit, ck, -1-k)
-		if trial.Outcome != OutMatch {
+		if sim := w.runTrialContained(bit, ck, idx); sim.Outcome != OutMatch {
 			rule, _ := proof.Proven(bit)
-			return &ProveError{
-				Checkpoint: ck,
-				Elem:       bit.Elem.Name(),
-				Entry:      bit.Entry,
-				Bit:        bit.Bit,
-				Rule:       rule.String(),
-				Outcome:    trial.Outcome,
-				Mode:       trial.Mode,
-			}
+			return w.crossCheckError(ck, idx, bit, rule.String(), Trial{Outcome: OutMatch}, sim)
 		}
 	}
 	return nil
 }
 
-// modelCheckSalt decorrelates the fault-model cross-check oracle's RNG
-// stream from the checkpoint's trial stream and the prover oracle's.
-const modelCheckSalt = 0x636865636b // "check"
-
-// modelCheckSet picks the flat trial indices the fault-model cross-check
-// oracle re-runs at one checkpoint: ModelCrossCheck draws from a dedicated
-// salted stream, so the selection depends only on (Seed, checkpoint) and is
-// identical across workers and batch geometries. Nil when the oracle is off.
-func (w *worker) modelCheckSet(ck, total int) map[int]bool {
-	if w.cfg.ModelCrossCheck <= 0 || total <= 0 {
-		return nil
+// crossCheckError assembles the oracle's failure report.
+func (w *worker) crossCheckError(ck, idx int, bit state.BitRef, rule string, got, ref Trial) *CrossCheckError {
+	return &CrossCheckError{
+		Checkpoint: ck,
+		Index:      idx,
+		Model:      w.model.String(),
+		Elem:       bit.Elem.Name(),
+		Entry:      bit.Entry,
+		Bit:        bit.Bit,
+		Rule:       rule,
+		Outcome:    got.Outcome,
+		Mode:       got.Mode,
+		Cycles:     got.Cycles,
+		RefOutcome: ref.Outcome,
+		RefMode:    ref.Mode,
+		RefCycles:  ref.Cycles,
 	}
-	rng := rand.New(rand.NewSource(checkpointSeed(w.cfg.Seed, ck) ^ modelCheckSalt))
-	sel := make(map[int]bool, w.cfg.ModelCrossCheck)
-	for k := 0; k < w.cfg.ModelCrossCheck; k++ {
-		sel[int(rng.Int63n(int64(total)))] = true
-	}
-	return sel
 }
 
-// modelCheckTrial is the fault-model soundness oracle for one selected
-// trial: re-run it at the same campaign coordinates — so an intermittent
-// fault draws the same duration — with every early-stop shortcut disabled,
-// and hard-fail unless the full-horizon loop classifies identically
-// (outcome, failure mode and classification cycle). Anomalies on either
-// side are skipped: watchdog expiries are wall-clock events, not
-// classifications. The re-run rewinds through the ordinary containment
-// boundary, so the oracle perturbs nothing.
-func (w *worker) modelCheckTrial(bit state.BitRef, ck, idx int, got Trial) error {
-	if got.Outcome == OutAnomaly {
-		return nil
+// A CrossCheckError reports a soundness violation caught by the runtime
+// oracle (Config.CrossCheck): a shortcut's classification of one sampled
+// bit disagrees with the unaccelerated full-horizon reference. It aborts
+// the campaign — an unsound shortcut or proof means the rates cannot be
+// trusted.
+type CrossCheckError struct {
+	Checkpoint int
+	Index      int // oracle sample coordinate, -1-k for sample k
+	Model      string
+	Elem       string
+	Entry      int
+	Bit        int
+	// Rule is the proof rule that claimed the bit benign; empty for a
+	// must-simulate sample.
+	Rule string
+	// The claimed classification: the campaign's own run, or µArch Match
+	// for a proven-benign bit.
+	Outcome Outcome
+	Mode    FailureMode
+	Cycles  int32
+	// The full-horizon reference run's classification.
+	RefOutcome Outcome
+	RefMode    FailureMode
+	RefCycles  int32
+}
+
+func (e *CrossCheckError) Error() string {
+	at := fmt.Sprintf("core: cross-check failed at checkpoint %d trial %d: model %s at %s[%d].%d",
+		e.Checkpoint, e.Index, e.Model, e.Elem, e.Entry, e.Bit)
+	if e.Rule != "" {
+		return fmt.Sprintf("%s proven benign by rule %s but simulated to %v/%v in %d cycles",
+			at, e.Rule, e.RefOutcome, e.RefMode, e.RefCycles)
 	}
-	saved := w.cfg.EarlyStop
-	w.cfg.EarlyStop = EarlyStopOff
-	check := w.runTrialContained(bit, ck, idx)
-	w.cfg.EarlyStop = saved
-	if check.Outcome == OutAnomaly {
-		return nil
-	}
-	if check.Outcome != got.Outcome || check.Mode != got.Mode || check.Cycles != got.Cycles {
-		return &ModelCheckError{
-			Checkpoint: ck,
-			Index:      idx,
-			Model:      w.model.String(),
-			Elem:       bit.Elem.Name(),
-			Entry:      bit.Entry,
-			Bit:        bit.Bit,
-			Outcome:    got.Outcome,
-			Mode:       got.Mode,
-			Cycles:     got.Cycles,
-			CheckOut:   check.Outcome,
-			CheckMode:  check.Mode,
-			CheckCyc:   check.Cycles,
-		}
-	}
-	return nil
+	return fmt.Sprintf("%s classified %v/%v in %d cycles, full-horizon reference says %v/%v in %d cycles",
+		at, e.Outcome, e.Mode, e.Cycles, e.RefOutcome, e.RefMode, e.RefCycles)
 }
 
 // testTrialHook, when non-nil, runs inside the containment boundary at the

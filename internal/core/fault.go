@@ -250,14 +250,9 @@ func validateModel(m FaultModel) error {
 // so Prove's contribution to the identity header reflects what the
 // campaign actually does.
 func (c *Config) restrictToModel() {
-	m := resolveModel(c.Model)
-	if _, ok := m.(TransientFlip); ok {
-		// TransientFlip's equivalence oracles are the export goldens and
-		// ProveCrossCheck; the model oracle is for the gated models only.
-		c.ModelCrossCheck = 0
-		return
+	if _, ok := resolveModel(c.Model).(TransientFlip); !ok {
+		c.Prove = ProveOff
 	}
-	c.Prove = ProveOff
 }
 
 // ParseFaultModel maps a -fault-model flag value (plus the -fault-duration
@@ -301,30 +296,4 @@ const modelArmSalt = 0x6d6f64656c // "model"
 // resume, and never touches the bit-draw stream.
 func trialModelSeed(seed int64, ck, idx int) int64 {
 	return int64(splitmix64(uint64(checkpointSeed(seed, ck))^modelArmSalt) ^ splitmix64(uint64(int64(idx))))
-}
-
-// A ModelCheckError reports a soundness violation caught by the fault-model
-// cross-check oracle: a trial re-run with every acceleration shortcut
-// disabled classified differently from the campaign's own run. It aborts
-// the campaign — a divergence means the model's gating let an unsound
-// shortcut fire.
-type ModelCheckError struct {
-	Checkpoint int
-	Index      int // flat trial index within the checkpoint
-	Model      string
-	Elem       string
-	Entry      int
-	Bit        int
-	Outcome    Outcome // the campaign's classification
-	Mode       FailureMode
-	Cycles     int32
-	CheckOut   Outcome // the full-horizon re-run's classification
-	CheckMode  FailureMode
-	CheckCyc   int32
-}
-
-func (e *ModelCheckError) Error() string {
-	return fmt.Sprintf("core: fault-model cross-check failed at checkpoint %d trial %d: model %s at %s[%d].%d classified %v/%v in %d cycles, full-horizon oracle says %v/%v in %d cycles",
-		e.Checkpoint, e.Index, e.Model, e.Elem, e.Entry, e.Bit,
-		e.Outcome, e.Mode, e.Cycles, e.CheckOut, e.CheckMode, e.CheckCyc)
 }

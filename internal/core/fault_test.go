@@ -114,9 +114,9 @@ func TestValidateModel(t *testing.T) {
 	}
 }
 
-// TestRestrictToModel: Validate narrows Prove/ModelCrossCheck to what each
-// model keeps sound — the transparent default path stays untouched (and
-// keeps the oracle off), every other model loses the prover. EarlyStop is
+// TestRestrictToModel: Validate narrows Prove to what each model keeps
+// sound — the transparent default path stays untouched, every other model
+// loses the prover. EarlyStop is
 // never rewritten: for a non-transient model the engine itself records an
 // untraced golden run without keyframes, so dead-trial resolution and the
 // convergence certificate stand down.
@@ -127,22 +127,17 @@ func TestRestrictToModel(t *testing.T) {
 	cfg.Model = nil
 	cfg.EarlyStop = EarlyStopOn
 	cfg.Prove = ProveOn
-	cfg.ModelCrossCheck = 7
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.EarlyStop != EarlyStopOn || cfg.Prove != ProveOn {
 		t.Errorf("transient config was restricted: EarlyStop=%v Prove=%v", cfg.EarlyStop, cfg.Prove)
 	}
-	if cfg.ModelCrossCheck != 0 {
-		t.Errorf("transient config kept ModelCrossCheck=%d, want forced 0", cfg.ModelCrossCheck)
-	}
 
 	cfg = base
 	cfg.Model = StuckAt{Polarity: 1, Duration: 30}
 	cfg.EarlyStop = EarlyStopOn
 	cfg.Prove = ProveOn
-	cfg.ModelCrossCheck = 2
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +151,6 @@ func TestRestrictToModel(t *testing.T) {
 	en.cfg.Prove, en.model = cfg.Prove, resolveModel(cfg.Model)
 	if g := en.goldenContinuation(); g.traced || g.conv {
 		t.Errorf("stuck-at golden run armed traced=%v conv=%v; taint and convergence must stand down", g.traced, g.conv)
-	}
-	if cfg.ModelCrossCheck != 2 {
-		t.Errorf("stuck-at config lost ModelCrossCheck=%d, want 2", cfg.ModelCrossCheck)
 	}
 
 	cfg = base
@@ -176,14 +168,8 @@ func TestRestrictToModel(t *testing.T) {
 	}
 
 	cfg = base
-	cfg.ModelCrossCheck = -1
-	var ce *ConfigError
-	if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != "ModelCrossCheck" {
-		t.Errorf("negative ModelCrossCheck: err = %v, want ConfigError on ModelCrossCheck", err)
-	}
-
-	cfg = base
 	cfg.Model = StuckAt{Polarity: 2, Duration: 10}
+	var ce *ConfigError
 	if err := cfg.Validate(); !errors.As(err, &ce) || ce.Field != "Model" {
 		t.Errorf("bad polarity: err = %v, want ConfigError on Model", err)
 	}
@@ -507,14 +493,14 @@ func nonTransientModels() []FaultModel {
 // produce the identical Result — including the intermittent model, whose
 // per-trial random durations must come from the dedicated (Seed,
 // checkpoint, index) stream and not from scheduling order.
-// ModelCrossCheck is on, so each run also passes the full-horizon soundness
-// oracle on a sample of its own trials.
+// CrossCheck is on, so each run also passes the full-horizon soundness
+// oracle on a sample of bits at every checkpoint.
 func TestModelSchedulerEquivalence(t *testing.T) {
 	for _, model := range nonTransientModels() {
 		t.Run(model.String(), func(t *testing.T) {
 			cfg := stealTestConfig()
 			cfg.Model = model
-			cfg.ModelCrossCheck = 2
+			cfg.CrossCheck = 2
 			cfg.Workers = 1
 			serial, err := Run(cfg)
 			if err != nil {
@@ -539,8 +525,8 @@ func TestModelSchedulerEquivalence(t *testing.T) {
 // (quiescence once disarmed, and taint/convergence where the model is
 // one-shot) must not change a single classification — every gated model's
 // accelerated run is byte-identical to its EarlyStopOff full-horizon run.
-// This is the in-suite version of the -model-crosscheck oracle, applied to
-// every trial instead of a sample.
+// This is the in-suite version of the -crosscheck oracle's must-simulate
+// half, applied to every trial instead of a sample.
 func TestModelEarlyStopEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-horizon reference campaigns are slow")
@@ -654,19 +640,34 @@ func TestResumeModelRoundTrip(t *testing.T) {
 	}
 }
 
-// TestModelCheckErrorMessage: the oracle's failure report carries every
-// coordinate needed to reproduce the diverging trial.
-func TestModelCheckErrorMessage(t *testing.T) {
-	err := &ModelCheckError{
-		Checkpoint: 3, Index: 17, Model: "stuck1:40",
-		Elem: "rob", Entry: 5, Bit: 9,
-		Outcome: OutMatch, Cycles: 120,
-		CheckOut: OutSDC, CheckCyc: 480,
-	}
-	msg := err.Error()
-	for _, want := range []string{"checkpoint 3", "trial 17", "stuck1:40", "rob[5].9"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("ModelCheckError message %q lacks %q", msg, want)
+// TestCrossCheckErrorMessage: the oracle's failure report carries every
+// coordinate needed to reproduce the failing sample, in both its forms: a
+// must-simulate sample the campaign misclassified, and a proven-benign bit
+// that did not simulate to µArch Match.
+func TestCrossCheckErrorMessage(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  *CrossCheckError
+		want []string
+	}{
+		{"must-simulate", &CrossCheckError{
+			Checkpoint: 3, Index: -2, Model: "stuck1:40",
+			Elem: "rob", Entry: 5, Bit: 9,
+			Outcome: OutMatch, Cycles: 120,
+			RefOutcome: OutSDC, RefMode: FailCtrl, RefCycles: 480,
+		}, []string{"checkpoint 3", "trial -2", "stuck1:40", "rob[5].9", "in 120 cycles", "reference says SDC/ctrl in 480 cycles"}},
+		{"proven", &CrossCheckError{
+			Checkpoint: 1, Index: -1, Model: "transient",
+			Elem: "rob.head", Entry: 0, Bit: 2, Rule: "mask",
+			Outcome:    OutMatch,
+			RefOutcome: OutTerminated, RefMode: FailLocked, RefCycles: 200,
+		}, []string{"checkpoint 1", "trial -1", "transient", "rob.head[0].2", "rule mask", "Terminated/locked in 200 cycles"}},
+	} {
+		msg := tc.err.Error()
+		for _, want := range tc.want {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: CrossCheckError message %q lacks %q", tc.name, msg, want)
+			}
 		}
 	}
 }

@@ -79,14 +79,13 @@ func journalHeaderFor(cfg *Config) journalHeader {
 		// Prove restricts sampling to the unproven population, so which
 		// bits the trial RNG stream lands on depends on it. omitempty keeps
 		// ProveOff journals byte-identical to pre-prover ones, which stay
-		// resumable. ProveCrossCheck is deliberately absent: the oracle can
+		// resumable. CrossCheck is deliberately absent: the oracle can
 		// only abort a campaign, never change its results.
 		Prove: cfg.Prove == ProveOn,
 		// The fault model decides what every trial injects and simulates.
 		// modelIdent maps TransientFlip (and nil) to "", so omitempty keeps
 		// default-model journals byte-identical to pre-interface ones, which
-		// stay resumable. ModelCrossCheck is absent for the same reason as
-		// ProveCrossCheck: abort-only.
+		// stay resumable.
 		Model: modelIdent(cfg.Model),
 	}
 	for _, p := range cfg.Populations {

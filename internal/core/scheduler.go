@@ -53,9 +53,19 @@ func Resume(ctx context.Context, cfg Config) (*Result, error) {
 	return start(ctx, cfg, true)
 }
 
-// start validates, measures the golden run, selects checkpoint cycles and
-// hands off to the engines. It is shared by RunContext and Resume.
-func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
+// campaignSetup is what every campaign entry point derives from a Config
+// before it simulates: the validated, defaulted config and a factory for
+// fresh machines at reset.
+type campaignSetup struct {
+	cfg        Config
+	newMachine func() *uarch.Machine
+}
+
+// setupCampaign validates and defaults cfg, assembles the workload's
+// program and architectural reference, and returns the machine factory.
+// Shared by start, SurveyProofs and SurveyCategoryBits, so all three see
+// the machine a campaign with the same config would run.
+func setupCampaign(cfg Config) (*campaignSetup, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -69,22 +79,39 @@ func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
 		return nil, err
 	}
 	ucfg := uarch.Config{Protect: cfg.Protect, Recovery: cfg.Recovery}
-
-	newMachine := func() *uarch.Machine {
+	return &campaignSetup{cfg: cfg, newMachine: func() *uarch.Machine {
 		mm := mem.New()
 		regs := prog.Load(mm)
 		return uarch.NewOnMemory(ucfg, mm, ref.Legal, prog.Entry, regs)
-	}
+	}}, nil
+}
 
-	// Measurement pass: end-to-end golden cycle count.
-	meas := newMachine()
+// schedule runs the measurement pass — the end-to-end fault-free run — and
+// draws the checkpoint cycles from its length. It returns the halted
+// measurement machine, the checkpoint cycles and the golden-run horizon.
+func (s *campaignSetup) schedule() (meas *uarch.Machine, cycles []uint64, horizonG uint64, err error) {
+	meas = s.newMachine()
 	meas.Run(maxMeasureCycles)
 	if !meas.Halted() {
-		return nil, fmt.Errorf("core: %s did not halt within %d cycles", cfg.Workload.Name, uint64(maxMeasureCycles))
+		return nil, nil, 0, fmt.Errorf("core: %s did not halt within %d cycles", s.cfg.Workload.Name, uint64(maxMeasureCycles))
 	}
-	total := meas.Cycle
-	retiredTotal := meas.Retired
+	horizonG = uint64(s.cfg.Horizon + 2000)
+	cycles, err = selectCheckpoints(&s.cfg, meas.Cycle, horizonG)
+	return meas, cycles, horizonG, err
+}
 
+// start validates, measures the golden run, selects checkpoint cycles and
+// hands off to the engines. It is shared by RunContext and Resume.
+func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
+	s, err := setupCampaign(cfg)
+	if err != nil {
+		return nil, err
+	}
+	meas, cycles, horizonG, err := s.schedule()
+	if err != nil {
+		return nil, err
+	}
+	cfg = s.cfg
 	for _, pop := range cfg.Populations {
 		if meas.F.InjectableBits(pop.LatchOnly) == 0 {
 			return nil, fmt.Errorf("core: population %q has no injectable bits", pop.Name)
@@ -97,21 +124,13 @@ func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
 		Model:       resolveModel(cfg.Model).String(),
 		Pops:        make(map[string]*PopResult, len(cfg.Populations)),
 		Scatter:     make(map[string][]ScatterPoint, len(cfg.Populations)),
-		TotalCycles: total,
-		IPC:         float64(retiredTotal) / float64(total),
+		TotalCycles: meas.Cycle,
+		IPC:         float64(meas.Retired) / float64(meas.Cycle),
 	}
 	for _, p := range cfg.Populations {
 		res.Pops[p.Name] = &PopResult{Name: p.Name}
 	}
-
-	// Choose checkpoint cycles.
-	horizonG := uint64(cfg.Horizon + 2000)
-	cycles, err := selectCheckpoints(&cfg, total, horizonG)
-	if err != nil {
-		return nil, err
-	}
-
-	return runCampaign(ctx, cfg, newMachine, cycles, horizonG, res, resume)
+	return runCampaign(ctx, cfg, s.newMachine, cycles, horizonG, res, resume)
 }
 
 // selectCheckpoints draws the campaign's checkpoint cycles from the seeded

@@ -67,7 +67,7 @@ type stealMsg struct {
 	head       bool
 	validInsns int             // head only
 	proven     []ProvenStratum // head only; nil under ProveOff
-	err        error           // cross-check oracle failure (prover on head units, fault model on batches)
+	err        error           // head only; cross-check oracle failure
 	start      int             // flat index of the batch's first trial
 	trials     []Trial         // batch only
 }
@@ -278,25 +278,6 @@ func (w *worker) golden() (*goldenRun, int) {
 	return g, validInsns
 }
 
-// crossCheckAt runs the prover's soundness oracle for a head unit.
-// Between units the machine sits exactly at the image's checkpoint state
-// with no bracket open (worker.golden closed its own), so the oracle's
-// check trials get a fresh journal/undo bracket of their own. w.g still
-// points at the golden run worker.golden just recorded, which is what the
-// check trials classify against.
-func (w *worker) crossCheckAt(ck int, proof *prove.Proof) error {
-	if proof == nil || w.cfg.ProveCrossCheck <= 0 {
-		return nil
-	}
-	m := w.m
-	m.BeginJournal()
-	m.Mem.BeginUndo()
-	err := w.crossCheck(proof, ck)
-	m.CommitJournal()
-	m.Mem.Rollback()
-	return err
-}
-
 // missingBatches lists the batch indices of checkpoint ck the journal does
 // not fully cover. A partially covered batch is re-run whole: trials are
 // deterministic, so the overlap reproduces the journaled trials exactly.
@@ -336,25 +317,15 @@ func (w *worker) runBatch(img *ckImage, batch int, popOf []int) stealMsg {
 
 	m.BeginJournal()
 	m.Mem.BeginUndo()
-	// The fault-model cross-check oracle selects its trials by flat index
-	// from a dedicated salted stream, so the same trials are re-checked no
-	// matter which worker serves the batch.
-	sel := w.modelCheckSet(img.ck, len(popOf))
-	msg := stealMsg{ck: img.ck, start: start}
 	trials := make([]Trial, 0, end-start)
 	for i := start; i < end; i++ {
 		pop := w.cfg.Populations[popOf[i]]
 		bit := drawBit(m.F, img.proof, rng, pop.LatchOnly)
-		trial := w.runTrialContained(bit, img.ck, i)
-		if msg.err == nil && sel[i] {
-			msg.err = w.modelCheckTrial(bit, img.ck, i, trial)
-		}
-		trials = append(trials, trial)
+		trials = append(trials, w.runTrialContained(bit, img.ck, i))
 	}
 	m.CommitJournal()
 	m.Mem.Rollback()
-	msg.trials = trials
-	return msg
+	return stealMsg{ck: img.ck, start: start, trials: trials}
 }
 
 // runStealWorker is one pool worker's life: take a unit, materialize its
@@ -371,7 +342,7 @@ func runStealWorker(id int, cfg Config, newMachine func() *uarch.Machine, horizo
 			g, validInsns := sw.w.golden()
 			proof := sw.w.computeProof(g)
 			strata := provenStrata(proof, u.img.ck, cfg.Populations)
-			err := sw.w.crossCheckAt(u.img.ck, proof)
+			err := sw.w.crossCheck(u.img.ck, proof)
 			var batches []int
 			if err == nil {
 				nb := (len(popOf) + cfg.TrialBatch - 1) / cfg.TrialBatch
@@ -503,10 +474,10 @@ func runSteal(ctx context.Context, cfg Config, newMachine func() *uarch.Machine,
 	for msg := range msgCh {
 		a := &aggs[msg.ck]
 		if msg.err != nil {
-			// Soundness violation (prover oracle on a head unit, fault-model
-			// oracle on a batch): stop dispatching, drain in-flight units,
-			// and surface the first failure. The failing unit is not
-			// journaled, so a resume re-runs — and re-checks — it.
+			// Soundness violation caught by a head unit's cross-check: stop
+			// dispatching, drain in-flight units, and surface the first
+			// failure. The failing head is not journaled, so a resume
+			// re-runs — and re-checks — it.
 			if oracleErr == nil {
 				oracleErr = msg.err
 			}

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"fmt"
-
-	"pipefault/internal/mem"
 	"pipefault/internal/prove"
 	"pipefault/internal/state"
-	"pipefault/internal/uarch"
 )
 
 // ProofCoverage is one checkpoint's static-prover survey: the partition of
@@ -27,43 +23,22 @@ type ProofCoverage struct {
 // partition at every checkpoint — without sampling a single trial. The
 // survey is deterministic: same config, same coverage.
 func SurveyProofs(cfg Config) ([]ProofCoverage, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := setupCampaign(cfg)
+	if err != nil {
 		return nil, err
 	}
-	cfg.setDefaults()
+	_, cycles, horizonG, err := s.schedule()
+	if err != nil {
+		return nil, err
+	}
 	// The prover always runs — a ProveOff survey would be empty.
-	cfg.Prove = ProveOn
-	prog, err := cfg.Workload.Program()
-	if err != nil {
-		return nil, err
-	}
-	ref, err := cfg.Workload.ComputeReference()
-	if err != nil {
-		return nil, err
-	}
-	ucfg := uarch.Config{Protect: cfg.Protect, Recovery: cfg.Recovery}
-	newMachine := func() *uarch.Machine {
-		mm := mem.New()
-		regs := prog.Load(mm)
-		return uarch.NewOnMemory(ucfg, mm, ref.Legal, prog.Entry, regs)
-	}
-
-	meas := newMachine()
-	meas.Run(maxMeasureCycles)
-	if !meas.Halted() {
-		return nil, fmt.Errorf("core: %s did not halt within %d cycles", cfg.Workload.Name, uint64(maxMeasureCycles))
-	}
-	horizonG := uint64(cfg.Horizon + 2000)
-	cycles, err := selectCheckpoints(&cfg, meas.Cycle, horizonG)
-	if err != nil {
-		return nil, err
-	}
+	s.cfg.Prove = ProveOn
 
 	// One machine walks the sorted schedule monotonically, like the
 	// campaign's reachability pilot; at each checkpoint the worker records
 	// the golden continuation and the prover partitions the population.
-	m := newMachine()
-	w := newWorker(cfg, m, horizonG)
+	m := s.newMachine()
+	w := newWorker(s.cfg, m, horizonG)
 	f := m.F
 	out := make([]ProofCoverage, 0, len(cycles))
 	for ck, cycle := range cycles {
@@ -89,22 +64,11 @@ func SurveyProofs(cfg Config) ([]ProofCoverage, error) {
 // letting coverage consumers express proven bits as a fraction of each
 // category's population. Ordered like state.Categories().
 func SurveyCategoryBits(cfg Config) ([]CategoryBits, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg.setDefaults()
-	prog, err := cfg.Workload.Program()
+	s, err := setupCampaign(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ref, err := cfg.Workload.ComputeReference()
-	if err != nil {
-		return nil, err
-	}
-	mm := mem.New()
-	regs := prog.Load(mm)
-	m := uarch.NewOnMemory(uarch.Config{Protect: cfg.Protect, Recovery: cfg.Recovery}, mm, ref.Legal, prog.Entry, regs)
-	inv := m.F.CategoryBits()
+	inv := s.newMachine().F.CategoryBits()
 	var out []CategoryBits
 	for _, cat := range state.Categories() {
 		c, ok := inv[cat]

@@ -25,6 +25,7 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"negative-images", func(c *Config) { c.MaxImages = -1 }, "MaxImages"},
 		{"negative-timeout", func(c *Config) { c.TrialTimeout = -time.Second }, "TrialTimeout"},
 		{"bad-earlystop", func(c *Config) { c.EarlyStop = EarlyStopMode(99) }, "EarlyStop"},
+		{"negative-crosscheck", func(c *Config) { c.CrossCheck = -1 }, "CrossCheck"},
 		{"unnamed-population", func(c *Config) { c.Populations[0].Name = "" }, "Populations"},
 		{"duplicate-population", func(c *Config) { c.Populations[1].Name = c.Populations[0].Name }, "Populations"},
 		{"negative-trials", func(c *Config) { c.Populations[0].Trials = -1 }, "Populations"},

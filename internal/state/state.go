@@ -809,32 +809,6 @@ func (t *TouchTrace) ProvenDead(key, h uint64) (matchAt uint64, dead bool) {
 	return matchAt, r == 0 || r > readBound
 }
 
-// Reset clears the trace for reuse across golden runs.
-func (t *TouchTrace) Reset() {
-	for i := range t.FirstRead {
-		t.FirstRead[i] = 0
-	}
-	for i := range t.FirstSet {
-		t.FirstSet[i] = 0
-	}
-	for i := range t.LastRead {
-		t.LastRead[i] = 0
-	}
-	for i := range t.LastSet {
-		t.LastSet[i] = 0
-	}
-	for i := range t.CopyDst {
-		t.CopyDst[i] = 0
-	}
-	for i := range t.LastCopy {
-		t.LastCopy[i] = 0
-	}
-	for i := range t.ObsPre {
-		t.ObsPre[i] = 0
-	}
-	t.cycle = 0
-}
-
 // NewTouchTrace allocates a trace sized to the file's full entry
 // population (every element, injectable or not).
 func (f *File) NewTouchTrace() *TouchTrace {

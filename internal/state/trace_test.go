@@ -114,28 +114,6 @@ func TestTouchTraceLastTouch(t *testing.T) {
 	}
 }
 
-// TestTouchTraceReset: Reset returns a used trace to the all-zero state so
-// it can be reused across golden runs without reallocation.
-func TestTouchTraceReset(t *testing.T) {
-	f, elems := newTestFile()
-	ctrl := elems[4]
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
-	f.TraceCycle(9)
-	ctrl.Set(0, 1)
-	ctrl.Get(1)
-	CopyEntry(ctrl, 2, ctrl, 0)
-	f.StopTrace()
-	tr.Reset()
-	for i := range tr.FirstRead {
-		if tr.FirstRead[i] != 0 || tr.FirstSet[i] != 0 ||
-			tr.LastRead[i] != 0 || tr.LastSet[i] != 0 ||
-			tr.CopyDst[i] != 0 || tr.LastCopy[i] != 0 || tr.ObsPre[i] != 0 {
-			t.Fatalf("entry %d not cleared by Reset", i)
-		}
-	}
-}
-
 // TestCopyEntryTrace: CopyEntry records a copy, not a behavioral read-write
 // pair — first touches on both ends (dead-on-arrival reasoning must see the
 // propagation and the overwrite), copy edge and last-copy cycle, and NO
