@@ -29,9 +29,9 @@
 //
 // Scale flags (-checkpoints, -trials, -ltrials, -soft-trials) default to a
 // laptop-friendly size; the paper's scale is roughly -checkpoints 270
-// -trials 100 -soft-trials 1200. Campaigns run on -workers goroutines of
-// the two-phase work-stealing engine; the worker count never changes
-// results, only wall-clock time.
+// -trials 100 -soft-trials 1200. Campaigns run on -workers goroutines,
+// each running one whole checkpoint at a time; the worker count never
+// changes results, only wall-clock time.
 // -progress prints periodic checkpoints-done/trials-done lines to stderr
 // without perturbing results; each line carries a running tally of HOW
 // trials resolved (taint, quiescence, convergence, monitor, full-horizon,
@@ -58,12 +58,12 @@
 //
 // Robustness flags: -timeout arms the per-trial watchdog (livelocked
 // trials are killed and counted as anomalies instead of hanging a
-// worker); -journal <base> appends each campaign's completed work units
-// to <base>-<prot>-<bench>.jsonl. SIGINT/SIGTERM cancel gracefully: the
-// engines drain in-flight units, partial summaries and journals are
+// worker); -journal <base> appends each campaign's completed checkpoints
+// to <base>-<prot>-<bench>.jsonl. SIGINT/SIGTERM cancel gracefully:
+// checkpoints already running finish, partial summaries and journals are
 // flushed, and faultsim exits with code 130. A later invocation with
 // -resume (plus the same -journal, seed and scale flags) replays the
-// journals and runs only the missing units, reproducing the
+// journals and runs only the missing checkpoints, reproducing the
 // uninterrupted results byte-identically.
 package main
 
@@ -128,7 +128,7 @@ func run(args []string) int {
 	faultDuration := fs.Int("fault-duration", 100, "stuck-at assertion window in cycles (stuck0/stuck1; the upper bound of an intermittent fault's random window)")
 	progress := fs.Bool("progress", false, "print periodic campaign progress to stderr")
 	timeout := fs.Duration("timeout", 0, "per-trial watchdog budget; a livelocked trial is killed and counted as an anomaly (0 disables)")
-	journal := fs.String("journal", "", "campaign journal path base; each campaign appends completed units to <base>-<prot>-<bench>.jsonl for -resume")
+	journal := fs.String("journal", "", "campaign journal path base; each campaign appends completed checkpoints to <base>-<prot>-<bench>.jsonl for -resume")
 	resumeFlag := fs.Bool("resume", false, "resume interrupted campaigns from their -journal files instead of starting over")
 	seed := fs.Int64("seed", 1, "campaign RNG seed")
 	verbose := fs.Bool("v", false, "progress output")
@@ -256,8 +256,8 @@ func run(args []string) int {
 		}
 	}
 
-	// SIGINT/SIGTERM cancel the campaign context: engines drain their
-	// in-flight units, the partial results (and journals, with -journal)
+	// SIGINT/SIGTERM cancel the campaign context: checkpoints already
+	// running finish, the partial results (and journals, with -journal)
 	// are flushed, and faultsim exits 130 instead of losing the work.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -273,7 +273,7 @@ func run(args []string) int {
 			if errors.As(err, &cerr) {
 				fmt.Fprintln(os.Stderr, "faultsim:", err)
 				if o.journal != "" {
-					fmt.Fprintln(os.Stderr, "faultsim: completed units are journaled; re-run with -resume to continue")
+					fmt.Fprintln(os.Stderr, "faultsim: completed checkpoints are journaled; re-run with -resume to continue")
 				}
 				return 130
 			}
@@ -301,7 +301,7 @@ type runner struct {
 
 	// Per-mechanism trial-resolution tallies, fed by Config.OnTrialResolved
 	// from every campaign this invocation runs. The callback fires on worker
-	// goroutines, hence the atomics. Journal-replayed units report nothing,
+	// goroutines, hence the atomics. Journal-replayed checkpoints report nothing,
 	// so a -resume run tallies only the work it actually performed.
 	resolved      [core.NumResolveKinds]atomic.Int64
 	resolvedSteps [core.NumResolveKinds]atomic.Int64
@@ -579,9 +579,10 @@ func (r *runner) campaigns(protect pipefault.ProtectConfig, cache *[]*core.Resul
 			cfg.JournalPath = fmt.Sprintf("%s-%s-%s.jsonl", r.o.journal, label, w.Name)
 		}
 		if r.o.progress {
-			// The callback runs on the aggregation side and observes results
-			// only after they are final, so printing cannot perturb the
-			// campaign. Throttle to ~20 lines per benchmark.
+			// The callback runs on the aggregation side once per checkpoint
+			// and observes results only after they are final, so printing
+			// cannot perturb the campaign. Throttle to ~20 lines per
+			// benchmark.
 			name := w.Name
 			var last int64
 			cfg.OnProgress = func(p core.Progress) {

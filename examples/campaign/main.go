@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	// Trial batches are spread across a worker pool; Workers only changes
+	// Checkpoints are spread across a worker pool; Workers only changes
 	// wall-clock time, never the results (trial RNGs are derived from the
 	// seed and checkpoint index). Workers: 0 also means NumCPU.
 	workers := runtime.NumCPU()

@@ -53,23 +53,10 @@ type Config struct {
 	// and Workers:N are bit-identical.
 	Workers int //pipelint:identity-ok scheduling knob; any worker count produces bit-identical results
 
-	// TrialBatch is the number of trials per work-stealing unit (default
-	// 8). Batching never affects the Result: a batch's
-	// RNG stream is the checkpoint stream fast-forwarded to the batch's
-	// first trial, so trial bit picks depend only on (Seed, checkpoint,
-	// flat trial index).
-	TrialBatch int //pipelint:identity-ok batch geometry never affects results (prefix-replay fast-forward)
-
-	// MaxImages caps checkpoint images resident in the steal pool at once
-	// (default 2*Workers+2): the reachability pass blocks when the cap is
-	// reached and resumes as workers finish checkpoints, so campaign memory
-	// stays flat regardless of Checkpoints.
-	MaxImages int //pipelint:identity-ok memory cap; image residency never affects results
-
-	// OnProgress, if set, receives progress updates from the aggregation
-	// goroutine as trial batches and checkpoints complete. The callback is
-	// invoked serially and observes results only after they are final, so
-	// it cannot perturb the campaign.
+	// OnProgress, if set, receives a progress update from the aggregation
+	// goroutine each time a checkpoint completes (journal-replayed
+	// checkpoints included). The callback is invoked serially and observes
+	// results only after they are final, so it cannot perturb the campaign.
 	OnProgress func(Progress) //pipelint:identity-ok observation-only callback; sees results after they are final
 
 	// TrialTimeout, when positive, is the per-trial wall-time watchdog: a
@@ -86,11 +73,11 @@ type Config struct {
 	// make watchdog expiry deterministic. Ignored when TrialTimeout is 0.
 	Clock func() int64 //pipelint:identity-ok watchdog time source; see TrialTimeout
 
-	// JournalPath, when set, appends every completed work unit's result to
-	// a campaign journal at this path as it is aggregated: each checkpoint's
-	// head unit and each (checkpoint, trial-batch) unit. Resume replays the
-	// journal and re-runs only the missing units, reproducing an
-	// uninterrupted run's exports byte-identically.
+	// JournalPath, when set, appends every completed checkpoint's results
+	// to a campaign journal at this path as they are aggregated. Resume
+	// replays the journal and re-runs only the checkpoints it does not
+	// fully cover, reproducing an uninterrupted run's exports
+	// byte-identically.
 	JournalPath string //pipelint:identity-ok journal location; where results are recorded, never what they are
 
 	// EarlyStop selects the trial-termination strategy. EarlyStopOn (the
@@ -140,8 +127,8 @@ type Config struct {
 	Model FaultModel
 
 	// CrossCheck is the campaign's runtime soundness oracle: when positive,
-	// each checkpoint's head unit checks CrossCheck samples against the
-	// unaccelerated reference before any trial batch runs. Each sample
+	// each checkpoint checks CrossCheck samples against the unaccelerated
+	// reference after its golden run and before its trials. Each sample
 	// draws one must-simulate bit the way a trial is drawn and requires
 	// the campaign's own run of it to classify exactly like its
 	// full-horizon run; when the prover ran, it also simulates one
@@ -294,12 +281,6 @@ func (c *Config) setDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
 	}
-	if c.TrialBatch == 0 {
-		c.TrialBatch = 8
-	}
-	if c.MaxImages == 0 {
-		c.MaxImages = 2*c.Workers + 2
-	}
 	if c.TrialTimeout > 0 && c.Clock == nil {
 		c.Clock = wallClock
 	}
@@ -322,8 +303,8 @@ func (e *ConfigError) Error() string {
 // Validate rejects configurations that would fail obscurely (or hang)
 // mid-campaign, so a misconfigured campaign errors loudly at startup
 // instead. It judges the config as the caller supplied it: zero values
-// with documented defaults (Checkpoints, Horizon, Workers, TrialBatch,
-// MaxImages, ...) are accepted, explicitly out-of-range values are not.
+// with documented defaults (Checkpoints, Horizon, Workers, ...) are
+// accepted, explicitly out-of-range values are not.
 // Run calls Validate itself; command-line front ends call it directly to
 // reject bad flag combinations before any simulation work starts.
 func (c *Config) Validate() error {
@@ -341,8 +322,6 @@ func (c *Config) Validate() error {
 		{c.LockedCycles < 0, "LockedCycles", c.LockedCycles, "LockedCycles must be >= 1 (0 means the default)"},
 		{c.WarmupCycles < 0, "WarmupCycles", c.WarmupCycles, "WarmupCycles must be >= 0"},
 		{c.Workers < 0, "Workers", c.Workers, "Workers must be >= 0 (0 means all CPUs)"},
-		{c.TrialBatch < 0, "TrialBatch", c.TrialBatch, "TrialBatch must be >= 1 (0 means the default)"},
-		{c.MaxImages < 0, "MaxImages", c.MaxImages, "MaxImages must be >= 1 (0 means the default)"},
 		{c.TrialTimeout < 0, "TrialTimeout", c.TrialTimeout, "TrialTimeout must be >= 0 (0 disables the watchdog)"},
 		{c.CrossCheck < 0, "CrossCheck", c.CrossCheck, "CrossCheck must be >= 0 (0 disables the oracle)"},
 	} {

@@ -43,7 +43,7 @@ func TestContainmentSoak(t *testing.T) {
 	}
 	w := newWorker(cfg, m, uint64(cfg.Horizon+2000))
 
-	// Replay a batch unit's preamble: golden continuation, then rewind.
+	// Replay a checkpoint's preamble: golden continuation, then rewind.
 	m.BeginJournal()
 	m.Mark(&w.ckMark)
 	m.Mem.BeginUndo()
@@ -85,9 +85,8 @@ func TestContainmentSoak(t *testing.T) {
 // attempt and the fresh-restore retry must complete the campaign with
 // exactly one OutAnomaly trial carrying the panic record, and every other
 // trial must be bit-identical to the panic-free baseline — the anomaly
-// must not leak into its neighbors. Exercised on a parallel work-stealing
-// pool, where the wedged trial shares a worker with other checkpoints'
-// batches.
+// must not leak into its neighbors. Exercised on a parallel worker pool,
+// where the wedged trial's worker goes on to run other checkpoints.
 func TestInducedPanicAnomaly(t *testing.T) {
 	const wedgeCk, wedgeIdx = 1, 2
 	t.Run("steal", func(t *testing.T) {

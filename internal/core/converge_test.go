@@ -14,9 +14,9 @@ import (
 )
 
 // TestConvergeEquivalenceMatrix is the correctness oracle of convergence
-// termination across batch geometry: at 1 and 8 workers and trial batches
-// of 1 and 3, the early-stopped campaign must be bit-identical — trial for
-// trial, including Cycles — to the full-horizon run, and must reproduce the
+// termination across worker counts: at 1 and 8 workers the early-stopped
+// campaign must be bit-identical — trial for trial, including Cycles — to
+// the full-horizon run, and must reproduce the
 // checked-in export goldens byte for byte. The goldens predate early
 // stopping entirely, so they pin that the trajectory trace and
 // re-convergence certificate moved classification earlier in wall time but
@@ -31,18 +31,16 @@ func TestConvergeEquivalenceMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 8} {
-		for _, batch := range []int{1, 3} {
-			name := fmt.Sprintf("w%d-b%d", workers, batch)
-			conv := earlyStopCampaign(t, EarlyStopOn, workers, batch)
-			full := earlyStopCampaign(t, EarlyStopOff, workers, batch)
-			resultsEqual(t, name+"-on-vs-off", conv, full)
-			gotJSON, gotCSV := exportBytes(t, conv)
-			if !bytes.Equal(gotJSON, wantJSON) {
-				t.Errorf("%s: early-stopped JSON export deviates from golden", name)
-			}
-			if !bytes.Equal(gotCSV, wantCSV) {
-				t.Errorf("%s: early-stopped CSV export deviates from golden", name)
-			}
+		name := fmt.Sprintf("w%d", workers)
+		conv := earlyStopCampaign(t, EarlyStopOn, workers)
+		full := earlyStopCampaign(t, EarlyStopOff, workers)
+		resultsEqual(t, name+"-on-vs-off", conv, full)
+		gotJSON, gotCSV := exportBytes(t, conv)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s: early-stopped JSON export deviates from golden", name)
+		}
+		if !bytes.Equal(gotCSV, wantCSV) {
+			t.Errorf("%s: early-stopped CSV export deviates from golden", name)
 		}
 	}
 }

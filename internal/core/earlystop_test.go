@@ -12,13 +12,12 @@ import (
 )
 
 // earlyStopCampaign runs the golden-test campaign (the same configuration
-// whose exports are pinned in testdata/) under an explicit early-stop mode,
-// worker count and trial batch (0 means the default).
-func earlyStopCampaign(t *testing.T, es EarlyStopMode, workers, batch int) *Result {
+// whose exports are pinned in testdata/) under an explicit early-stop mode
+// and worker count.
+func earlyStopCampaign(t *testing.T, es EarlyStopMode, workers int) *Result {
 	t.Helper()
 	cfg := goldenConfig()
 	cfg.Workers = workers
-	cfg.TrialBatch = batch
 	cfg.EarlyStop = es
 	res, err := Run(cfg)
 	if err != nil {
@@ -46,8 +45,8 @@ func TestEarlyStopEquivalenceMatrix(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		name := fmt.Sprintf("w%d", workers)
-		on := earlyStopCampaign(t, EarlyStopOn, workers, 0)
-		full := earlyStopCampaign(t, EarlyStopOff, workers, 0)
+		on := earlyStopCampaign(t, EarlyStopOn, workers)
+		full := earlyStopCampaign(t, EarlyStopOff, workers)
 		resultsEqual(t, name, on, full)
 		cfg := goldenConfig()
 		cfg.Workers = workers

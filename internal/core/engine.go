@@ -48,9 +48,9 @@ type keyframe struct {
 }
 
 // goldenRun is a checkpoint's fault-free continuation: the per-cycle
-// whole-machine trajectory digest and the retired-instruction trace. A
-// checkpoint's head unit records it once; it is then immutable and shared
-// by every trial batch of that checkpoint.
+// whole-machine trajectory digest and the retired-instruction trace. The
+// worker running a checkpoint records it once, then reads it for every
+// trial of that checkpoint.
 type goldenRun struct {
 	digests []uint64 // composite digest (state ^ memory) after cycle i+1
 	events  []uarch.RetireEvent
@@ -159,8 +159,8 @@ func (t *trialMonitor) onExc(ev uarch.ExcEvent) {
 
 // worker runs golden continuations and trials on a private machine. Every
 // worker serves arbitrary checkpoints by materializing their portable
-// images, and g points at the current checkpoint's *shared* golden run
-// (read-only once published). Workers never share mutable state.
+// images, and g points at the current checkpoint's golden run (read-only
+// once recorded). Workers never share mutable state.
 type worker struct {
 	cfg Config
 	m   *uarch.Machine
@@ -168,7 +168,7 @@ type worker struct {
 	model FaultModel
 	//pipelint:shadow-ok golden-run horizon derived from the schedule, not injectable machine state
 	horizonG uint64
-	//pipelint:shadow-ok current golden run (being recorded, or shared immutable); engine scaffolding
+	//pipelint:shadow-ok current golden run (being recorded, or read-only for trials); engine scaffolding
 	g *goldenRun
 	//pipelint:shadow-ok per-trial classifier scratch, reset each trial; never injectable machine state
 	mon trialMonitor
@@ -361,19 +361,11 @@ func provenStrata(p *prove.Proof, ck int, pops []Population) []ProvenStratum {
 
 // drawBit draws one trial's injection target: from the proof's
 // must-simulate population when the prover ran, else from the full
-// population. Both draws consume exactly one rng value, so prefix replay
-// sees the same stream shape either way.
+// population. The proof is always computed over the drawing worker's own
+// state file, so its bits name that worker's elements.
 func drawBit(f *state.File, proof *prove.Proof, rng *rand.Rand, latchOnly bool) state.BitRef {
 	if proof != nil {
-		bit := proof.RandomBit(rng, latchOnly)
-		// The proof was computed over the publishing worker's state file;
-		// rebind the element onto this worker's own file so steal workers
-		// flip their private machine, not the head's. Frozen registries are
-		// layout-identical, so (name, entry, bit) transfers exactly.
-		if e := f.Elem(bit.Elem.Name()); e != bit.Elem {
-			bit.Elem = e
-		}
-		return bit
+		return proof.RandomBit(rng, latchOnly)
 	}
 	return f.RandomBit(rng, latchOnly)
 }
@@ -383,11 +375,11 @@ func drawBit(f *state.File, proof *prove.Proof, rng *rand.Rand, latchOnly bool) 
 const crossCheckSalt = 0x636865636b // "check"
 
 // crossCheck is the campaign's runtime soundness oracle (Config.CrossCheck).
-// It runs on a checkpoint's head unit, after the golden run and the proof,
+// It runs after a checkpoint's golden run and proof, before its trials,
 // and checks every shortcut the engine takes against the unaccelerated
 // reference. Sample k sits at trial coordinates (ck, -1-k), drawn from one
-// salted stream that depends only on (Seed, ck), so Workers and TrialBatch
-// never change which bits are checked:
+// salted stream that depends only on (Seed, ck), so Workers never
+// changes which bits are checked:
 //
 //   - a must-simulate bit, drawn exactly like a campaign trial, is run
 //     under the campaign's own config and again with EarlyStopOff; the two

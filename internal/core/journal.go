@@ -12,22 +12,24 @@ import (
 )
 
 // The campaign journal (Config.JournalPath) makes campaigns durable: the
-// aggregation goroutine appends one JSON line per completed work unit —
-// a checkpoint's head or one (checkpoint, trial-batch) unit — as the
-// unit's results fold in. Resume reads the
-// journal back, verifies its header against the campaign's identity
-// (workload, seed, schedule, populations, protection), and re-runs only
-// the units the journal does not cover. Because trial bit draws depend
-// only on (Seed, checkpoint index, flat trial index), the re-run units
-// produce exactly the trials the interrupted run would have, and the
-// resumed Result — and its exports — are byte-identical to an
-// uninterrupted run's.
+// aggregation goroutine appends one JSON line per completed checkpoint —
+// its golden-run validInsns, proven strata and every trial — as the
+// checkpoint's results fold in. Resume reads the journal back, verifies
+// its header against the campaign's identity (workload, seed, schedule,
+// populations, protection), and re-runs every checkpoint the journal does
+// not fully cover. Because a checkpoint's trials depend only on (Seed,
+// checkpoint index), the re-run checkpoints produce exactly the trials the
+// interrupted run would have, and the resumed Result — and its exports —
+// are byte-identical to an uninterrupted run's.
 //
 // The format is append-only JSONL: a header line, then unit records. A
 // process killed mid-write leaves at most one torn final line, which the
 // reader drops; every complete line is a complete unit. Units may appear
 // in any order and may duplicate (a resumed run can re-journal a unit the
-// torn tail lost); the reader keeps the first occurrence of each trial.
+// torn tail lost); the reader keeps the first occurrence of each head and
+// trial. Journals written by earlier engines hold a head record plus one
+// record per trial batch; the reader accepts those too, and a checkpoint
+// they cover only in part is re-run whole.
 
 // journalVersion is bumped when the record encoding changes; a version
 // mismatch is a header mismatch.
@@ -40,9 +42,9 @@ var ErrJournalMismatch = errors.New("core: campaign journal belongs to a differe
 
 // journalHeader pins the identity of the campaign a journal belongs to:
 // every field that affects trial results. Scheduling knobs (Workers,
-// TrialBatch, MaxImages, TrialTimeout) are deliberately
-// absent — they never perturb results, so a campaign may be resumed with
-// different parallelism than it started with.
+// TrialTimeout) are deliberately absent — they never perturb results, so
+// a campaign may be resumed with different parallelism than it started
+// with.
 type journalHeader struct {
 	V            int          `json:"v"`
 	Benchmark    string       `json:"benchmark"`
@@ -111,12 +113,12 @@ func (h journalHeader) equal(o journalHeader) bool {
 	return true
 }
 
-// journalUnit is one completed work unit. A head record (Head == true)
+// journalUnit is one journal record. A head record (Head == true)
 // carries the checkpoint's golden-run validInsns; a trial record carries
 // a contiguous run of the checkpoint's flat trial sequence starting at
-// Start. The engine writes a head record and one record per batch. Older
-// journals may hold one record per checkpoint that is both (head + full
-// trial run); the reader accepts either shape.
+// Start. The engine writes one record per checkpoint that is both (head +
+// full trial run); earlier engines wrote a head record and one record per
+// trial batch, and the reader accepts either shape.
 type journalUnit struct {
 	Ck     int              `json:"ck"`
 	Head   bool             `json:"head,omitempty"`
@@ -223,20 +225,18 @@ func (j *campaignJournal) writeLine(v any) {
 	}
 }
 
-// unit appends one completed work unit.
-func (j *campaignJournal) unit(ck int, head bool, valid, start int, trials []Trial, proven []ProvenStratum) {
+// checkpoint appends one completed checkpoint as a combined record.
+func (j *campaignJournal) checkpoint(ck, valid int, proven []ProvenStratum, trials []Trial) {
 	if j == nil {
 		return
 	}
-	u := journalUnit{Ck: ck, Head: head, Valid: valid, Start: start}
+	u := journalUnit{Ck: ck, Head: true, Valid: valid}
 	for _, ps := range proven {
 		u.Proven = append(u.Proven, journalStratum{P: ps.Proven, T: ps.Total, N: ps.Trials})
 	}
-	if len(trials) > 0 {
-		u.Trials = make([]journalTrial, len(trials))
-		for i, t := range trials {
-			u.Trials[i] = toJournalTrial(t)
-		}
+	u.Trials = make([]journalTrial, len(trials))
+	for i, t := range trials {
+		u.Trials[i] = toJournalTrial(t)
 	}
 	j.writeLine(u)
 }
@@ -256,8 +256,9 @@ func (j *campaignJournal) close() error {
 // priorUnits is a journal replayed into per-checkpoint coverage: which
 // flat trial indices already have results and which checkpoints have
 // their golden-run head. An empty priorUnits (every fresh run) covers
-// nothing. It is written once by the reader and then only read, from the
-// aggregation goroutine and the engine's setup.
+// nothing. It is written once by the reader and then only read by the
+// engine, which takes journal-complete checkpoints from it and re-runs
+// every other checkpoint whole.
 type priorUnits struct {
 	valid  []int     // validInsns per checkpoint; -1 = head not journaled
 	trials [][]Trial // flat trial slots, allocated on first coverage
@@ -287,7 +288,7 @@ func emptyPrior(checkpoints, totalPerCk int) *priorUnits {
 // campaign would fail the header check first; this is pure defense) are
 // dropped.
 func (p *priorUnits) place(ck, start int, ts []Trial) {
-	if ck < 0 || ck >= len(p.trials) || start < 0 || start+len(ts) > p.total {
+	if ck < 0 || ck >= len(p.trials) || start < 0 || start > p.total || len(ts) > p.total-start {
 		return
 	}
 	if p.trials[ck] == nil {
@@ -309,35 +310,43 @@ func (p *priorUnits) completeCk(ck int) bool {
 	return p.valid[ck] >= 0 && p.cov[ck] == p.total
 }
 
-// covered reports whether flat trial indices [start, end) of checkpoint
-// ck all have journaled results.
-func (p *priorUnits) covered(ck, start, end int) bool {
-	if p.have[ck] == nil {
-		return start >= end
+// sound reports whether u is a record a campaign with header hdr could
+// have written: a non-negative validInsns, in-range outcomes and failure
+// modes, and on a head one proven stratum per population (none when the
+// prover is off), each sampling that population's trials and proving no
+// more bits than it holds. Replaying anything else would crash
+// aggregation or silently re-weight the rates, so the reader treats an
+// unsound record as damage.
+func (u *journalUnit) sound(hdr *journalHeader) bool {
+	for _, jt := range u.Trials {
+		if Outcome(jt.O) < OutMatch || Outcome(jt.O) >= NumOutcomes || FailureMode(jt.M) >= NumFailureModes {
+			return false
+		}
 	}
-	for i := start; i < end; i++ {
-		if !p.have[ck][i] {
+	if !u.Head {
+		return true
+	}
+	want := 0
+	if hdr.Prove {
+		want = len(hdr.Populations)
+	}
+	if u.Valid < 0 || len(u.Proven) != want {
+		return false
+	}
+	for i, js := range u.Proven {
+		if js.N != hdr.Populations[i].Trials || js.P > js.T {
 			return false
 		}
 	}
 	return true
 }
 
-// any reports whether the journal covered anything at all.
-func (p *priorUnits) any() bool {
-	for ck := range p.cov {
-		if p.cov[ck] > 0 || p.valid[ck] >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // readJournal replays the journal at path. A missing file is an empty
 // prior (resuming a campaign that never started is just running it). A
 // torn final line — the signature of a killed writer — is dropped;
-// corruption earlier in the file truncates the replay at the damage, the
-// worst case being re-running units the lost tail had finished.
+// corruption earlier in the file, whether unparsable or unsound (see
+// journalUnit.sound), truncates the replay at the damage, the worst case
+// being re-running checkpoints the lost tail had finished.
 func readJournal(path string, hdr journalHeader, checkpoints, totalPerCk int) (*priorUnits, error) {
 	prior := emptyPrior(checkpoints, totalPerCk)
 	f, err := os.Open(path)
@@ -371,15 +380,15 @@ func readJournal(path string, hdr journalHeader, checkpoints, totalPerCk int) (*
 			continue
 		}
 		var u journalUnit
-		if err := json.Unmarshal(line, &u); err != nil {
+		if err := json.Unmarshal(line, &u); err != nil || !u.sound(&hdr) {
 			break // torn or damaged line: replay what precedes it
 		}
 		if u.Ck < 0 || u.Ck >= checkpoints {
 			continue
 		}
-		if u.Head {
+		if u.Head && prior.valid[u.Ck] < 0 {
 			prior.valid[u.Ck] = u.Valid
-			if len(u.Proven) > 0 && prior.proven[u.Ck] == nil {
+			if len(u.Proven) > 0 {
 				ps := make([]ProvenStratum, len(u.Proven))
 				for i, js := range u.Proven {
 					ps[i] = ProvenStratum{Checkpoint: u.Ck, Proven: js.P, Total: js.T, Trials: js.N}

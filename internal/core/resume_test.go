@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -151,13 +154,16 @@ func copyFixture(t *testing.T, name string) string {
 	return path
 }
 
-// TestResumeCombinedRecordJournal: journals written by the retired
-// checkpoint-sharded engine hold one combined record per checkpoint (head
-// plus every trial) instead of a head record and per-batch records. The
-// fixtures were recorded from that engine on stealTestConfig at Workers 2.
-// Resuming the complete journal must replay it without running a trial,
-// and resuming the copy truncated after its first checkpoint must finish
-// the campaign with exports byte-identical to a fresh run.
+// TestResumeCombinedRecordJournal: journals written by earlier engines
+// must stay resumable. The checkpoint-sharded engine wrote one combined
+// record per checkpoint (head plus every trial), the shape the engine
+// writes today; the work-stealing engine wrote a head record plus one
+// record per trial batch (here batches of 3, so a checkpoint spans three
+// records). Each fixture was recorded from its engine on stealTestConfig at
+// Workers 2, once complete and once cut short. A complete journal must
+// replay without running a trial; a cut one must re-run exactly the
+// checkpoints it does not fully cover — a partly covered checkpoint whole
+// — and finish with exports byte-identical to a fresh run.
 func TestResumeCombinedRecordJournal(t *testing.T) {
 	cfg := stealTestConfig()
 	cfg.Workers = 2
@@ -166,38 +172,57 @@ func TestResumeCombinedRecordJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantJSON, wantCSV := exportBytes(t, fresh)
+	perCk := 0
+	for _, p := range cfg.Populations {
+		perCk += p.Trials
+	}
 
-	var ran atomic.Int32
-	testTrialHook = func(ck, idx, attempt int) { ran.Add(1) }
+	var mu sync.Mutex
+	ran := map[int][]int{} // checkpoint -> flat trial indices run
+	testTrialHook = func(ck, idx, attempt int) {
+		mu.Lock()
+		ran[ck] = append(ran[ck], idx)
+		mu.Unlock()
+	}
 	defer func() { testTrialHook = nil }()
 
-	cfg.JournalPath = copyFixture(t, "shard_journal.jsonl")
-	replayed, err := Resume(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("resume of the complete journal: %v", err)
-	}
-	if n := ran.Load(); n != 0 {
-		t.Errorf("resume of a complete combined-record journal re-ran %d trials", n)
-	}
-	gotJSON, gotCSV := exportBytes(t, replayed)
-	if !bytes.Equal(gotJSON, wantJSON) || !bytes.Equal(gotCSV, wantCSV) {
-		t.Error("replayed combined-record journal exports differ from a fresh run")
-	}
-
-	cfg.JournalPath = copyFixture(t, "shard_journal_truncated.jsonl")
-	resumed, err := Resume(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("resume of the truncated journal: %v", err)
-	}
-	if n := ran.Load(); n == 0 {
-		t.Error("resume of the truncated journal ran no trials")
-	}
-	gotJSON, gotCSV = exportBytes(t, resumed)
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("resumed JSON export differs from a fresh run:\n--- fresh ---\n%s\n--- resumed ---\n%s", wantJSON, gotJSON)
-	}
-	if !bytes.Equal(gotCSV, wantCSV) {
-		t.Error("resumed CSV export differs from a fresh run")
+	for _, tc := range []struct {
+		fixture string
+		rerun   []int // checkpoints the resume must run whole
+	}{
+		{"shard_journal.jsonl", nil},
+		{"shard_journal_truncated.jsonl", []int{1, 2}}, // ends after checkpoint 0
+		{"batch_journal.jsonl", nil},
+		{"batch_journal_truncated.jsonl", []int{1}}, // checkpoint 1 holds its head and one batch
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			clear(ran)
+			jcfg := cfg
+			jcfg.JournalPath = copyFixture(t, tc.fixture)
+			resumed, err := Resume(context.Background(), jcfg)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			want := map[int][]int{}
+			for _, ck := range tc.rerun {
+				for i := 0; i < perCk; i++ {
+					want[ck] = append(want[ck], i)
+				}
+			}
+			for ck := range ran { //pipelint:unordered-ok sorting each checkpoint's own indices is order-independent
+				sort.Ints(ran[ck])
+			}
+			if !reflect.DeepEqual(ran, want) {
+				t.Errorf("resume ran trials %v, want %v", ran, want)
+			}
+			gotJSON, gotCSV := exportBytes(t, resumed)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("resumed JSON export differs from a fresh run:\n--- fresh ---\n%s\n--- resumed ---\n%s", wantJSON, gotJSON)
+			}
+			if !bytes.Equal(gotCSV, wantCSV) {
+				t.Error("resumed CSV export differs from a fresh run")
+			}
+		})
 	}
 }
 

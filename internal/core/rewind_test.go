@@ -10,13 +10,11 @@ import (
 	"testing"
 )
 
-// rewindCampaign runs the golden-test campaign at an explicit worker count
-// and trial batch (0 means the default).
-func rewindCampaign(t *testing.T, workers, batch int) *Result {
+// rewindCampaign runs the golden-test campaign at an explicit worker count.
+func rewindCampaign(t *testing.T, workers int) *Result {
 	t.Helper()
 	cfg := goldenConfig()
 	cfg.Workers = workers
-	cfg.TrialBatch = batch
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +23,8 @@ func rewindCampaign(t *testing.T, workers, batch int) *Result {
 }
 
 // resumedGoldenCampaign runs the golden-test campaign with a journal,
-// cancels it after its first finished unit, and resumes it to completion.
+// cancels it after its first finished checkpoint, and resumes it to
+// completion.
 func resumedGoldenCampaign(t *testing.T, workers int) *Result {
 	t.Helper()
 	cfg := goldenConfig()
@@ -53,12 +52,12 @@ func resumedGoldenCampaign(t *testing.T, workers int) *Result {
 }
 
 // TestRewindEquivalence is the campaign-scale correctness oracle of the
-// undo-journal rewind and the work-stealing engine: at 1, 4 and 8 workers,
-// at two trial batch sizes, and after an interrupted run is resumed from
-// its journal, the campaign must produce byte-identical exports (JSON and
-// CSV) matching the checked-in golden files — which predate both the
-// journal rewind and the work-stealing engine, so the goldens pin that
-// none of these mechanisms changed the simulator's observable behavior.
+// undo-journal rewind and the campaign engine: at 1, 4 and 8 workers, and
+// after an interrupted run is resumed from its journal, the campaign must
+// produce byte-identical exports (JSON and CSV) matching the checked-in
+// golden files — which predate both the journal rewind and the image
+// pilot, so the goldens pin that none of these mechanisms changed the
+// simulator's observable behavior.
 func TestRewindEquivalence(t *testing.T) {
 	type run struct {
 		name string
@@ -66,9 +65,7 @@ func TestRewindEquivalence(t *testing.T) {
 	}
 	var runs []run
 	for _, workers := range []int{1, 4, 8} {
-		for _, batch := range []int{0, 3} {
-			runs = append(runs, run{fmt.Sprintf("w%d-b%d", workers, batch), rewindCampaign(t, workers, batch)})
-		}
+		runs = append(runs, run{fmt.Sprintf("w%d", workers), rewindCampaign(t, workers)})
 	}
 	runs = append(runs,
 		run{"resumed-w1", resumedGoldenCampaign(t, 1)},

@@ -14,21 +14,20 @@ import (
 
 // Run executes a microarchitectural fault-injection campaign.
 //
-// The campaign runs in two phases: a single reachability pass advances one
-// machine through the workload once, capturing a portable checkpoint image
-// (bit-store snapshot + memory image) at every checkpoint into a bounded
-// pool, while a work-stealing pool of Config.Workers goroutines pulls
-// (checkpoint, trial-batch) units — any worker serves any checkpoint by
-// materializing its image. Trial RNG streams depend only on (Seed,
-// checkpoint index, flat trial index) and aggregation is replayed in
+// A single reachability pass advances one machine through the workload
+// once, capturing a portable checkpoint image (bit-store snapshot + memory
+// image) at every checkpoint onto a bounded channel, while Config.Workers
+// goroutines each take one image at a time and run that checkpoint whole:
+// golden run, proof, cross-check and every trial. A checkpoint's trials
+// depend only on (Seed, checkpoint index) and aggregation folds in
 // checkpoint order, so the assembled Result is bit-identical for any
-// worker count and batch size.
+// worker count.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
 // RunContext is Run with graceful cancellation. When ctx is cancelled the
-// engines stop dispatching, in-flight work units run to completion and
+// engine stops dispatching, checkpoints already running complete and
 // are aggregated (and journaled, if Config.JournalPath is set), and
 // RunContext returns the partial Result together with a *CanceledError
 // reporting how much of the campaign finished. Every checkpoint present
@@ -41,10 +40,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // Resume continues an interrupted campaign from its journal
 // (Config.JournalPath). The journal's header must match the campaign's
 // identity (workload, seed, schedule, populations, protection — see
-// ErrJournalMismatch); scheduling knobs may differ. Journaled units are
-// replayed instead of re-run, the missing units are executed, and because
-// trial seeding depends only on (Seed, checkpoint, flat trial index) the
-// resumed Result is byte-identical in its exports to an uninterrupted
+// ErrJournalMismatch); scheduling knobs may differ. Journal-complete
+// checkpoints are replayed instead of re-run, every other checkpoint is
+// run whole, and because trial seeding depends only on (Seed, checkpoint)
+// the resumed Result is byte-identical in its exports to an uninterrupted
 // run's. Resuming a journal that is already complete runs no trials.
 func Resume(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.JournalPath == "" {
@@ -192,7 +191,7 @@ func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machi
 			return nil, err
 		}
 	}
-	res, err := runSteal(ctx, cfg, newMachine, cycles, horizonG, res, prior, jw)
+	res, err := runPool(ctx, cfg, newMachine, cycles, horizonG, res, prior, jw)
 	if jerr := jw.close(); err == nil && jerr != nil {
 		err = jerr
 	}
@@ -202,15 +201,15 @@ func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machi
 // engineGuard collects the first panic that escapes a worker goroutine
 // outside the per-trial containment boundary (engine scaffolding bugs,
 // golden-run panics). It exists so an engine bug fails the campaign with
-// a stack instead of crashing the process or deadlocking the pool.
+// a stack instead of crashing the process or deadlocking the campaign.
 type engineGuard struct {
 	mu  sync.Mutex
 	err error
 }
 
 // capture is deferred directly inside worker goroutines; after runs when
-// a panic was recovered (the engine passes the pool abort so sibling
-// workers drain instead of waiting forever).
+// a panic was recovered (the engine passes its context cancel so the
+// pilot and sibling workers drain instead of waiting forever).
 func (g *engineGuard) capture(what string, after func()) {
 	r := recover()
 	if r == nil {

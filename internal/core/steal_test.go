@@ -40,42 +40,29 @@ func resultsEqual(t *testing.T, name string, a, b *Result) {
 	}
 }
 
-// TestTrialBatchInvariance: the batch size is a scheduling knob, never a
-// semantic one — any TrialBatch must yield the identical Result, including
-// a batch larger than a checkpoint's whole trial count.
-func TestTrialBatchInvariance(t *testing.T) {
-	var base *Result
-	for _, batch := range []int{1, 3, 1000} {
-		cfg := stealTestConfig()
-		cfg.Workers = 4
-		cfg.TrialBatch = batch
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base == nil {
-			base = res
-			continue
-		}
-		resultsEqual(t, fmt.Sprintf("batch-%d", batch), base, res)
-	}
-}
-
-// TestMaxImagesBound: with the pool clamped to a single resident image the
-// campaign degrades to a serial pipeline but must still complete and match.
+// TestMaxImagesBound: with more checkpoints than the 2*Workers+2 images a
+// single worker's campaign keeps resident, the pilot must block on the
+// image channel until the worker catches up — and the campaign must still
+// complete and match a four-worker run.
 func TestMaxImagesBound(t *testing.T) {
 	cfg := stealTestConfig()
+	cfg.Checkpoints = 8
 	cfg.Workers = 4
 	base, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.MaxImages = 1
-	clamped, err := Run(cfg)
+	cfg.Workers = 1
+	serial, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resultsEqual(t, "max-images-1", base, clamped)
+	resultsEqual(t, "w1-vs-w4", base, serial)
+	for _, pop := range cfg.Populations {
+		if got := len(serial.Scatter[pop.Name]); got != cfg.Checkpoints {
+			t.Errorf("%s: %d checkpoints aggregated, want %d", pop.Name, got, cfg.Checkpoints)
+		}
+	}
 }
 
 // campaignFixture replays Run's prologue (measurement pass and result
@@ -183,8 +170,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-horizon", func(c *Config) { c.Horizon = -5 }, "Horizon"},
 		{"negative-locked", func(c *Config) { c.LockedCycles = -1 }, "LockedCycles"},
 		{"negative-warmup", func(c *Config) { c.WarmupCycles = -1 }, "WarmupCycles"},
-		{"negative-batch", func(c *Config) { c.TrialBatch = -2 }, "TrialBatch"},
-		{"negative-images", func(c *Config) { c.MaxImages = -3 }, "MaxImages"},
 		{"bad-earlystop", func(c *Config) { c.EarlyStop = EarlyStopMode(77) }, "early-stop"},
 		{"empty-pop-name", func(c *Config) { c.Populations[0].Name = "" }, "name"},
 		{"dup-pop-name", func(c *Config) { c.Populations[1].Name = "l+r" }, "duplicate"},

@@ -21,8 +21,6 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"negative-locked", func(c *Config) { c.LockedCycles = -1 }, "LockedCycles"},
 		{"negative-warmup", func(c *Config) { c.WarmupCycles = -1 }, "WarmupCycles"},
 		{"negative-workers", func(c *Config) { c.Workers = -2 }, "Workers"},
-		{"negative-batch", func(c *Config) { c.TrialBatch = -1 }, "TrialBatch"},
-		{"negative-images", func(c *Config) { c.MaxImages = -1 }, "MaxImages"},
 		{"negative-timeout", func(c *Config) { c.TrialTimeout = -time.Second }, "TrialTimeout"},
 		{"bad-earlystop", func(c *Config) { c.EarlyStop = EarlyStopMode(99) }, "EarlyStop"},
 		{"negative-crosscheck", func(c *Config) { c.CrossCheck = -1 }, "CrossCheck"},
@@ -61,8 +59,6 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	cfg.Checkpoints = 0
 	cfg.Horizon = 0
 	cfg.Workers = 0
-	cfg.TrialBatch = 0
-	cfg.MaxImages = 0
 	cfg.TrialTimeout = 0
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate rejected a defaults-only config: %v", err)

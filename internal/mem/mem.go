@@ -261,12 +261,6 @@ func (m *Memory) Rollback() {
 	m.undoOn = false
 }
 
-// Commit discards the undo log without reverting and stops logging.
-func (m *Memory) Commit() {
-	m.undo = m.undo[:m.undoBase]
-	m.undoOn = false
-}
-
 // UndoLen returns the current number of logged writes (for tests and
 // instrumentation).
 func (m *Memory) UndoLen() int { return len(m.undo) }

@@ -93,19 +93,6 @@ func TestUndoNestedMarks(t *testing.T) {
 	}
 }
 
-func TestUndoCommit(t *testing.T) {
-	m := New()
-	m.BeginUndo()
-	m.Write(0x1000, 7, 8)
-	m.Commit()
-	if got := m.Read(0x1000, 8); got != 7 {
-		t.Errorf("after commit = %d, want 7", got)
-	}
-	if m.UndoLen() != 0 {
-		t.Errorf("undo log length = %d, want 0", m.UndoLen())
-	}
-}
-
 // TestUndoRollbackProperty: any random sequence of writes under undo logging
 // must roll back to a state indistinguishable from the pre-log state.
 func TestUndoRollbackProperty(t *testing.T) {

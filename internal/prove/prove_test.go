@@ -389,8 +389,9 @@ func TestRandomBitMustSimulateOnly(t *testing.T) {
 }
 
 // TestRandomBitPrefixReplay: the draw stream is a pure function of the rng
-// stream, so replaying a prefix fast-forwards to identical draws — the
-// property the steal engine's batch scheduling rests on.
+// stream, so replaying a prefix fast-forwards to identical draws — a
+// checkpoint's trials depend only on its RNG seed, never on which worker
+// draws them.
 func TestRandomBitPrefixReplay(t *testing.T) {
 	_, p, _ := provedFile(t)
 	rng := rand.New(rand.NewSource(5))

@@ -129,7 +129,7 @@ func WorkloadByName(name string) *Workload {
 }
 
 // RunCampaign executes a microarchitectural fault-injection campaign
-// (Sections 2-4 of the paper). Trial batches are spread across
+// (Sections 2-4 of the paper). Checkpoints are spread across
 // cfg.Workers goroutines (default: all CPUs); the worker count never
 // affects the result, only wall-clock time.
 func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
@@ -139,15 +139,15 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 // RunCampaignContext is RunCampaign with graceful cancellation: when ctx
 // is cancelled, in-flight work drains, and the error is a
 // *core.CanceledError alongside a partial CampaignResult holding every
-// checkpoint that completed. With cfg.JournalPath set, completed units
-// are journaled as they finish and ResumeCampaign can pick the campaign
+// checkpoint that completed. With cfg.JournalPath set, completed
+// checkpoints are journaled as they finish and ResumeCampaign can pick the campaign
 // back up.
 func RunCampaignContext(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
 	return core.RunContext(ctx, cfg)
 }
 
 // ResumeCampaign replays the campaign journal at cfg.JournalPath, re-runs
-// only the units it does not cover, and returns a result byte-identical
+// only the checkpoints it does not fully cover, and returns a result byte-identical
 // in its exports to an uninterrupted run. A journal written under a
 // different campaign identity is refused with core.ErrJournalMismatch.
 func ResumeCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
