@@ -34,8 +34,8 @@
 // changes results, only wall-clock time.
 // -progress prints periodic checkpoints-done/trials-done lines to stderr
 // without perturbing results; each line carries a running tally of HOW
-// trials resolved (taint, quiescence, convergence, monitor, full-horizon,
-// anomaly), and a final per-mechanism breakdown with mean simulated cycles
+// trials resolved (taint, convergence, monitor, full-horizon, anomaly),
+// and a final per-mechanism breakdown with mean simulated cycles
 // is printed after the last command. -earlystop on|off switches the early
 // trial termination — both produce byte-identical results; they differ
 // only in simulated cycles per trial.
@@ -121,7 +121,7 @@ func run(args []string) int {
 	softTrials := fs.Int("soft-trials", 60, "software trials per benchmark per model")
 	horizon := fs.Int("horizon", 10_000, "trial cycle budget")
 	workers := fs.Int("workers", runtime.NumCPU(), "campaign worker goroutines (results are identical for any count)")
-	earlyStop := fs.String("earlystop", "on", "early trial termination: on (dead-entry, quiescence and re-convergence shortcuts) or off (full-horizon equivalence oracle)")
+	earlyStop := fs.String("earlystop", "on", "early trial termination: on (dead-entry and re-convergence shortcuts) or off (full-horizon equivalence oracle)")
 	proveFlag := fs.String("prove", "on", "static benign-injection prover: on (sample only unproven bits, re-weight analytically) or off (full-population sampling)")
 	crossCheck := fs.Int("crosscheck", 0, "per-checkpoint soundness oracle: check this many sampled bits (and as many proven-benign bits) against full-horizon runs and fail the campaign on any disagreement (0 disables)")
 	faultModel := fs.String("fault-model", "transient", "fault model to inject: "+strings.Join(core.FaultModelNames(), ", "))

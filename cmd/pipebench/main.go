@@ -17,8 +17,8 @@
 // One further measurement runs the campaign twice more:
 //
 //	early_stop         the campaign with early trial termination off
-//	                   (full-horizon) and on (the default: dead-entry,
-//	                   quiescence and re-convergence shortcuts), reporting
+//	                   (full-horizon) and on (the default: dead-entry
+//	                   and re-convergence shortcuts), reporting
 //	                   the mean actually-simulated cycles per trial for
 //	                   each and early_stop_speedup (off vs on), plus
 //	                   proven_benign_fraction — the share of the

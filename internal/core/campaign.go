@@ -39,11 +39,6 @@ type Config struct {
 
 	// Horizon is the per-trial cycle budget (paper: 10,000).
 	Horizon int
-	// LockedCycles is the no-retirement deadlock-detection horizon. The
-	// paper uses 100; we use 200 so the timeout-flush protection (which
-	// fires at 100) gets a chance to recover before the monitor declares
-	// deadlock.
-	LockedCycles int
 	// WarmupCycles is the minimum warm-up before the first checkpoint.
 	WarmupCycles int
 
@@ -82,15 +77,17 @@ type Config struct {
 
 	// EarlyStop selects the trial-termination strategy. EarlyStopOn (the
 	// default) classifies a trial the moment its outcome is provably
-	// determined, through three composing mechanisms: dead injections
+	// determined, through two composing mechanisms: dead injections
 	// (flipped entry overwritten before the golden run ever reads it)
 	// resolve in O(1) from the golden liveness trace without stepping at
-	// all; trials whose corrupted machine quiesces resolve the rest of
-	// their horizon in closed form; and trials whose remaining divergence
-	// from the golden trajectory is provably frozen — every differing entry
-	// untouched by the golden run for the rest of the horizon — resolve in
-	// closed form from the golden monitors at the next convergence keyframe
-	// (see DESIGN.md "Convergence termination"). The engine applies each
+	// all; and trials whose remaining divergence from the golden trajectory
+	// is provably frozen — every differing entry untouched by the golden
+	// run for the rest of the horizon — resolve at the next convergence
+	// keyframe by replaying the trial-loop monitors over the golden run's
+	// recorded per-cycle bits (see DESIGN.md "Convergence termination"). A
+	// trial whose machine stops writing state needs neither: it never
+	// retires again, so the loop's locked monitor ends it within 200
+	// memoized O(1) Steps. The engine applies each
 	// mechanism only where the fault model keeps it sound (see
 	// FaultModel.Transient). EarlyStopOff steps every trial to
 	// classification or the full horizon — the baseline oracle. Both modes
@@ -183,8 +180,11 @@ const (
 	// ResolveTaint: the flipped entry was provably dead — classified in
 	// O(1) from the golden liveness trace without stepping.
 	ResolveTaint ResolveKind = iota
-	// ResolveQuiesce: the injected machine reached a write-free fixed
-	// point; the remaining horizon resolved in closed form.
+	// ResolveQuiesce is no longer produced: a trial whose machine reaches a
+	// write-free fixed point now runs on to its locked monitor
+	// (ResolveMonitor). The kind stays so per-kind tallies keep their
+	// layout and the benchmark's quiesce_frac metric its source; a change
+	// to the benchmark may drop it.
 	ResolveQuiesce
 	// ResolveConverge: the trial re-joined the golden trajectory — by
 	// exact per-cycle digest match, or by the keyframe certificate proving
@@ -266,9 +266,6 @@ func (c *Config) setDefaults() {
 	if c.Horizon == 0 {
 		c.Horizon = 10_000
 	}
-	if c.LockedCycles == 0 {
-		c.LockedCycles = 200
-	}
 	if c.WarmupCycles == 0 {
 		c.WarmupCycles = 5_000
 	}
@@ -319,7 +316,6 @@ func (c *Config) Validate() error {
 	}{
 		{c.Checkpoints < 0, "Checkpoints", c.Checkpoints, "Checkpoints must be >= 1 (0 means the default)"},
 		{c.Horizon < 0, "Horizon", c.Horizon, "Horizon must be >= 1 (0 means the default)"},
-		{c.LockedCycles < 0, "LockedCycles", c.LockedCycles, "LockedCycles must be >= 1 (0 means the default)"},
 		{c.WarmupCycles < 0, "WarmupCycles", c.WarmupCycles, "WarmupCycles must be >= 0"},
 		{c.Workers < 0, "Workers", c.Workers, "Workers must be >= 0 (0 means all CPUs)"},
 		{c.TrialTimeout < 0, "TrialTimeout", c.TrialTimeout, "TrialTimeout must be >= 0 (0 disables the watchdog)"},

@@ -47,7 +47,7 @@ func TestConvergeEquivalenceMatrix(t *testing.T) {
 
 // TestConvergeEquivalenceGzip is the early-stop equivalence oracle on a
 // real workload: a Gzip campaign with every shortcut on (dead-entry
-// resolution, quiescence, convergence, with the prover) must be identical
+// resolution, convergence, with the prover) must be identical
 // — trial for trial, Cycles included, and scatter point for scatter point
 // — to the same campaign stepped full-horizon.
 func TestConvergeEquivalenceGzip(t *testing.T) {

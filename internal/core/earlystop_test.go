@@ -122,11 +122,11 @@ func TestEarlyStopDeadEntryFastPath(t *testing.T) {
 	}
 }
 
-// TestEarlyStopQuiescenceFastForward: a trial that halts the machine (flip
-// of ms.halted) quiesces long before the locked-up monitor would fire; the
-// fast-forward must resolve the remaining cycles in closed form — same
-// outcome and cycle count as the full loop, far fewer simulated steps.
-func TestEarlyStopQuiescenceFastForward(t *testing.T) {
+// TestEarlyStopHaltingFlip: a trial that halts the machine (flip of
+// ms.halted) stops writing state, so it never retires again and the trial
+// loop's own locked monitor classifies it — identically, outcome and cycle
+// count, with early stopping on and off.
+func TestEarlyStopHaltingFlip(t *testing.T) {
 	en, g := newTestEngine(t, workload.Tiny, 600)
 
 	var steps []int
@@ -137,7 +137,7 @@ func TestEarlyStopQuiescenceFastForward(t *testing.T) {
 	slow := runTargeted(t, en, g, "ms.halted", 0, 0)
 
 	if fast != slow {
-		t.Fatalf("quiescence fast-forward %+v != full horizon %+v", fast, slow)
+		t.Fatalf("early-stopped trial %+v != full horizon %+v", fast, slow)
 	}
 	if fast.Outcome != OutTerminated || fast.Mode != FailLocked {
 		t.Fatalf("halting flip classified %v/%v, want Terminated/locked", fast.Outcome, fast.Mode)
@@ -148,9 +148,68 @@ func TestEarlyStopQuiescenceFastForward(t *testing.T) {
 	if steps[1] != int(slow.Cycles) {
 		t.Fatalf("full loop simulated %d cycles, want %d", steps[1], slow.Cycles)
 	}
-	if steps[0] >= steps[1] {
-		t.Errorf("fast-forward simulated %d cycles, full loop %d — nothing was skipped", steps[0], steps[1])
+}
+
+// syntheticGolden builds a traced golden run of h cycles whose per-cycle
+// retire and illegal-fetch bits are set where the predicates say, with no
+// exception.
+func syntheticGolden(h uint64, retired, illegal func(c uint64) bool) *goldenRun {
+	nw := (h + 63) / 64
+	g := &goldenRun{retireBits: make([]uint64, nw), illegalBits: make([]uint64, nw), traced: true}
+	for c := uint64(1); c <= h; c++ {
+		if retired(c) {
+			setBitAt(g.retireBits, c)
+		}
+		if illegal(c) {
+			setBitAt(g.illegalBits, c)
+		}
 	}
+	return g
+}
+
+// TestFirstFailure pins the monitor replay the closed-form classifiers
+// share: the trial loop's same-cycle order (exception, locked, iTLB), the
+// carried streak state, the horizon and the starting cycle.
+func TestFirstFailure(t *testing.T) {
+	always := func(uint64) bool { return true }
+	never := func(uint64) bool { return false }
+	const h = 1000
+	check := func(name string, g *goldenRun, from uint64, st streaks, wantAt uint64, wantMode FailureMode) {
+		t.Helper()
+		if at, mode := g.firstFailure(from, st, h); at != wantAt || mode != wantMode {
+			t.Errorf("%s: firstFailure = (%d, %v), want (%d, %v)", name, at, mode, wantAt, wantMode)
+		}
+	}
+
+	// A retiring exception beats a streak firing on the same cycle.
+	stalled := syntheticGolden(h, never, never)
+	check("locked alone", stalled, 0, streaks{}, lockedCycles, FailLocked)
+	stalled.excAt, stalled.excMode = lockedCycles, FailDTLB
+	check("exception ties locked", stalled, 0, streaks{}, lockedCycles, FailDTLB)
+
+	// Locked beats iTLB when both reach their thresholds on one cycle.
+	both := syntheticGolden(h, never, func(c uint64) bool { return c > lockedCycles-itlbStreak })
+	check("locked ties iTLB", both, 0, streaks{}, lockedCycles, FailLocked)
+	illegal := syntheticGolden(h, always, always)
+	check("iTLB alone", illegal, 0, streaks{}, itlbStreak, FailITLB)
+
+	// The carried streak state counts toward both thresholds.
+	check("carried no-retire", stalled, 100, streaks{noRetire: lockedCycles - 5}, 105, FailLocked)
+	check("carried illegal", illegal, 100, streaks{illegal: itlbStreak - 3}, 103, FailITLB)
+	check("carried illegal reset", syntheticGolden(h, always, func(c uint64) bool { return c != 101 }),
+		100, streaks{illegal: itlbStreak - 1}, 101+itlbStreak, FailITLB)
+
+	// Nothing fires by h.
+	check("healthy", syntheticGolden(h, always, never), 0, streaks{}, 0, FailNone)
+	if at, mode := stalled.firstFailure(0, streaks{}, lockedCycles-1); at != 0 || mode != FailNone {
+		t.Errorf("locked past h: firstFailure = (%d, %v), want (0, none)", at, mode)
+	}
+
+	// from excludes earlier cycles: an exception at or before it is gone.
+	exc := syntheticGolden(h, always, never)
+	exc.excAt, exc.excMode = 10, FailExcept
+	check("exception after from", exc, 9, streaks{}, 10, FailExcept)
+	check("exception at from", exc, 10, streaks{}, 0, FailNone)
 }
 
 // TestEarlyStopModeStrings pins the flag-facing names and the parser,

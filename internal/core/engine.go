@@ -54,35 +54,34 @@ type keyframe struct {
 type goldenRun struct {
 	digests []uint64 // composite digest (state ^ memory) after cycle i+1
 	events  []uarch.RetireEvent
-	retired map[uint64]struct{} // shadow seqnos that commit
 
 	// Early-stop liveness data (EarlyStopOn, or the prover): the golden
-	// continuation's touch trace over every entry, plus the cycles
-	// at which the fault-free run itself would trip each trial-loop
-	// monitor. A trial whose flipped entry is overwritten before the golden
-	// run ever reads it behaves bit-identically to the golden run, so its
-	// outcome is a pure function of these fields (see
-	// (*worker).resolveDead). traced gates the fast path: goldens built
-	// without tracing (EarlyStopOff with ProveOff, non-transient models)
-	// leave it false and every trial takes the full loop.
-	trace    *state.TouchTrace
-	lockedAt uint64 // first cycle the no-retire streak reaches LockedCycles
-	itlbAt   uint64 // first cycle the illegal-fetch-stall streak reaches 30
-	excAt    uint64 // first cycle an exception reaches retirement
-	excMode  FailureMode
-	traced   bool
-
-	// Convergence-certificate data (EarlyStopOn): state keyframes at
-	// convStride boundaries up to the trial horizon, plus the golden run's
-	// per-cycle retire/illegal-fetch bits and cumulative retire-event
-	// counts, which let tryConverge replay the remaining trial-loop
-	// monitors in closed form once a trial's divergence is proven frozen.
-	// conv gates the certificate exactly as traced gates the taint paths.
-	conv        bool
-	keyframes   []keyframe
+	// continuation's touch trace over every entry, its first retiring
+	// exception, and the per-cycle retire and illegal-fetch bits the
+	// trial-loop monitors read. A trial whose flipped entry is overwritten
+	// before the golden run ever reads it behaves bit-identically to the
+	// golden run, so its outcome is a pure function of these fields (see
+	// (*worker).resolveDead); firstFailure replays the monitors over them.
+	// traced gates the fast path: goldens built without tracing
+	// (EarlyStopOff with ProveOff, non-transient models) leave it false and
+	// every trial takes the full loop.
+	trace       *state.TouchTrace
+	excAt       uint64 // first cycle an exception reaches retirement
+	excMode     FailureMode
 	retireBits  []uint64 // bit (c-1): >=1 instruction retired at cycle c
 	illegalBits []uint64 // bit (c-1): FetchStalledIllegal() after cycle c
-	evCount     []uint32 // evCount[c-1] = len(events) after cycle c
+	failAt      uint64   // firstFailure(0, streaks{}, horizonG)
+	failMode    FailureMode
+	traced      bool
+
+	// Convergence-certificate data (EarlyStopOn): state keyframes at
+	// convStride boundaries up to the trial horizon, plus cumulative
+	// retire-event counts, which let tryConverge check that a trial's
+	// retirement stream is aligned with the golden run's. conv gates the
+	// certificate exactly as traced gates the taint paths.
+	conv      bool
+	keyframes []keyframe
+	evCount   []uint32 // evCount[c-1] = len(events) after cycle c
 }
 
 // bitAt reads cycle c's flag from a per-cycle bitset.
@@ -93,6 +92,64 @@ func bitAt(bits []uint64, c uint64) bool {
 // setBitAt sets cycle c's flag in a pre-sized per-cycle bitset.
 func setBitAt(bits []uint64, c uint64) {
 	bits[(c-1)>>6] |= 1 << ((c - 1) & 63)
+}
+
+// lockedCycles is the no-retirement deadlock-detection horizon. The paper
+// uses 100; we use 200 so the timeout-flush protection (which fires at 100)
+// gets a chance to recover before the monitor declares deadlock.
+const lockedCycles = 200
+
+// itlbStreak is how many consecutive cycles fetch must stall on an illegal
+// address before the iTLB monitor fires.
+const itlbStreak = 30
+
+// streaks is the state of the two counting monitors of Section 2.2: cycles
+// since the last retirement and consecutive illegal-fetch stalls. The live
+// trial loop and every closed-form replay (firstFailure) advance it through
+// step, so the thresholds and their same-cycle order exist once.
+type streaks struct {
+	noRetire, illegal int
+}
+
+// step advances both streaks by one cycle — retired: at least one
+// instruction retired this cycle; illegal: fetch is stalled on an illegal
+// address after it — and reports the monitor that fires, locked before iTLB
+// when both reach their thresholds on the same cycle.
+func (s *streaks) step(retired, illegal bool) FailureMode {
+	if retired {
+		s.noRetire = 0
+	} else {
+		s.noRetire++
+	}
+	if illegal {
+		s.illegal++
+	} else {
+		s.illegal = 0
+	}
+	switch {
+	case s.noRetire >= lockedCycles:
+		return FailLocked
+	case s.illegal >= itlbStreak:
+		return FailITLB
+	}
+	return FailNone
+}
+
+// firstFailure replays the trial loop's failure monitors over the traced
+// golden run's cycles (from, h], starting from streak state st: on each
+// cycle a retiring exception wins, then st.step runs on the recorded retire
+// and illegal-fetch bits. It returns the first cycle a monitor fires and its
+// mode, or 0 when none fires by h. h must not exceed the golden horizon.
+func (g *goldenRun) firstFailure(from uint64, st streaks, h uint64) (uint64, FailureMode) {
+	for c := from + 1; c <= h; c++ {
+		if c == g.excAt {
+			return c, g.excMode
+		}
+		if fm := st.step(bitAt(g.retireBits, c), bitAt(g.illegalBits, c)); fm != FailNone {
+			return c, fm
+		}
+	}
+	return 0, FailNone
 }
 
 // trialMonitor is the per-trial divergence/exception classifier state. It
@@ -186,10 +243,7 @@ type worker struct {
 // newWorker wires up a worker's reusable buffers and callbacks.
 func newWorker(cfg Config, m *uarch.Machine, horizonG uint64) *worker {
 	w := &worker{cfg: cfg, m: m, horizonG: horizonG, model: resolveModel(cfg.Model)}
-	w.onGolden = func(ev uarch.RetireEvent) {
-		w.g.events = append(w.g.events, ev)
-		w.g.retired[ev.Seq] = struct{}{}
-	}
+	w.onGolden = func(ev uarch.RetireEvent) { w.g.events = append(w.g.events, ev) }
 	w.onRetire = w.mon.onRetire
 	w.onExc = w.mon.onExc
 	return w
@@ -199,27 +253,26 @@ func newWorker(cfg Config, m *uarch.Machine, horizonG uint64) *worker {
 // continuation and returns the per-cycle digests and retirement trace.
 // Under EarlyStopOn (or with the prover on) it additionally records the
 // liveness data the closed-form trial classifier needs: a first-touch
-// trace over injectable entries and the cycles at which the golden run
-// itself trips the locked, iTLB-stall and exception monitors. The monitor
-// probes (FetchStalledIllegal, retire accounting) run with the trace
-// attached, so every state read a trial's per-cycle classification would
-// perform is captured — the soundness condition for treating an
-// unread-then-overwritten entry as dead. The caller rewinds the machine
-// afterwards.
+// trace over injectable entries, the first retiring exception, and the
+// per-cycle retire and illegal-fetch bits that firstFailure replays the
+// trial-loop monitors over. The monitor probes (FetchStalledIllegal,
+// retire accounting) run with the trace attached, so every state read a
+// trial's per-cycle classification would perform is captured — the
+// soundness condition for treating an unread-then-overwritten entry as
+// dead. The caller rewinds the machine afterwards.
 func (w *worker) goldenContinuation() *goldenRun {
 	m := w.m
-	g := &goldenRun{digests: make([]uint64, 0, w.horizonG), retired: make(map[uint64]struct{})}
+	g := &goldenRun{digests: make([]uint64, 0, w.horizonG)}
 	w.g = g
 	m.OnRetire = w.onGolden
 	// The prover consumes the same liveness data as the taint fast path, so
 	// either consumer arms the trace. Tracing is pure observation — it
 	// changes which trials are *drawn* only through the proof, never how a
 	// drawn trial executes. Convergence additionally records keyframes and
-	// the per-cycle monitor bits its certificate replays. Both consumers
+	// the cumulative event counts its certificate checks. Both consumers
 	// assume a one-shot fault, so non-transient models (whose Reassert keeps
 	// re-corrupting state) leave the trace and certificate unarmed: their
-	// trials run the full loop, accelerated only by quiescence once the
-	// fault has expired (see runTrial's armed gating).
+	// trials run the full loop (see runTrial's armed gating).
 	transient := w.model.Transient()
 	conv := transient && w.cfg.EarlyStop == EarlyStopOn
 	traced := conv || w.cfg.Prove != ProveOff
@@ -238,15 +291,13 @@ func (w *worker) goldenContinuation() *goldenRun {
 				g.excMode = FailExcept
 			}
 		}
-	}
-	if conv {
 		nw := int(w.horizonG+63) / 64
 		g.retireBits = make([]uint64, nw)
 		g.illegalBits = make([]uint64, nw)
+	}
+	if conv {
 		g.evCount = make([]uint32, 0, w.horizonG)
 	}
-	noRetire := 0
-	itlbCnt := 0
 	lastRetired := m.Retired
 	for cyc = 1; cyc <= w.horizonG; cyc++ {
 		if traced {
@@ -257,32 +308,14 @@ func (w *worker) goldenContinuation() *goldenRun {
 		if !traced {
 			continue
 		}
-		retired := m.Retired > lastRetired
-		if retired {
+		if m.Retired > lastRetired {
 			lastRetired = m.Retired
-			noRetire = 0
-		} else {
-			noRetire++
-			if g.lockedAt == 0 && noRetire >= w.cfg.LockedCycles {
-				g.lockedAt = cyc
-			}
+			setBitAt(g.retireBits, cyc)
 		}
-		illegal := m.FetchStalledIllegal()
-		if illegal {
-			itlbCnt++
-			if g.itlbAt == 0 && itlbCnt >= 30 {
-				g.itlbAt = cyc
-			}
-		} else {
-			itlbCnt = 0
+		if m.FetchStalledIllegal() {
+			setBitAt(g.illegalBits, cyc)
 		}
 		if conv {
-			if retired {
-				setBitAt(g.retireBits, cyc)
-			}
-			if illegal {
-				setBitAt(g.illegalBits, cyc)
-			}
 			g.evCount = append(g.evCount, uint32(len(g.events)))
 			if cyc&(convStride-1) == 0 && cyc <= uint64(w.cfg.Horizon) {
 				g.keyframes = append(g.keyframes, keyframe{
@@ -296,6 +329,7 @@ func (w *worker) goldenContinuation() *goldenRun {
 	if traced {
 		m.F.StopTrace()
 		m.OnExc = nil
+		g.failAt, g.failMode = g.firstFailure(0, streaks{}, w.horizonG)
 	}
 	m.OnRetire = nil
 	g.traced = traced
@@ -337,8 +371,7 @@ func (w *worker) computeProof(g *goldenRun) *prove.Proof {
 	if n := len(g.digests); h > n {
 		h = n
 	}
-	mon := prove.Monitors{ExcAt: g.excAt, LockedAt: g.lockedAt, ITLBAt: g.itlbAt}
-	return prove.Compute(w.m.F, g.trace, mon, uint64(h), uarch.ProofHints(), prove.RuleAll)
+	return prove.Compute(w.m.F, g.trace, g.failAt, uint64(h), uarch.ProofHints(), prove.RuleAll)
 }
 
 // provenStrata snapshots the proof's per-population coverage for the
@@ -384,8 +417,8 @@ const crossCheckSalt = 0x636865636b // "check"
 //   - a must-simulate bit, drawn exactly like a campaign trial, is run
 //     under the campaign's own config and again with EarlyStopOff; the two
 //     must agree on outcome, failure mode and classification cycle. This
-//     checks dead-entry resolution, quiescence, convergence and the fault
-//     model's gating of each. A sample where either run is an anomaly
+//     checks dead-entry resolution, convergence and the fault model's
+//     gating of each. A sample where either run is an anomaly
 //     (watchdog expiry, contained panic) is skipped: those are not
 //     classifications;
 //   - when a proof exists, one proven-benign bit is run full-horizon with
@@ -592,11 +625,12 @@ func (w *worker) runTrialContained(bit state.BitRef, ck, idx int) Trial {
 // For an eligible trial the loop's classification is a closed form: the
 // per-cycle digest compare first succeeds at cw (before cw the trial
 // digest differs from golden by the flipped entry's contribution, which is
-// nonzero because mix(pos, ·) is injective), and the locked / iTLB /
-// exception monitors fire exactly when the golden run's own monitors
-// would. The earliest event within the horizon wins; consider() is called
-// in the trial loop's same-cycle check order so ties resolve identically.
-// No event within the horizon means Gray at the horizon, exactly like a
+// nonzero because mix(pos, ·) is injective), and the exception / locked /
+// iTLB monitors fire exactly when the golden run's own monitors would —
+// at g.failAt, the firstFailure replay from checkpoint state. The loop
+// checks the monitors before the digest within a cycle, so the monitor
+// wins at failAt unless the overwrite comes strictly earlier. No event
+// within the horizon means Gray at the horizon, exactly like a
 // full-horizon run. The architectural-divergence check can never fire
 // before cw (events are identical), so it never wins.
 func (w *worker) resolveDead(bit state.BitRef, horizon int) (outcome Outcome, mode FailureMode, cycles int, ok bool) {
@@ -610,71 +644,13 @@ func (w *worker) resolveDead(bit state.BitRef, horizon int) (outcome Outcome, mo
 	if !dead {
 		return 0, FailNone, 0, false // golden reads the entry while corrupt
 	}
-
-	var best uint64
-	consider := func(at uint64, o Outcome, md FailureMode) {
-		if at == 0 || at > h {
-			return
-		}
-		if best != 0 && at >= best {
-			return
-		}
-		best, outcome, mode = at, o, md
-	}
-	consider(g.excAt, g.excMode.Outcome(), g.excMode)
-	consider(g.lockedAt, OutTerminated, FailLocked)
-	consider(g.itlbAt, OutSDC, FailITLB)
-	consider(matchAt, OutMatch, FailNone)
-	if best == 0 {
-		return OutGray, FailNone, horizon, true
-	}
-	return outcome, mode, int(best), true
-}
-
-// finishQuiescent resolves a trial whose machine has reached a write-free
-// fixed point at cycle cyc: every remaining Step is a no-op, so the digest,
-// the retire stream and the fetch-stall predicate are all frozen and the
-// rest of the trial loop is a closed form over frozen values. Check order
-// within a cycle matches the loop: locked, then iTLB, then digest match.
-// The divergence and exception monitors cannot fire again (both require a
-// retirement-path event, which implies a state write).
-func (w *worker) finishQuiescent(trial Trial, cyc, horizon, noRetire, itlbCnt int) Trial {
-	m := w.m
-	g := w.g
-
-	lockedAt := cyc + (w.cfg.LockedCycles - noRetire)
-	itlbAt := 0
-	if m.FetchStalledIllegal() {
-		itlbAt = cyc + (30 - itlbCnt)
-	}
-	matchAt := 0
-	if !w.mon.outOfTrace {
-		d := m.TraceDigest()
-		for c := cyc + 1; c <= horizon; c++ {
-			if g.digests[c-1] == d {
-				matchAt = c
-				break
-			}
-		}
-	}
-
-	best := horizon + 1
-	trial.Outcome, trial.Mode = OutGray, FailNone
-	trial.Cycles = int32(horizon)
-	consider := func(at int, o Outcome, md FailureMode) {
-		if at > cyc && at < best {
-			best, trial.Outcome, trial.Mode = at, o, md
-			trial.Cycles = int32(at)
-		}
-	}
-	consider(lockedAt, OutTerminated, FailLocked)
-	if itlbAt != 0 {
-		consider(itlbAt, OutSDC, FailITLB)
+	if at := g.failAt; at != 0 && at <= h && (matchAt == 0 || at <= matchAt) {
+		return g.failMode.Outcome(), g.failMode, int(at), true
 	}
 	if matchAt != 0 {
-		consider(matchAt, OutMatch, FailNone)
+		return OutMatch, FailNone, int(matchAt), true
 	}
-	return trial
+	return OutGray, FailNone, horizon, true
 }
 
 // runTrial arms the campaign's fault model at one bit and monitors the
@@ -683,22 +659,27 @@ func (w *worker) finishQuiescent(trial Trial, cyc, horizon, noRetire, itlbCnt in
 // seed the model's dedicated per-trial RNG (intermittent durations), which
 // is decoupled from the bit-draw stream.
 //
-// Under EarlyStopOn three provably exact shortcuts apply. First, if the
+// Each cycle the loop checks, in order: architectural divergence, a
+// retiring exception, the counting monitors (streaks.step: locked, then
+// iTLB), and the per-cycle digest match against the golden run.
+//
+// Under EarlyStopOn two provably exact shortcuts apply. First, if the
 // golden liveness trace shows the flipped entry is dead (resolveDead), the
 // trial returns in O(1) without flipping or stepping — zero perturbation:
 // the RNG stream is untouched (the bit was drawn by the caller) and the
-// machine never leaves checkpoint state. Second, once the injected machine
-// quiesces mid-trial (Machine.Quiescent), the rest of the loop is resolved
-// in closed form (finishQuiescent). Third, the keyframe certificate
+// machine never leaves checkpoint state. Second, the keyframe certificate
 // (tryConverge), armed only when the golden run recorded keyframes (g.conv,
-// transient models): at every convStride boundary a
-// still-running trial is diffed against the golden keyframe, and if every
-// differing entry is provably untouched by the golden run for the rest of
-// the horizon, the trial's future is bit-identical to the golden run's and
-// the remaining monitors resolve in closed form. All shortcuts stand down
-// when a trial watchdog is armed (except a resolveDead that cannot cross
-// the first watchdog stride), so watchdog expiry behavior is bit-identical
-// to the full loop.
+// transient models): at every convStride boundary a still-running trial is
+// diffed against the golden keyframe, and if every differing entry is
+// provably untouched by the golden run for the rest of the horizon, the
+// trial's future is bit-identical to the golden run's and firstFailure
+// replays the remaining monitors over the golden bits. Both shortcuts
+// stand down when a trial watchdog is armed (except a resolveDead that
+// cannot cross the first watchdog stride), so watchdog expiry behavior is
+// bit-identical to the full loop. A machine that stops writing state
+// (Machine.Quiescent) needs no shortcut: it never retires again, so the
+// locked monitor fires within lockedCycles cycles, each an O(1) memoized
+// Step.
 func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	m := w.m
 	g := w.g
@@ -719,7 +700,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		horizon = n
 	}
 	// Trial watchdog: a corrupted machine can livelock in ways the
-	// LockedCycles monitor never sees (e.g. a Step loop that keeps
+	// locked monitor never sees (e.g. a Step loop that keeps
 	// retiring garbage). The deadline is read every watchdogStride cycles;
 	// expiry kills the trial as OutAnomaly.
 	var deadline int64
@@ -773,8 +754,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	}
 
 	conv := g.conv && w.cfg.EarlyStop == EarlyStopOn && deadline == 0
-	noRetire := 0
-	itlbCnt := 0
+	var st streaks
 	lastRetired := m.Retired
 	for cyc := 1; cyc <= horizon; cyc++ {
 		if deadline != 0 && cyc&(watchdogStride-1) == 0 && w.cfg.Clock() >= deadline {
@@ -810,44 +790,25 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 			trial.Outcome, trial.Mode = w.mon.excMode.Outcome(), w.mon.excMode
 			return trial
 		}
-		if m.Retired > lastRetired {
-			lastRetired = m.Retired
-			noRetire = 0
-		} else {
-			noRetire++
-			if noRetire >= w.cfg.LockedCycles {
-				kind = ResolveMonitor
-				trial.Outcome, trial.Mode = OutTerminated, FailLocked
-				return trial
-			}
+		retired := m.Retired > lastRetired
+		lastRetired = m.Retired
+		if fm := st.step(retired, m.FetchStalledIllegal()); fm != FailNone {
+			kind = ResolveMonitor
+			trial.Outcome, trial.Mode = fm.Outcome(), fm
+			return trial
 		}
-		if m.FetchStalledIllegal() {
-			itlbCnt++
-			if itlbCnt >= 30 {
-				kind = ResolveMonitor
-				trial.Outcome, trial.Mode = OutSDC, FailITLB
-				return trial
-			}
-		} else {
-			itlbCnt = 0
-		}
-		// The digest-match and quiescence checks are sound only once no fault
-		// is armed: an asserting stuck-at can re-diverge a digest-matched
-		// machine the moment the golden run writes the stuck entry, and a
-		// quiescent machine's future is closed-form only if nothing keeps
-		// re-corrupting it. armed is permanently nil for one-shot models, so
-		// the gates cost a nil compare on the classic path.
+		// The digest match is sound only once no fault is armed: an
+		// asserting stuck-at can re-diverge a digest-matched machine the
+		// moment the golden run writes the stuck entry. armed is permanently
+		// nil for one-shot models, so the gate costs a nil compare on the
+		// classic path.
 		if armed == nil && !w.mon.outOfTrace && m.TraceDigest() == g.digests[cyc-1] {
 			kind = ResolveConverge
 			trial.Outcome = OutMatch
 			return trial
 		}
-		if armed == nil && w.cfg.EarlyStop == EarlyStopOn && deadline == 0 && cyc < horizon && m.Quiescent() {
-			kind = ResolveQuiesce
-			return w.finishQuiescent(trial, cyc, horizon, noRetire, itlbCnt)
-		}
 		if conv && cyc&(convStride-1) == 0 && cyc < horizon {
-			if done, ok := w.tryConverge(trial, cyc, horizon, noRetire, itlbCnt); ok {
+			if done, ok := w.tryConverge(trial, cyc, horizon, st); ok {
 				kind = ResolveConverge
 				return done
 			}
@@ -886,9 +847,9 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 // identical values when the source is outside C while copies from inside C
 // land inside C (CopyDst is single-destination or the certificate bailed
 // on poison). Every future retire event, exception, retire/no-retire cycle
-// and fetch-stall flag is therefore the golden run's own, so the remaining
-// trial-loop monitors replay in closed form from the recorded per-cycle
-// bits, in the loop's exact same-cycle order.
+// and fetch-stall flag is therefore the golden run's own, so firstFailure
+// replays the remaining trial-loop monitors over the golden run's recorded
+// bits, carrying the trial's streaks st.
 //
 // The per-cycle digest match cannot fire either. When every member of C is
 // frozen the argument is exact: the composite digest differs from the
@@ -900,7 +861,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 // differing states, the same 2⁻⁶⁴-class event the per-cycle match check
 // itself accepts. No event within the horizon means Gray at the horizon,
 // exactly like a full-horizon run.
-func (w *worker) tryConverge(trial Trial, cyc, horizon, noRetire, itlbCnt int) (Trial, bool) {
+func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, bool) {
 	g := w.g
 	m := w.m
 	ki := cyc/convStride - 1
@@ -976,58 +937,15 @@ func (w *worker) tryConverge(trial Trial, cyc, horizon, noRetire, itlbCnt int) (
 		return trial, false
 	}
 
-	// Closed-form replay of the remaining monitors, in the loop's
-	// same-cycle check order: exception, locked, illegal-fetch streak.
 	// Divergence cannot fire (the remaining event streams are identical and
 	// aligned) and the digest match cannot fire (see above).
-	lockedAt := uint64(0)
-	s := noRetire
-	for j := c + 1; j <= uint64(horizon); j++ {
-		if bitAt(g.retireBits, j) {
-			s = 0
-			continue
-		}
-		s++
-		if s >= w.cfg.LockedCycles {
-			lockedAt = j
-			break
-		}
-	}
-	itlbAt := uint64(0)
-	cnt := itlbCnt
-	for j := c + 1; j <= uint64(horizon); j++ {
-		if !bitAt(g.illegalBits, j) {
-			cnt = 0
-			continue
-		}
-		cnt++
-		if cnt >= 30 {
-			itlbAt = j
-			break
-		}
-	}
-
-	var best uint64
-	var outcome Outcome
-	var mode FailureMode
-	consider := func(at uint64, o Outcome, md FailureMode) {
-		if at == 0 || at > uint64(horizon) {
-			return
-		}
-		if best != 0 && at >= best {
-			return
-		}
-		best, outcome, mode = at, o, md
-	}
-	consider(g.excAt, g.excMode.Outcome(), g.excMode)
-	consider(lockedAt, OutTerminated, FailLocked)
-	consider(itlbAt, OutSDC, FailITLB)
-	if best == 0 {
+	at, fm := g.firstFailure(c, st, uint64(horizon))
+	if at == 0 {
 		trial.Outcome, trial.Mode = OutGray, FailNone
 		trial.Cycles = int32(horizon)
 		return trial, true
 	}
-	trial.Outcome, trial.Mode = outcome, mode
-	trial.Cycles = int32(best)
+	trial.Outcome, trial.Mode = fm.Outcome(), fm
+	trial.Cycles = int32(at)
 	return trial, true
 }

@@ -34,13 +34,13 @@ import (
 // model-specific cases.
 //
 // Soundness: the early-termination machinery (taint dead-trial resolution,
-// the quiescence fast path, convergence certificates) and every prove rule
-// assume an overwrite kills the fault. That holds for one-shot models
+// convergence certificates) and every prove rule assume an overwrite kills
+// the fault. That holds for one-shot models
 // (Transient reports true) and is false while a stuck-at is asserting, so
 // Config.Validate auto-restricts Prove per model (see
 // Config.restrictToModel), the golden run arms the early-stop liveness
 // data only for transient models, and the trial loop gates the per-cycle
-// digest match and quiescence checks on the fault no longer being armed.
+// digest match on the fault no longer being armed.
 //
 // The interface is sealed (the unexported method): the engine's soundness
 // gating enumerates the models, so new ones must be added here, next to
@@ -244,9 +244,7 @@ func validateModel(m FaultModel) error {
 // narrowing: the engine gates each early-stop shortcut on the model
 // itself. Non-transient models get an untraced golden run without
 // keyframes, so dead-trial resolution and the convergence certificate
-// stand down, and quiescence applies only once no fault is armed — exactly
-// the "full-horizon semantics except quiescence-with-no-armed-fault"
-// contract. Run through Validate, before the journal identity is derived,
+// stand down — exactly the "full-horizon semantics" contract. Run through Validate, before the journal identity is derived,
 // so Prove's contribution to the identity header reflects what the
 // campaign actually does.
 func (c *Config) restrictToModel() {

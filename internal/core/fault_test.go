@@ -522,8 +522,8 @@ func TestModelSchedulerEquivalence(t *testing.T) {
 }
 
 // TestModelEarlyStopEquivalence: the model-gated acceleration
-// (quiescence once disarmed, and taint/convergence where the model is
-// one-shot) must not change a single classification — every gated model's
+// (taint/convergence where the model is one-shot) must not change a
+// single classification — every gated model's
 // accelerated run is byte-identical to its EarlyStopOff full-horizon run.
 // This is the in-suite version of the -crosscheck oracle's must-simulate
 // half, applied to every trial instead of a sample.

@@ -74,7 +74,7 @@ func journalHeaderFor(cfg *Config) journalHeader {
 		Seed:         cfg.Seed,
 		Checkpoints:  cfg.Checkpoints,
 		Horizon:      cfg.Horizon,
-		LockedCycles: cfg.LockedCycles,
+		LockedCycles: lockedCycles,
 		WarmupCycles: cfg.WarmupCycles,
 		Protect:      fmt.Sprintf("%+v", cfg.Protect),
 		Recovery:     int(cfg.Recovery),

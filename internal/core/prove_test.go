@@ -154,7 +154,6 @@ func TestCrossCheckCatchesUnsoundHint(t *testing.T) {
 	if n := len(g.digests); h > n {
 		h = n
 	}
-	mon := prove.Monitors{ExcAt: g.excAt, LockedAt: g.lockedAt, ITLBAt: g.itlbAt}
 	for _, elem := range []string{"rob.head", "rob.tail", "rob.count", "fe.pc", "lq.head", "sq.head"} {
 		e := en.m.F.Elem(elem)
 		for bit := 0; bit < e.Width(); bit++ {
@@ -165,7 +164,7 @@ func TestCrossCheckCatchesUnsoundHint(t *testing.T) {
 			// so the only "proven" bit is the one we just saw misbehave.
 			consumed := (uint64(1)<<uint(e.Width()) - 1) &^ (uint64(1) << uint(bit))
 			badHints := prove.Hints{Masks: map[string]uint64{elem: consumed}}
-			proof := prove.Compute(en.m.F, g.trace, mon, uint64(h), badHints, prove.RuleMask)
+			proof := prove.Compute(en.m.F, g.trace, g.failAt, uint64(h), badHints, prove.RuleMask)
 			if proof.ProvenBits(false) == 0 {
 				break // entry never re-converges; mask rule proves nothing
 			}

@@ -227,17 +227,41 @@ func TestResumeCombinedRecordJournal(t *testing.T) {
 }
 
 // TestResumeJournalMismatch: a journal written under a different campaign
-// identity (here, another seed) must be refused, not silently replayed.
+// identity — another seed, or a header recorded under another locked-monitor
+// threshold — must be refused, not silently replayed.
 func TestResumeJournalMismatch(t *testing.T) {
-	cfg := stealTestConfig()
-	cfg.JournalPath = filepath.Join(t.TempDir(), "campaign.jsonl")
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Seed++
-	_, err := Resume(context.Background(), cfg)
-	if !errors.Is(err, ErrJournalMismatch) {
-		t.Fatalf("resume with a different seed: err = %v, want ErrJournalMismatch", err)
+	for _, c := range []struct {
+		name   string
+		mutate func(t *testing.T, cfg *Config)
+	}{
+		{"seed", func(t *testing.T, cfg *Config) { cfg.Seed++ }},
+		{"locked-cycles", func(t *testing.T, cfg *Config) {
+			data, err := os.ReadFile(cfg.JournalPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf(`"locked_cycles":%d`, lockedCycles)
+			if !bytes.Contains(data, []byte(want)) {
+				t.Fatalf("journal header lacks %s", want)
+			}
+			data = bytes.Replace(data, []byte(want), []byte(`"locked_cycles":100`), 1)
+			if err := os.WriteFile(cfg.JournalPath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := stealTestConfig()
+			cfg.JournalPath = filepath.Join(t.TempDir(), "campaign.jsonl")
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(t, &cfg)
+			_, err := Resume(context.Background(), cfg)
+			if !errors.Is(err, ErrJournalMismatch) {
+				t.Fatalf("resume with a different %s: err = %v, want ErrJournalMismatch", c.name, err)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sort"
 	"sync"
 
 	"pipefault/internal/mem"
@@ -96,9 +97,13 @@ func (w *worker) golden() (*goldenRun, int) {
 	m.CommitJournal()
 	m.Mem.Rollback()
 
+	// An in-flight instruction is valid if the golden run retires it.
+	// Retirement is in order and a refetched instruction gets a fresh,
+	// larger seqno, so g.events ascends by Seq.
 	validInsns := 0
 	for _, s := range m.InFlightSeqs() {
-		if _, ok := g.retired[s]; ok {
+		i := sort.Search(len(g.events), func(i int) bool { return g.events[i].Seq >= s })
+		if i < len(g.events) && g.events[i].Seq == s {
 			validInsns++
 		}
 	}

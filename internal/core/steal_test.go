@@ -168,7 +168,6 @@ func TestConfigValidate(t *testing.T) {
 		{"no-workload", func(c *Config) { c.Workload = nil }, "workload"},
 		{"negative-checkpoints", func(c *Config) { c.Checkpoints = -1 }, "Checkpoints"},
 		{"negative-horizon", func(c *Config) { c.Horizon = -5 }, "Horizon"},
-		{"negative-locked", func(c *Config) { c.LockedCycles = -1 }, "LockedCycles"},
 		{"negative-warmup", func(c *Config) { c.WarmupCycles = -1 }, "WarmupCycles"},
 		{"bad-earlystop", func(c *Config) { c.EarlyStop = EarlyStopMode(77) }, "early-stop"},
 		{"empty-pop-name", func(c *Config) { c.Populations[0].Name = "" }, "name"},

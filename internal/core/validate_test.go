@@ -18,7 +18,6 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"no-workload", func(c *Config) { c.Workload = nil }, "Workload"},
 		{"negative-checkpoints", func(c *Config) { c.Checkpoints = -1 }, "Checkpoints"},
 		{"negative-horizon", func(c *Config) { c.Horizon = -5 }, "Horizon"},
-		{"negative-locked", func(c *Config) { c.LockedCycles = -1 }, "LockedCycles"},
 		{"negative-warmup", func(c *Config) { c.WarmupCycles = -1 }, "WarmupCycles"},
 		{"negative-workers", func(c *Config) { c.Workers = -2 }, "Workers"},
 		{"negative-timeout", func(c *Config) { c.TrialTimeout = -time.Second }, "TrialTimeout"},

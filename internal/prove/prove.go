@@ -114,29 +114,13 @@ type Hints struct {
 	Masks map[string]uint64
 }
 
-// Monitors are the golden continuation's failure-monitor fire cycles (0 =
-// never fired): the same values the trial engine's closed-form classifier
-// tie-breaks against. A Match proof at cycle c holds only if c strictly
-// beats every monitor that fires within the horizon.
-type Monitors struct {
-	ExcAt    uint64
-	LockedAt uint64
-	ITLBAt   uint64
-}
-
 // matchWins reports whether a state re-convergence at cycle matchAt would
-// win the trial loop's classification tie-break: the monitors are
-// considered first, so Match wins only by firing strictly earlier.
-func (mon Monitors) matchWins(matchAt, h uint64) bool {
-	if matchAt == 0 || matchAt > h {
-		return false
-	}
-	for _, at := range [...]uint64{mon.ExcAt, mon.LockedAt, mon.ITLBAt} {
-		if at != 0 && at <= h && at <= matchAt {
-			return false
-		}
-	}
-	return true
+// win the trial loop's classification tie-break against the golden
+// continuation's first failure-monitor firing at failAt (0 = none): the
+// monitors are considered first, so Match wins only by firing strictly
+// earlier, and only within the horizon h.
+func matchWins(matchAt, failAt, h uint64) bool {
+	return matchAt != 0 && matchAt <= h && (failAt == 0 || failAt > matchAt)
 }
 
 // elemProof is the per-element partition: dead[i] has a bit set for every
@@ -172,10 +156,10 @@ type population struct {
 
 // Compute partitions the injectable population of f. The file must be
 // positioned at the checkpoint state (the idleness rule reads gate values
-// from it), trace must be the golden continuation's touch trace, mon its
-// failure-monitor cycles, and h the trial horizon in cycles. Only the rules
-// present in the rules mask are applied.
-func Compute(f *state.File, trace *state.TouchTrace, mon Monitors, h uint64, hints Hints, rules Rule) *Proof {
+// from it), trace must be the golden continuation's touch trace, failAt the
+// first cycle any of its failure monitors fires (0 = never), and h the trial
+// horizon in cycles. Only the rules present in the rules mask are applied.
+func Compute(f *state.File, trace *state.TouchTrace, failAt, h uint64, hints Hints, rules Rule) *Proof {
 	p := &Proof{
 		rules:  rules,
 		h:      h,
@@ -186,7 +170,7 @@ func Compute(f *state.File, trace *state.TouchTrace, mon Monitors, h uint64, hin
 		if !e.Injectable() {
 			continue
 		}
-		ep := p.analyze(e, f, trace, mon, hints)
+		ep := p.analyze(e, f, trace, failAt, hints)
 		p.elems[e] = ep
 		p.all.add(ep)
 		if e.Kind() == state.KindLatch {
@@ -218,7 +202,7 @@ func (ep *elemProof) provenBits() uint64 {
 
 // analyze applies the rule set to one element, producing its partition and
 // folding per-(category, rule) coverage into the proof record.
-func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.TouchTrace, mon Monitors, hints Hints) *elemProof {
+func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.TouchTrace, failAt uint64, hints Hints) *elemProof {
 	width := e.Width()
 	mask := ^uint64(0)
 	if width < 64 {
@@ -256,7 +240,7 @@ func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.TouchTrace, m
 		// overwritten inside the horizon and the overwrite must win the
 		// classification tie-break. The rules differ only in how
 		// "indistinguishable from golden until the overwrite" is proven.
-		converges := mon.matchWins(matchAt, p.h)
+		converges := matchWins(matchAt, failAt, p.h)
 		switch {
 		case p.rules&RuleLiveness != 0 && dead && converges:
 			ep.dead[i] = mask

@@ -61,26 +61,25 @@ func TestRuleString(t *testing.T) {
 
 func TestMatchWins(t *testing.T) {
 	cases := []struct {
-		mon     Monitors
+		failAt  uint64
 		matchAt uint64
 		h       uint64
 		want    bool
 	}{
-		{Monitors{}, 5, 10, true},
-		{Monitors{}, 0, 10, false},  // never overwritten
-		{Monitors{}, 11, 10, false}, // overwritten past the horizon
-		{Monitors{ExcAt: 3}, 5, 10, false},
-		{Monitors{ExcAt: 5}, 5, 10, false}, // tie: monitor considered first
-		{Monitors{ExcAt: 6}, 5, 10, true},
-		{Monitors{ExcAt: 12}, 5, 10, true}, // monitor past the horizon
-		{Monitors{LockedAt: 4}, 5, 10, false},
-		{Monitors{ITLBAt: 4}, 5, 10, false},
-		{Monitors{ExcAt: 9, LockedAt: 9, ITLBAt: 9}, 5, 10, true},
+		{0, 5, 10, true},
+		{0, 0, 10, false},  // never overwritten
+		{0, 11, 10, false}, // overwritten past the horizon
+		{3, 5, 10, false},
+		{5, 5, 10, false}, // tie: monitor considered first
+		{6, 5, 10, true},
+		{12, 5, 10, true}, // monitor past the horizon
+		{4, 5, 10, false},
+		{9, 5, 10, true},
 	}
 	for i, c := range cases {
-		if got := c.mon.matchWins(c.matchAt, c.h); got != c.want {
-			t.Errorf("case %d: matchWins(%d, %d) with %+v = %v, want %v",
-				i, c.matchAt, c.h, c.mon, got, c.want)
+		if got := matchWins(c.matchAt, c.failAt, c.h); got != c.want {
+			t.Errorf("case %d: matchWins(%d, %d, %d) = %v, want %v",
+				i, c.matchAt, c.failAt, c.h, got, c.want)
 		}
 	}
 }
@@ -100,7 +99,7 @@ func TestLivenessRule(t *testing.T) {
 		// entries 2, 3: untouched (never read -> dead, but never
 		// overwritten -> no Match proof)
 	})
-	p := Compute(f, tr, Monitors{}, 100, Hints{}, RuleAll)
+	p := Compute(f, tr, 0, 100, Hints{}, RuleAll)
 
 	if r, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 5}); !ok || r != RuleLiveness {
 		t.Errorf("overwritten-never-read entry: Proven = (%v, %v), want (liveness, true)", r, ok)
@@ -113,11 +112,11 @@ func TestLivenessRule(t *testing.T) {
 
 	// A golden monitor firing at or before the overwrite kills the proof:
 	// the trial loop would classify the monitor event, not Match.
-	p = Compute(f, tr, Monitors{ExcAt: 3}, 100, Hints{}, RuleAll)
+	p = Compute(f, tr, 3, 100, Hints{}, RuleAll)
 	if _, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 0}); ok {
 		t.Error("proof survived a golden exception at the overwrite cycle")
 	}
-	p = Compute(f, tr, Monitors{ExcAt: 4}, 100, Hints{}, RuleAll)
+	p = Compute(f, tr, 4, 100, Hints{}, RuleAll)
 	if _, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 0}); !ok {
 		t.Error("proof rejected although the overwrite beats the golden exception")
 	}
@@ -144,7 +143,7 @@ func TestIdleRule(t *testing.T) {
 		v.Set(0, 1) // gate 0 rises only after the overwrite
 	})
 	hints := Hints{Gates: map[string]Gate{"q.data": {Valid: "q.valid"}}}
-	p := Compute(f, tr, Monitors{}, 100, hints, RuleAll)
+	p := Compute(f, tr, 0, 100, hints, RuleAll)
 
 	if r, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 0}); !ok || r != RuleIdle {
 		t.Errorf("gated-off entry: Proven = (%v, %v), want (idle, true)", r, ok)
@@ -157,7 +156,7 @@ func TestIdleRule(t *testing.T) {
 	}
 
 	// Disabling the idle rule removes the proof.
-	p = Compute(f, tr, Monitors{}, 100, hints, RuleLiveness|RuleMask)
+	p = Compute(f, tr, 0, 100, hints, RuleLiveness|RuleMask)
 	if _, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 0}); ok {
 		t.Error("idle proof emitted with RuleIdle disabled")
 	}
@@ -177,7 +176,7 @@ func TestMaskRule(t *testing.T) {
 		w.Get(1)
 	})
 	hints := Hints{Masks: map[string]uint64{"wide": 0x00F}} // bits 0..3 consumed
-	p := Compute(f, tr, Monitors{}, 100, hints, RuleAll)
+	p := Compute(f, tr, 0, 100, hints, RuleAll)
 
 	for bit := 0; bit < 12; bit++ {
 		r, ok := p.Proven(state.BitRef{Elem: w, Entry: 0, Bit: bit})
@@ -193,7 +192,7 @@ func TestMaskRule(t *testing.T) {
 	}
 
 	// A mask covering every declared bit disables the rule (nothing to prove).
-	p = Compute(f, tr, Monitors{}, 100, Hints{Masks: map[string]uint64{"wide": 0xFFF}}, RuleAll)
+	p = Compute(f, tr, 0, 100, Hints{Masks: map[string]uint64{"wide": 0xFFF}}, RuleAll)
 	if _, ok := p.Proven(state.BitRef{Elem: w, Entry: 0, Bit: 11}); ok {
 		t.Error("full consumed mask still proved bits")
 	}
@@ -216,7 +215,7 @@ func TestConstPropRule(t *testing.T) {
 		q.Set(1, 9)
 		// entry 2 is never overwritten: no re-convergence, no proof
 	})
-	p := Compute(f, tr, Monitors{}, 100, Hints{}, RuleAll)
+	p := Compute(f, tr, 0, 100, Hints{}, RuleAll)
 
 	for bit := 0; bit < 16; bit++ {
 		r, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: bit})
@@ -237,13 +236,13 @@ func TestConstPropRule(t *testing.T) {
 
 	// A golden monitor tying the overwrite kills the proof, exactly as for
 	// liveness.
-	p = Compute(f, tr, Monitors{ExcAt: 5}, 100, Hints{}, RuleAll)
+	p = Compute(f, tr, 5, 100, Hints{}, RuleAll)
 	if _, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 15}); ok {
 		t.Error("constprop proof survived a tying golden monitor")
 	}
 
 	// Disabling the rule removes the proof.
-	p = Compute(f, tr, Monitors{}, 100, Hints{}, RuleLiveness|RuleIdle|RuleMask)
+	p = Compute(f, tr, 0, 100, Hints{}, RuleLiveness|RuleIdle|RuleMask)
 	if _, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 15}); ok {
 		t.Error("constprop proof emitted with RuleConstProp disabled")
 	}
@@ -262,7 +261,7 @@ func TestConstPropMaskCompose(t *testing.T) {
 		w.Set(0, 1)
 	})
 	hints := Hints{Masks: map[string]uint64{"wide": 0x00F}} // bits 0..3 consumed
-	p := Compute(f, tr, Monitors{}, 100, hints, RuleAll)
+	p := Compute(f, tr, 0, 100, hints, RuleAll)
 
 	// Bit 0: observed and consumed — must simulate.
 	if _, ok := p.Proven(state.BitRef{Elem: w, Entry: 0, Bit: 0}); ok {
@@ -302,7 +301,7 @@ func TestRuleNone(t *testing.T) {
 		cycle(3)
 		q.Set(0, 7)
 	})
-	p := Compute(f, tr, Monitors{}, 100, Hints{}, RuleNone)
+	p := Compute(f, tr, 0, 100, Hints{}, RuleNone)
 	if got := p.ProvenBits(false); got != 0 {
 		t.Fatalf("RuleNone proved %d bits", got)
 	}
@@ -330,7 +329,7 @@ func TestGatePanics(t *testing.T) {
 					t.Errorf("%s gate declaration did not panic", name)
 				}
 			}()
-			Compute(f, tr, Monitors{}, 100, hints, RuleAll)
+			Compute(f, tr, 0, 100, hints, RuleAll)
 		}()
 	}
 }
@@ -347,7 +346,7 @@ func provedFile(t *testing.T) (*state.File, *Proof, map[string]*state.Elem) {
 		q.Set(0, 7)
 		q.Set(1, 8)
 	})
-	p := Compute(f, tr, Monitors{}, 100, Hints{}, RuleAll)
+	p := Compute(f, tr, 0, 100, Hints{}, RuleAll)
 	if got := p.ProvenBits(false); got != 32 {
 		t.Fatalf("fixture proved %d bits, want 32 (two 16-bit entries)", got)
 	}
@@ -438,7 +437,7 @@ func TestFullDrawFallback(t *testing.T) {
 			b.Set(i, 1)
 		}
 	})
-	p := Compute(f, tr, Monitors{}, 100, Hints{}, RuleAll)
+	p := Compute(f, tr, 0, 100, Hints{}, RuleAll)
 	if p.ProvenBits(false) != p.TotalBits(false) {
 		t.Fatalf("fixture not fully proven: %d/%d", p.ProvenBits(false), p.TotalBits(false))
 	}
@@ -490,7 +489,7 @@ func TestCoverage(t *testing.T) {
 		w.Set(0, 1) // mask: 8 of 12 bits of CatCtrl
 	})
 	hints := Hints{Masks: map[string]uint64{"wide": 0x00F}}
-	p := Compute(f, tr, Monitors{}, 100, hints, RuleAll)
+	p := Compute(f, tr, 0, 100, hints, RuleAll)
 	cov := p.Coverage()
 	want := []CatRule{
 		{Category: state.CatCtrl, Rule: RuleMask, Proven: 8},
