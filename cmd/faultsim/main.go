@@ -45,8 +45,9 @@
 // (stuck-at for a -fault-duration cycle window), intermittent (stuck-at-1
 // for a seeded random duration in [1, -fault-duration]), permanent
 // (stuck-at-1 for the whole trial), or mbu2 (a 2-adjacent-bit upset).
-// Non-transient models run without the taint and convergence shortcuts
-// and disable the prover (their soundness arguments need one-shot faults).
+// Non-transient models run without the taint shortcut and disable the
+// prover (their soundness arguments need one-shot faults); windowed ones
+// regain the convergence shortcuts once their window closes.
 // A final per-model outcome breakdown is printed next to the
 // trial-resolution report.
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"time"
@@ -88,8 +89,11 @@ type Config struct {
 	// trial whose machine stops writing state needs neither: it never
 	// retires again, so the loop's locked monitor ends it within 200
 	// memoized O(1) Steps. The engine applies each
-	// mechanism only where the fault model keeps it sound (see
-	// FaultModel.Transient). EarlyStopOff steps every trial to
+	// mechanism only where the fault model keeps it sound: dead-injection
+	// resolution only for transient models (FaultModel.Transient), and the
+	// digest match and the certificate only once no fault is armed — from
+	// the first cycle for one-shot models, after the window for windowed
+	// stuck-at, never for a permanent one. EarlyStopOff steps every trial to
 	// classification or the full horizon — the baseline oracle. Both modes
 	// produce bit-identical Results.
 	EarlyStop EarlyStopMode //pipelint:identity-ok termination strategy; both modes produce bit-identical results
@@ -316,6 +320,7 @@ func (c *Config) Validate() error {
 	}{
 		{c.Checkpoints < 0, "Checkpoints", c.Checkpoints, "Checkpoints must be >= 1 (0 means the default)"},
 		{c.Horizon < 0, "Horizon", c.Horizon, "Horizon must be >= 1 (0 means the default)"},
+		{uint64(c.Horizon) > math.MaxUint32, "Horizon", c.Horizon, "Horizon must fit the golden touch trace's uint32 cycle stamps"},
 		{c.WarmupCycles < 0, "WarmupCycles", c.WarmupCycles, "WarmupCycles must be >= 0"},
 		{c.Workers < 0, "Workers", c.Workers, "Workers must be >= 0 (0 means all CPUs)"},
 		{c.TrialTimeout < 0, "TrialTimeout", c.TrialTimeout, "TrialTimeout must be >= 0 (0 disables the watchdog)"},

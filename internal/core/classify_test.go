@@ -30,7 +30,7 @@ func newTestEngine(t *testing.T, w *workload.Workload, warmup uint64) (*worker, 
 	}
 	cfg := Config{Workload: w}
 	cfg.setDefaults()
-	en := newWorker(cfg, m, uint64(cfg.Horizon+2000))
+	en := newWorker(cfg, m)
 
 	snap := m.Snapshot()
 	m.Mem.BeginUndo()

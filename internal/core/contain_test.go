@@ -41,7 +41,7 @@ func TestContainmentSoak(t *testing.T) {
 	if m.Halted() {
 		t.Fatal("machine halted before the checkpoint")
 	}
-	w := newWorker(cfg, m, uint64(cfg.Horizon+2000))
+	w := newWorker(cfg, m)
 
 	// Replay a checkpoint's preamble: golden continuation, then rewind.
 	m.BeginJournal()

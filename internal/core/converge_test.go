@@ -183,8 +183,8 @@ func TestConvergeCopyClosureDrain(t *testing.T) {
 		// Only the drain-coupled case matters here: the golden run must have
 		// copied this arch entry into its spec twin after the first stride
 		// boundary, or the plain frozen-delta certificate already covers it.
-		if g.trace.CopyDst[arch.EntryIndex(i)] != spec.EntryIndex(i)+1 ||
-			g.trace.LastCopy[spec.EntryIndex(i)] <= convStride {
+		if g.trace.CopyDst(arch.EntryIndex(i)) != spec.EntryIndex(i)+1 ||
+			g.trace.LastCopy(spec.EntryIndex(i)) <= convStride {
 			continue
 		}
 		fast := runTargeted(t, en, g, "rat.arch", i, 0)

@@ -241,10 +241,10 @@ func TestEarlyStopModeStrings(t *testing.T) {
 }
 
 // TestCrossCheckCatchesTamperedTrace: the oracle must catch an unsound
-// shortcut on the default transient model, with no proof in play. Zeroing
-// the golden run's first-read stamps makes every entry look overwritten
-// before it is read, so dead-entry resolution classifies live injections
-// from the golden run's own monitors. The campaign's run of a sampled bit
+// shortcut on the default transient model, with no proof in play. Swapping
+// the golden run's touch trace for an empty one erases every read stamp,
+// so every entry looks never read and dead-entry resolution classifies
+// live injections from the golden run's own monitors. The campaign's run of a sampled bit
 // then disagrees with its full-horizon run, and the must-simulate half of
 // the oracle has to report it.
 func TestCrossCheckCatchesTamperedTrace(t *testing.T) {
@@ -255,9 +255,7 @@ func TestCrossCheckCatchesTamperedTrace(t *testing.T) {
 	if !g.traced || !en.model.Transient() {
 		t.Fatal("fixture needs a traced golden run under the transient model")
 	}
-	for i := range g.trace.FirstRead {
-		g.trace.FirstRead[i] = 0
-	}
+	g.trace = en.m.F.NewTouchTrace()
 	err := en.crossCheck(0, nil)
 	var ce *CrossCheckError
 	if !errors.As(err, &ce) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"pipefault/internal/prove"
@@ -31,26 +32,29 @@ func wallClock() int64 {
 // convStride is the cycle spacing of convergence keyframes along the
 // golden continuation (power of two; the trial loop's boundary test is a
 // masked compare). Smaller strides prove frozen-delta trials earlier but
-// cost one state-file snapshot each; 512 keeps a 10k-cycle horizon at ~20
-// keyframes (~0.6 MiB on the default machine) while bounding the wasted
-// stepping of a provable trial to under half a keyframe interval on
-// average.
+// cost one state-file delta each; 512 keeps a 10k-cycle horizon at 19
+// keyframes (~6 KB each on gzip) while bounding the wasted stepping of a
+// provable trial to under half a keyframe interval on average.
 const convStride = 512
 
-// keyframe is one golden trajectory keyframe: the full state-file contents
-// and the memory digest after cycle cyc of the continuation. The trial
-// loop diffs its own state against the keyframe to compute the exact set
-// of entries still differing from the golden run (see tryConverge).
+// keyframe is one golden trajectory keyframe: the state-file contents after
+// cycle cyc of the continuation, as a delta against the golden run's base
+// (its checkpoint state), and the memory digest. The trial loop diffs its
+// own state against the patched keyframe to compute the exact set of
+// entries still differing from the golden run (see tryConverge).
 type keyframe struct {
 	cyc       uint64
-	snap      *state.Snapshot
+	delta     state.Delta
 	memDigest uint64
 }
 
-// goldenRun is a checkpoint's fault-free continuation: the per-cycle
-// whole-machine trajectory digest and the retired-instruction trace. The
-// worker running a checkpoint records it once, then reads it for every
-// trial of that checkpoint.
+// goldenRun is a checkpoint's fault-free continuation over the trial
+// horizon: the per-cycle whole-machine trajectory digest and the
+// retired-instruction trace. The worker running a checkpoint records it
+// once, then reads it for every trial of that checkpoint. A worker owns
+// one goldenRun for its whole life and records each checkpoint's run into
+// the previous one's storage: nothing reads a golden run after its
+// checkpoint's last trial.
 type goldenRun struct {
 	digests []uint64 // composite digest (state ^ memory) after cycle i+1
 	events  []uarch.RetireEvent
@@ -63,23 +67,26 @@ type goldenRun struct {
 	// golden run, so its outcome is a pure function of these fields (see
 	// (*worker).resolveDead); firstFailure replays the monitors over them.
 	// traced gates the fast path: goldens built without tracing
-	// (EarlyStopOff with ProveOff, non-transient models) leave it false and
-	// every trial takes the full loop.
+	// (EarlyStopOff with ProveOff) leave it false and every trial takes the
+	// full loop.
 	trace       *state.TouchTrace
 	excAt       uint64 // first cycle an exception reaches retirement
 	excMode     FailureMode
 	retireBits  []uint64 // bit (c-1): >=1 instruction retired at cycle c
 	illegalBits []uint64 // bit (c-1): FetchStalledIllegal() after cycle c
-	failAt      uint64   // firstFailure(0, streaks{}, horizonG)
+	failAt      uint64   // firstFailure(0, streaks{}, Horizon)
 	failMode    FailureMode
 	traced      bool
 
-	// Convergence-certificate data (EarlyStopOn): state keyframes at
-	// convStride boundaries up to the trial horizon, plus cumulative
-	// retire-event counts, which let tryConverge check that a trial's
-	// retirement stream is aligned with the golden run's. conv gates the
-	// certificate exactly as traced gates the taint paths.
+	// Convergence-certificate data (EarlyStopOn): the checkpoint state
+	// (base), state keyframes at convStride boundaries as deltas against
+	// it, plus cumulative retire-event counts, which let tryConverge check
+	// that a trial's retirement stream is aligned with the golden run's.
+	// conv gates the certificate exactly as traced gates the taint paths.
+	// keyframes keeps its length-capacity tail across runs, so each slot's
+	// delta storage is reused.
 	conv      bool
+	base      state.Snapshot
 	keyframes []keyframe
 	evCount   []uint32 // evCount[c-1] = len(events) after cycle c
 }
@@ -223,10 +230,10 @@ type worker struct {
 	m   *uarch.Machine
 	//pipelint:shadow-ok resolved fault model from Config.Model; campaign parameter, not injectable machine state
 	model FaultModel
-	//pipelint:shadow-ok golden-run horizon derived from the schedule, not injectable machine state
-	horizonG uint64
-	//pipelint:shadow-ok current golden run (being recorded, or read-only for trials); engine scaffolding
+	//pipelint:shadow-ok the worker's one golden run (being recorded, or read-only for trials); engine scaffolding
 	g *goldenRun
+	//pipelint:shadow-ok tryConverge's scratch: a keyframe delta patched onto the golden base; engine scaffolding
+	kfSnap state.Snapshot
 	//pipelint:shadow-ok per-trial classifier scratch, reset each trial; never injectable machine state
 	mon trialMonitor
 	//pipelint:shadow-ok reusable rewind marks for the undo journal; engine scaffolding
@@ -241,8 +248,8 @@ type worker struct {
 }
 
 // newWorker wires up a worker's reusable buffers and callbacks.
-func newWorker(cfg Config, m *uarch.Machine, horizonG uint64) *worker {
-	w := &worker{cfg: cfg, m: m, horizonG: horizonG, model: resolveModel(cfg.Model)}
+func newWorker(cfg Config, m *uarch.Machine) *worker {
+	w := &worker{cfg: cfg, m: m, model: resolveModel(cfg.Model), g: &goldenRun{}}
 	w.onGolden = func(ev uarch.RetireEvent) { w.g.events = append(w.g.events, ev) }
 	w.onRetire = w.mon.onRetire
 	w.onExc = w.mon.onExc
@@ -250,35 +257,46 @@ func newWorker(cfg Config, m *uarch.Machine, horizonG uint64) *worker {
 }
 
 // goldenContinuation steps the worker's machine through the fault-free
-// continuation and returns the per-cycle digests and retirement trace.
-// Under EarlyStopOn (or with the prover on) it additionally records the
-// liveness data the closed-form trial classifier needs: a first-touch
-// trace over injectable entries, the first retiring exception, and the
-// per-cycle retire and illegal-fetch bits that firstFailure replays the
-// trial-loop monitors over. The monitor probes (FetchStalledIllegal,
-// retire accounting) run with the trace attached, so every state read a
-// trial's per-cycle classification would perform is captured — the
-// soundness condition for treating an unread-then-overwritten entry as
-// dead. The caller rewinds the machine afterwards.
+// continuation for the trial horizon and returns the per-cycle digests and
+// retirement trace, recorded into the worker's one goldenRun (the previous
+// checkpoint's run is overwritten). Under EarlyStopOn (or with the prover
+// on) it additionally records the liveness data the closed-form trial
+// classifier needs: a touch trace over every entry, the first retiring
+// exception, and the per-cycle retire and illegal-fetch bits that
+// firstFailure replays the trial-loop monitors over. The monitor probes
+// (FetchStalledIllegal, retire accounting) run with the trace attached, so
+// every state read a trial's per-cycle classification would perform is
+// captured — the soundness condition for treating an unread-then-
+// overwritten entry as dead. The caller rewinds the machine afterwards.
 func (w *worker) goldenContinuation() *goldenRun {
 	m := w.m
-	g := &goldenRun{digests: make([]uint64, 0, w.horizonG)}
-	w.g = g
-	m.OnRetire = w.onGolden
+	g := w.g
+	h := uint64(w.cfg.Horizon)
 	// The prover consumes the same liveness data as the taint fast path, so
 	// either consumer arms the trace. Tracing is pure observation — it
 	// changes which trials are *drawn* only through the proof, never how a
 	// drawn trial executes. Convergence additionally records keyframes and
-	// the cumulative event counts its certificate checks. Both consumers
-	// assume a one-shot fault, so non-transient models (whose Reassert keeps
-	// re-corrupting state) leave the trace and certificate unarmed: their
-	// trials run the full loop (see runTrial's armed gating).
-	transient := w.model.Transient()
-	conv := transient && w.cfg.EarlyStop == EarlyStopOn
+	// the cumulative event counts its certificate checks. Every fault model
+	// gets the same golden run: the model decides which consumers may use
+	// it (resolveDead and the prover are transient-only; runTrial tries the
+	// certificate only once no fault is armed).
+	conv := w.cfg.EarlyStop == EarlyStopOn
 	traced := conv || w.cfg.Prove != ProveOff
+	g.digests = g.digests[:0]
+	g.events = g.events[:0]
+	g.evCount = g.evCount[:0]
+	g.keyframes = g.keyframes[:0]
+	g.excAt, g.excMode = 0, FailNone
+	g.failAt, g.failMode = 0, FailNone
+	g.traced, g.conv = traced, conv
+	m.OnRetire = w.onGolden
 	var cyc uint64
 	if traced {
-		g.trace = m.F.NewTouchTrace()
+		if g.trace == nil {
+			g.trace = m.F.NewTouchTrace()
+		} else {
+			g.trace.Clear()
+		}
 		m.F.StartTrace(g.trace)
 		m.OnExc = func(ev uarch.ExcEvent) {
 			if g.excAt != 0 {
@@ -291,15 +309,15 @@ func (w *worker) goldenContinuation() *goldenRun {
 				g.excMode = FailExcept
 			}
 		}
-		nw := int(w.horizonG+63) / 64
-		g.retireBits = make([]uint64, nw)
-		g.illegalBits = make([]uint64, nw)
+		nw := int(h+63) / 64
+		g.retireBits = clearBits(g.retireBits, nw)
+		g.illegalBits = clearBits(g.illegalBits, nw)
 	}
 	if conv {
-		g.evCount = make([]uint32, 0, w.horizonG)
+		m.F.SnapshotInto(&g.base)
 	}
 	lastRetired := m.Retired
-	for cyc = 1; cyc <= w.horizonG; cyc++ {
+	for cyc = 1; cyc <= h; cyc++ {
 		if traced {
 			m.F.TraceCycle(cyc)
 		}
@@ -317,24 +335,34 @@ func (w *worker) goldenContinuation() *goldenRun {
 		}
 		if conv {
 			g.evCount = append(g.evCount, uint32(len(g.events)))
-			if cyc&(convStride-1) == 0 && cyc <= uint64(w.cfg.Horizon) {
-				g.keyframes = append(g.keyframes, keyframe{
-					cyc:       cyc,
-					snap:      m.F.Snapshot(),
-					memDigest: m.Mem.Digest(),
-				})
+			if cyc&(convStride-1) == 0 {
+				n := len(g.keyframes)
+				g.keyframes = slices.Grow(g.keyframes, 1)[:n+1]
+				kf := &g.keyframes[n]
+				kf.cyc = cyc
+				m.F.DeltaInto(&kf.delta, &g.base)
+				kf.memDigest = m.Mem.Digest()
 			}
 		}
 	}
 	if traced {
 		m.F.StopTrace()
 		m.OnExc = nil
-		g.failAt, g.failMode = g.firstFailure(0, streaks{}, w.horizonG)
+		g.failAt, g.failMode = g.firstFailure(0, streaks{}, h)
 	}
 	m.OnRetire = nil
-	g.traced = traced
-	g.conv = conv
 	return g
+}
+
+// clearBits returns a zeroed n-word bitset, reusing bits' storage when it
+// is large enough.
+func clearBits(bits []uint64, n int) []uint64 {
+	if cap(bits) < n {
+		return make([]uint64, n)
+	}
+	bits = bits[:n]
+	clear(bits)
+	return bits
 }
 
 // checkpointSeed derives the per-checkpoint RNG seed from the campaign seed
@@ -367,11 +395,7 @@ func (w *worker) computeProof(g *goldenRun) *prove.Proof {
 	if w.cfg.Prove == ProveOff {
 		return nil
 	}
-	h := w.cfg.Horizon
-	if n := len(g.digests); h > n {
-		h = n
-	}
-	return prove.Compute(w.m.F, g.trace, g.failAt, uint64(h), uarch.ProofHints(), prove.RuleAll)
+	return prove.Compute(w.m.F, g.trace, g.failAt, uint64(w.cfg.Horizon), uarch.ProofHints(), prove.RuleAll)
 }
 
 // provenStrata snapshots the proof's per-population coverage for the
@@ -532,6 +556,12 @@ func (e *CrossCheckError) Error() string {
 // safe for concurrent calls.
 var testTrialHook func(ck, idx, attempt int)
 
+// testConvergeHook, when non-nil, observes every convergence-certificate
+// attempt: the trial cycle it ran at and whether the certificate held.
+// Test-only: the certificate tests count attempts per fault model. Installed
+// hooks must be safe for concurrent calls.
+var testConvergeHook func(cyc int, ok bool)
+
 // attemptTrial runs one trial attempt inside a recover boundary. A panic
 // anywhere in the injected machine's execution (bit-store, memory system,
 // ECC decode, pipeline stages) surfaces as a non-nil pv plus the captured
@@ -668,8 +698,9 @@ func (w *worker) resolveDead(bit state.BitRef, horizon int) (outcome Outcome, mo
 // trial returns in O(1) without flipping or stepping — zero perturbation:
 // the RNG stream is untouched (the bit was drawn by the caller) and the
 // machine never leaves checkpoint state. Second, the keyframe certificate
-// (tryConverge), armed only when the golden run recorded keyframes (g.conv,
-// transient models): at every convStride boundary a still-running trial is
+// (tryConverge), armed when the golden run recorded keyframes (g.conv) and
+// no fault is armed — a windowed stuck-at qualifies from the cycle it
+// disarms: at every convStride boundary a still-running trial is
 // diffed against the golden keyframe, and if every differing entry is
 // provably untouched by the golden run for the rest of the horizon, the
 // trial's future is bit-identical to the golden run's and firstFailure
@@ -690,15 +721,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		Bit:      int32(bit.Entry*bit.Elem.Width() + bit.Bit),
 	}
 
-	// The convergence check below indexes g.digests[cyc-1]. runCampaign
-	// rejects configurations whose trial horizon exceeds the golden-run
-	// horizon at startup; this clamp makes the contract local too, so the
-	// index can never run past the digest array even if a future caller
-	// hands runTrial a short golden run.
 	horizon := w.cfg.Horizon
-	if n := len(g.digests); horizon > n {
-		horizon = n
-	}
 	// Trial watchdog: a corrupted machine can livelock in ways the
 	// locked monitor never sees (e.g. a Step loop that keeps
 	// retiring garbage). The deadline is read every watchdogStride cycles;
@@ -709,8 +732,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	}
 
 	// Dead-trial resolution assumes the corruption dies with the first
-	// overwrite, so it stands down for non-transient models (whose goldens
-	// are untraced anyway — the model gate here is defense in depth).
+	// overwrite, so it stands down for non-transient models.
 	if g.traced && w.model.Transient() && w.cfg.EarlyStop == EarlyStopOn {
 		if out, mode, cyc, ok := w.resolveDead(bit, horizon); ok && (deadline == 0 || cyc < watchdogStride) {
 			trial.Outcome, trial.Mode = out, mode
@@ -807,8 +829,16 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 			trial.Outcome = OutMatch
 			return trial
 		}
-		if conv && cyc&(convStride-1) == 0 && cyc < horizon {
-			if done, ok := w.tryConverge(trial, cyc, horizon, st); ok {
+		// The certificate, like the digest match, needs the fault gone: from
+		// the cycle a windowed stuck-at disarms, the trial is a plain state
+		// delta against the golden run — the certificate's premise. A
+		// permanent fault never disarms, so it never gets here.
+		if conv && armed == nil && cyc&(convStride-1) == 0 && cyc < horizon {
+			done, ok := w.tryConverge(trial, cyc, horizon, st)
+			if testConvergeHook != nil {
+				testConvergeHook(cyc, ok)
+			}
+			if ok {
 				kind = ResolveConverge
 				return done
 			}
@@ -868,7 +898,7 @@ func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, 
 	if ki >= len(g.keyframes) {
 		return trial, false
 	}
-	kf := g.keyframes[ki]
+	kf := &g.keyframes[ki]
 	c := uint64(cyc)
 	if kf.cyc != c {
 		return trial, false
@@ -883,13 +913,15 @@ func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, 
 		return trial, false
 	}
 	tr := g.trace
-	// Collect the delta set D. Certificates over a wide delta essentially
-	// never hold (many differing entries imply live state), so a hard cap
-	// bounds the collection.
+	// Collect the delta set D against the keyframe, patched onto the golden
+	// base in the worker's scratch snapshot. Certificates over a wide delta
+	// essentially never hold (many differing entries imply live state), so
+	// a hard cap bounds the collection.
+	kf.delta.PatchInto(&w.kfSnap, &g.base)
 	const maxDelta = 128
 	var dbuf [maxDelta]uint64
 	nd := 0
-	if !m.F.DiffEntries(kf.snap, func(key uint64) bool {
+	if !m.F.DiffEntries(&w.kfSnap, func(key uint64) bool {
 		if nd == maxDelta {
 			return false
 		}
@@ -904,10 +936,10 @@ func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, 
 	// frozen, anchoring the two states apart through the horizon.
 	anchor := false
 	for _, k := range dbuf[:nd] {
-		if tr.LastRead[k] > c {
+		if tr.LastRead(k) > c {
 			return trial, false
 		}
-		if tr.LastSet[k] <= c && tr.LastCopy[k] <= c {
+		if tr.LastSet(k) <= c && tr.LastCopy(k) <= c {
 			anchor = true
 		}
 		// Chase the copy-out chain: entries the golden run copies k — or
@@ -917,7 +949,7 @@ func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, 
 		// flow untrackable; a depth cap guards against edge cycles.
 		e := k
 		for depth := 0; ; depth++ {
-			d := tr.CopyDst[e]
+			d := tr.CopyDst(e)
 			if d == 0 {
 				break
 			}
@@ -925,10 +957,10 @@ func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, 
 				return trial, false
 			}
 			e = d - 1
-			if tr.LastCopy[e] <= c { // no copy-ins after cyc: edge is spent
+			if tr.LastCopy(e) <= c { // no copy-ins after cyc: edge is spent
 				break
 			}
-			if tr.LastRead[e] > c {
+			if tr.LastRead(e) > c {
 				return trial, false
 			}
 		}

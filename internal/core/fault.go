@@ -33,14 +33,15 @@ import (
 // behavioral write — rewind and the digest-based classification need no
 // model-specific cases.
 //
-// Soundness: the early-termination machinery (taint dead-trial resolution,
-// convergence certificates) and every prove rule assume an overwrite kills
-// the fault. That holds for one-shot models
-// (Transient reports true) and is false while a stuck-at is asserting, so
-// Config.Validate auto-restricts Prove per model (see
-// Config.restrictToModel), the golden run arms the early-stop liveness
-// data only for transient models, and the trial loop gates the per-cycle
-// digest match on the fault no longer being armed.
+// Soundness: taint dead-trial resolution and every prove rule assume an
+// overwrite kills the fault, and the per-cycle digest match and the
+// convergence certificate assume nothing re-corrupts the trial. Both hold
+// for one-shot models (Transient reports true) and are false while a
+// stuck-at is asserting, so Config.Validate auto-restricts Prove per model
+// (see Config.restrictToModel), the trial loop runs dead-trial resolution
+// only for transient models, and it gates the digest match and the
+// certificate on the fault no longer being armed. Every model records the
+// same golden run.
 //
 // The interface is sealed (the unexported method): the engine's soundness
 // gating enumerates the models, so new ones must be added here, next to
@@ -242,9 +243,9 @@ func validateModel(m FaultModel) error {
 // The prover's per-bit benign proofs only cover the exact single-bit
 // transient flip, so any other model forces ProveOff. EarlyStop needs no
 // narrowing: the engine gates each early-stop shortcut on the model
-// itself. Non-transient models get an untraced golden run without
-// keyframes, so dead-trial resolution and the convergence certificate
-// stand down — exactly the "full-horizon semantics" contract. Run through Validate, before the journal identity is derived,
+// itself — dead-trial resolution on Transient, the digest match and the
+// convergence certificate on the fault having disarmed. Run through
+// Validate, before the journal identity is derived,
 // so Prove's contribution to the identity header reflects what the
 // campaign actually does.
 func (c *Config) restrictToModel() {

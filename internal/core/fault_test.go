@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pipefault/internal/state"
@@ -116,10 +117,11 @@ func TestValidateModel(t *testing.T) {
 
 // TestRestrictToModel: Validate narrows Prove to what each model keeps
 // sound — the transparent default path stays untouched, every other model
-// loses the prover. EarlyStop is
-// never rewritten: for a non-transient model the engine itself records an
-// untraced golden run without keyframes, so dead-trial resolution and the
-// convergence certificate stand down.
+// loses the prover. EarlyStop is never rewritten, and every model gets the
+// same golden run: a windowed stuck-at's golden run is traced and records
+// keyframes (the certificate applies once the fault disarms), while
+// dead-trial resolution stays transient-only — a bit the transient model
+// resolves from the liveness trace is stepped under the stuck-at models.
 func TestRestrictToModel(t *testing.T) {
 	base := stealTestConfig()
 
@@ -134,23 +136,62 @@ func TestRestrictToModel(t *testing.T) {
 		t.Errorf("transient config was restricted: EarlyStop=%v Prove=%v", cfg.EarlyStop, cfg.Prove)
 	}
 
-	cfg = base
-	cfg.Model = StuckAt{Polarity: 1, Duration: 30}
-	cfg.EarlyStop = EarlyStopOn
-	cfg.Prove = ProveOn
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Prove != ProveOff {
-		t.Errorf("stuck-at config kept Prove=%v, want ProveOff", cfg.Prove)
-	}
-	if cfg.EarlyStop != EarlyStopOn {
-		t.Errorf("stuck-at config rewrote EarlyStop to %v", cfg.EarlyStop)
-	}
 	en, _ := newTestEngine(t, workload.Tiny, 600)
-	en.cfg.Prove, en.model = cfg.Prove, resolveModel(cfg.Model)
-	if g := en.goldenContinuation(); g.traced || g.conv {
-		t.Errorf("stuck-at golden run armed traced=%v conv=%v; taint and convergence must stand down", g.traced, g.conv)
+	var kind ResolveKind
+	en.cfg.OnTrialResolved = func(k ResolveKind, _ int) { kind = k }
+	for _, model := range []FaultModel{StuckAt{Polarity: 1, Duration: 30}, StuckAt{Polarity: 1, Duration: 30, Random: true}} {
+		cfg = base
+		cfg.Model = model
+		cfg.EarlyStop = EarlyStopOn
+		cfg.Prove = ProveOn
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Prove != ProveOff {
+			t.Errorf("%v config kept Prove=%v, want ProveOff", model, cfg.Prove)
+		}
+		if cfg.EarlyStop != EarlyStopOn {
+			t.Errorf("%v config rewrote EarlyStop to %v", model, cfg.EarlyStop)
+		}
+
+		en.cfg.Prove, en.model = cfg.Prove, resolveModel(cfg.Model)
+		snap := en.m.Snapshot()
+		mark := en.m.Mem.Mark()
+		g := en.goldenContinuation()
+		en.m.Restore(snap)
+		en.m.Mem.RollbackTo(mark)
+		if want := en.cfg.Horizon / convStride; !g.traced || !g.conv || len(g.keyframes) != want {
+			t.Errorf("%v golden run: traced=%v conv=%v keyframes=%d; want traced, conv and %d keyframes",
+				model, g.traced, g.conv, len(g.keyframes), want)
+		}
+
+		// A bit the liveness trace proves dead resolves without stepping
+		// under the transient model, and is stepped under the stuck-at.
+		tested := false
+		for _, e := range en.m.F.Elems() {
+			if !e.Injectable() {
+				continue
+			}
+			for i := 0; i < e.Entries() && !tested; i++ {
+				if _, dead := g.trace.ProvenDead(e.EntryIndex(i), uint64(en.cfg.Horizon)); !dead {
+					continue
+				}
+				en.model = TransientFlip{}
+				runTargeted(t, en, g, e.Name(), i, 0)
+				if kind != ResolveTaint {
+					continue
+				}
+				tested = true
+				en.model = resolveModel(cfg.Model)
+				runTargeted(t, en, g, e.Name(), i, 0)
+				if kind == ResolveTaint {
+					t.Errorf("%v: %s[%d] resolved from the liveness trace; dead-trial resolution must stay transient-only", model, e.Name(), i)
+				}
+			}
+		}
+		if !tested {
+			t.Errorf("%v: no dead-on-arrival entry found to test the taint gating", model)
+		}
 	}
 
 	cfg = base
@@ -669,5 +710,67 @@ func TestCrossCheckErrorMessage(t *testing.T) {
 				t.Errorf("%s: CrossCheckError message %q lacks %q", tc.name, msg, want)
 			}
 		}
+	}
+}
+
+// TestConvergeAfterDisarm: windowed stuck-at faults keep the convergence
+// certificate once they disarm. Intermittent and windowed stuck-0/stuck-1
+// campaigns must be identical with EarlyStop on and off, at least one
+// trial must resolve through the certificate after its fault disarmed, a
+// fixed window must keep the certificate off at the keyframe boundary it
+// spans, and a permanent stuck-at, which never disarms, must never reach
+// the certificate.
+func TestConvergeAfterDisarm(t *testing.T) {
+	const window = 600 // spans the first keyframe boundary
+	var attempts, held, early atomic.Int64
+	var fixed atomic.Bool // the running model asserts for exactly window cycles
+	testConvergeHook = func(cyc int, ok bool) {
+		attempts.Add(1)
+		if ok {
+			held.Add(1)
+		}
+		if fixed.Load() && cyc <= window {
+			early.Add(1)
+		}
+	}
+	defer func() { testConvergeHook = nil }()
+
+	campaign := func(model FaultModel, mode EarlyStopMode) *Result {
+		t.Helper()
+		cfg := stealTestConfig()
+		cfg.Horizon = 2000
+		cfg.Populations = []Population{{Name: "l+r", Trials: 12}}
+		cfg.Model = model
+		cfg.EarlyStop = mode
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, model := range []StuckAt{
+		{Polarity: 0, Duration: window},
+		{Polarity: 1, Duration: window},
+		{Polarity: 1, Duration: window, Random: true},
+	} {
+		fixed.Store(!model.Random)
+		before := held.Load()
+		fast := campaign(model, EarlyStopOn)
+		t.Logf("%v: %d trials resolved by the certificate", model, held.Load()-before)
+		slow := campaign(model, EarlyStopOff)
+		resultsEqual(t, model.String(), fast, slow)
+	}
+	if held.Load() == 0 {
+		t.Error("no trial resolved through the certificate after its fault disarmed")
+	}
+	if n := early.Load(); n != 0 {
+		t.Errorf("%d certificate attempts inside a fixed fault window", n)
+	}
+
+	fixed.Store(false)
+	attempts.Store(0)
+	campaign(StuckAt{Polarity: 1, Permanent: true}, EarlyStopOn)
+	if n := attempts.Load(); n != 0 {
+		t.Errorf("permanent stuck-at entered the certificate %d times; it never disarms", n)
 	}
 }

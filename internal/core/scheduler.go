@@ -87,16 +87,18 @@ func setupCampaign(cfg Config) (*campaignSetup, error) {
 
 // schedule runs the measurement pass — the end-to-end fault-free run — and
 // draws the checkpoint cycles from its length. It returns the halted
-// measurement machine, the checkpoint cycles and the golden-run horizon.
-func (s *campaignSetup) schedule() (meas *uarch.Machine, cycles []uint64, horizonG uint64, err error) {
+// measurement machine and the checkpoint cycles.
+func (s *campaignSetup) schedule() (meas *uarch.Machine, cycles []uint64, err error) {
 	meas = s.newMachine()
 	meas.Run(maxMeasureCycles)
 	if !meas.Halted() {
-		return nil, nil, 0, fmt.Errorf("core: %s did not halt within %d cycles", s.cfg.Workload.Name, uint64(maxMeasureCycles))
+		return nil, nil, fmt.Errorf("core: %s did not halt within %d cycles", s.cfg.Workload.Name, uint64(maxMeasureCycles))
 	}
-	horizonG = uint64(s.cfg.Horizon + 2000)
-	cycles, err = selectCheckpoints(&s.cfg, meas.Cycle, horizonG)
-	return meas, cycles, horizonG, err
+	// The window bound keeps 2,000 cycles of slack past the trial horizon,
+	// so checkpoint schedules stay those of campaigns whose golden runs
+	// stepped that far.
+	cycles, err = selectCheckpoints(&s.cfg, meas.Cycle, uint64(s.cfg.Horizon+2000))
+	return meas, cycles, err
 }
 
 // start validates, measures the golden run, selects checkpoint cycles and
@@ -106,7 +108,7 @@ func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	meas, cycles, horizonG, err := s.schedule()
+	meas, cycles, err := s.schedule()
 	if err != nil {
 		return nil, err
 	}
@@ -129,20 +131,20 @@ func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
 	for _, p := range cfg.Populations {
 		res.Pops[p.Name] = &PopResult{Name: p.Name}
 	}
-	return runCampaign(ctx, cfg, s.newMachine, cycles, horizonG, res, resume)
+	return runCampaign(ctx, cfg, s.newMachine, cycles, res, resume)
 }
 
 // selectCheckpoints draws the campaign's checkpoint cycles from the seeded
-// RNG, confined to the window where a full trial horizon (plus golden
-// slack) fits before the workload halts. Shared by the campaign entry
-// point and SurveyProofs so a survey inspects the exact schedule a
-// campaign with the same config would run.
-func selectCheckpoints(cfg *Config, total, horizonG uint64) ([]uint64, error) {
+// RNG, confined to the window where span cycles (a full trial horizon plus
+// slack) fit before the workload halts. Shared by the campaign entry point
+// and SurveyProofs so a survey inspects the exact schedule a campaign with
+// the same config would run.
+func selectCheckpoints(cfg *Config, total, span uint64) ([]uint64, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	lo := uint64(cfg.WarmupCycles)
 	hi := uint64(0)
-	if total > horizonG+500 {
-		hi = total - horizonG - 500
+	if total > span+500 {
+		hi = total - span - 500
 	}
 	if hi <= lo {
 		lo = total / 10
@@ -165,11 +167,7 @@ func selectCheckpoints(cfg *Config, total, horizonG uint64) ([]uint64, error) {
 // architectural halt). It owns the campaign journal: opened (or, on
 // resume, replayed then reopened for append) here, written by the
 // engine's aggregation loop, closed on the way out.
-func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machine, cycles []uint64, horizonG uint64, res *Result, resume bool) (*Result, error) {
-	if horizonG < uint64(cfg.Horizon) {
-		return nil, fmt.Errorf("core: trial horizon %d exceeds the golden-run horizon %d; the convergence check would run past the golden digest trace",
-			cfg.Horizon, horizonG)
-	}
+func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machine, cycles []uint64, res *Result, resume bool) (*Result, error) {
 	totalPerCk := 0
 	for _, p := range cfg.Populations {
 		totalPerCk += p.Trials
@@ -191,7 +189,7 @@ func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machi
 			return nil, err
 		}
 	}
-	res, err := runPool(ctx, cfg, newMachine, cycles, horizonG, res, prior, jw)
+	res, err := runPool(ctx, cfg, newMachine, cycles, res, prior, jw)
 	if jerr := jw.close(); err == nil && jerr != nil {
 		err = jerr
 	}

@@ -157,7 +157,7 @@ func runWorker(ctx context.Context, w *worker, popOf []int, in <-chan *ckImage, 
 
 // runPool runs the pilot and the worker pool and aggregates their
 // results into res.
-func runPool(parent context.Context, cfg Config, newMachine func() *uarch.Machine, cycles []uint64, horizonG uint64, res *Result, prior *priorUnits, jw *campaignJournal) (*Result, error) {
+func runPool(parent context.Context, cfg Config, newMachine func() *uarch.Machine, cycles []uint64, res *Result, prior *priorUnits, jw *campaignJournal) (*Result, error) {
 	// Flat trial layout: index i of a checkpoint's trial sequence belongs
 	// to population popOf[i]. Shared, read-only.
 	var popOf []int
@@ -199,7 +199,7 @@ func runPool(parent context.Context, cfg Config, newMachine func() *uarch.Machin
 		go func() {
 			defer wg.Done()
 			defer guard.capture("campaign worker", cancel)
-			runWorker(ctx, newWorker(cfg, newMachine(), horizonG), popOf, imgCh, msgCh)
+			runWorker(ctx, newWorker(cfg, newMachine()), popOf, imgCh, msgCh)
 		}()
 	}
 	go func() {

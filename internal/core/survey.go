@@ -27,7 +27,7 @@ func SurveyProofs(cfg Config) ([]ProofCoverage, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, cycles, horizonG, err := s.schedule()
+	_, cycles, err := s.schedule()
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +38,7 @@ func SurveyProofs(cfg Config) ([]ProofCoverage, error) {
 	// campaign's reachability pilot; at each checkpoint the worker records
 	// the golden continuation and the prover partitions the population.
 	m := s.newMachine()
-	w := newWorker(s.cfg, m, horizonG)
+	w := newWorker(s.cfg, m)
 	f := m.F
 	out := make([]ProofCoverage, 0, len(cycles))
 	for ck, cycle := range cycles {

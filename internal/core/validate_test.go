@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -18,6 +19,7 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"no-workload", func(c *Config) { c.Workload = nil }, "Workload"},
 		{"negative-checkpoints", func(c *Config) { c.Checkpoints = -1 }, "Checkpoints"},
 		{"negative-horizon", func(c *Config) { c.Horizon = -5 }, "Horizon"},
+		{"horizon-overflows-trace", func(c *Config) { c.Horizon = math.MaxInt }, "Horizon"},
 		{"negative-warmup", func(c *Config) { c.WarmupCycles = -1 }, "WarmupCycles"},
 		{"negative-workers", func(c *Config) { c.Workers = -2 }, "Workers"},
 		{"negative-timeout", func(c *Config) { c.TrialTimeout = -time.Second }, "TrialTimeout"},

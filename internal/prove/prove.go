@@ -262,7 +262,7 @@ func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.TouchTrace, f
 			// tracks the golden run bit-for-bit until the overwrite erases
 			// the corruption — Match at matchAt, no simulation needed.
 			if p.rules&RuleConstProp != 0 && converges {
-				if cp := mask &^ trace.ObsPre[key]; cp != 0 {
+				if cp := mask &^ trace.ObsPre(key); cp != 0 {
 					ep.dead[i] = cp
 					ep.rule[i] = RuleConstProp
 					p.record(e.Category(), RuleConstProp, uint64(bits.OnesCount64(cp)))
@@ -286,7 +286,7 @@ func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.TouchTrace, f
 // it (which is also the first cycle it could become nonzero) lands strictly
 // after the payload's overwrite, or never happens.
 func idleThrough(trace *state.TouchTrace, gateKey, matchAt uint64) bool {
-	gw := trace.FirstSet[gateKey]
+	gw := trace.FirstSet(gateKey)
 	return gw == 0 || gw > matchAt
 }
 

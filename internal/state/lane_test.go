@@ -172,20 +172,20 @@ func TestLaneDifferentialFuzz(t *testing.T) {
 					fb.StopTrace()
 					likeFields := []struct {
 						name string
-						a, b []uint64
+						get  func(*TouchTrace, uint64) uint64
 					}{
-						{"FirstRead", ta.FirstRead, tb.FirstRead},
-						{"FirstSet", ta.FirstSet, tb.FirstSet},
-						{"LastRead", ta.LastRead, tb.LastRead},
-						{"LastSet", ta.LastSet, tb.LastSet},
-						{"CopyDst", ta.CopyDst, tb.CopyDst},
-						{"LastCopy", ta.LastCopy, tb.LastCopy},
-						{"ObsPre", ta.ObsPre, tb.ObsPre},
+						{"FirstRead", (*TouchTrace).FirstRead},
+						{"FirstSet", (*TouchTrace).FirstSet},
+						{"LastRead", (*TouchTrace).LastRead},
+						{"LastSet", (*TouchTrace).LastSet},
+						{"CopyDst", (*TouchTrace).CopyDst},
+						{"LastCopy", (*TouchTrace).LastCopy},
+						{"ObsPre", (*TouchTrace).ObsPre},
 					}
 					for _, fl := range likeFields {
-						for i := range fl.a {
-							if fl.a[i] != fl.b[i] {
-								t.Fatalf("seed %d: trace %s[%d] = %d, want %d", seed, fl.name, i, fl.a[i], fl.b[i])
+						for i := uint64(0); i < uint64(ta.Len()); i++ {
+							if a, b := fl.get(ta, i), fl.get(tb, i); a != b {
+								t.Fatalf("seed %d: trace %s[%d] = %d, want %d", seed, fl.name, i, a, b)
 							}
 						}
 					}

@@ -20,6 +20,7 @@ package state
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -704,41 +705,43 @@ func (f *File) WriteCount() uint64 { return f.writes }
 // Poisoned) and the destination's last copy-in cycle (LastCopy). The
 // certificate follows the edges to reason about recovery drains that
 // rewrite state without observing it.
+//
+// Each entry's stamps live in one 32-byte record, so a traced access
+// touches one cache line. Cycle stamps are uint32: TraceCycle rejects a
+// cycle number they cannot hold. Consumers read the trace through the
+// accessor methods; a trace is reused across golden runs by Clear.
 type TouchTrace struct {
-	FirstRead []uint64
-	FirstSet  []uint64
-	LastRead  []uint64
-	LastSet   []uint64
-	CopyDst   []uint64 // by src key: 0 = none, dst key+1, or Poisoned
-	LastCopy  []uint64 // by dst key: cycle of the last copy into the entry
-
-	// ObsPre is, per entry, the mask of bits the golden run behaviorally
-	// observes while the entry still holds its checkpoint value — i.e.
-	// before the entry's first overwrite. A plain Get observes every bit;
-	// a GetObs read contributes only its observation mask; a CopyEntry
-	// observes every bit of its source (the copy propagates the full row).
-	// Once FirstSet is stamped the pre-overwrite value is gone and later
-	// reads stop accumulating: they observe the recomputed value, which a
-	// flip of an unobserved bit provably cannot have changed. The constprop
-	// proof rule flips only bits outside ObsPre of entries that are
-	// overwritten (and converge) inside the horizon.
-	ObsPre []uint64
-
-	cycle uint64
+	recs  []touch
+	cycle uint32
 }
 
-// Poisoned marks a CopyDst slot whose entry was copied to more than one
+// touch is one entry's trace record.
+type touch struct {
+	firstRead, firstSet, lastRead, lastSet uint32
+	lastCopy                               uint32 // cycle of the last copy into the entry
+	copyDst                                uint32 // 0 = none, dst key+1, or poisonedDst
+
+	// obsPre is the mask of bits the golden run behaviorally observes while
+	// the entry still holds its checkpoint value (see ObsPre).
+	obsPre uint64
+}
+
+// Poisoned is CopyDst's value for an entry copied to more than one
 // distinct destination; the convergence certificate treats the entry's
 // copy flow as untrackable.
 const Poisoned = ^uint64(0)
 
+// poisonedDst is Poisoned in a record's uint32 copyDst slot.
+const poisonedDst = ^uint32(0)
+
 func (t *TouchTrace) read(g uint64) {
-	if t.FirstRead[g] == 0 {
-		t.FirstRead[g] = t.cycle
+	r := &t.recs[g]
+	if r.firstRead == 0 {
+		r.firstRead = t.cycle
 	}
-	t.LastRead[g] = t.cycle
-	if t.FirstSet[g] == 0 {
-		t.ObsPre[g] = ^uint64(0) // a plain read observes the whole row
+	r.lastRead = t.cycle
+	if r.firstSet == 0 {
+		r.obsPre = ^uint64(0) // a plain read observes the whole row
 	}
 }
 
@@ -748,40 +751,96 @@ func (t *TouchTrace) read(g uint64) {
 // after the entry's first overwrite (FirstSet already stamped) correctly
 // contributes nothing — it observes the rewritten value.
 func (t *TouchTrace) readObs(g, mask uint64) {
-	if t.FirstRead[g] == 0 {
-		t.FirstRead[g] = t.cycle
+	r := &t.recs[g]
+	if r.firstRead == 0 {
+		r.firstRead = t.cycle
 	}
-	t.LastRead[g] = t.cycle
-	if t.FirstSet[g] == 0 {
-		t.ObsPre[g] |= mask
+	r.lastRead = t.cycle
+	if r.firstSet == 0 {
+		r.obsPre |= mask
 	}
 }
 
 func (t *TouchTrace) set(g uint64) {
-	if t.FirstSet[g] == 0 {
-		t.FirstSet[g] = t.cycle
+	r := &t.recs[g]
+	if r.firstSet == 0 {
+		r.firstSet = t.cycle
 	}
-	t.LastSet[g] = t.cycle
+	r.lastSet = t.cycle
 }
 
 func (t *TouchTrace) copy(src, dst uint64) {
-	if t.FirstRead[src] == 0 {
-		t.FirstRead[src] = t.cycle
+	s, d := &t.recs[src], &t.recs[dst]
+	if s.firstRead == 0 {
+		s.firstRead = t.cycle
 	}
-	if t.FirstSet[src] == 0 {
-		t.ObsPre[src] = ^uint64(0) // the copy propagates every src bit
+	if s.firstSet == 0 {
+		s.obsPre = ^uint64(0) // the copy propagates every src bit
 	}
-	if t.FirstSet[dst] == 0 {
-		t.FirstSet[dst] = t.cycle
+	if d.firstSet == 0 {
+		d.firstSet = t.cycle
 	}
-	t.LastCopy[dst] = t.cycle
-	if cur := t.CopyDst[src]; cur != dst+1 {
+	d.lastCopy = t.cycle
+	if cur := s.copyDst; cur != uint32(dst)+1 {
 		if cur == 0 {
-			t.CopyDst[src] = dst + 1
+			s.copyDst = uint32(dst) + 1
 		} else {
-			t.CopyDst[src] = Poisoned
+			s.copyDst = poisonedDst
 		}
 	}
+}
+
+// Len returns the number of entries the trace covers (the file's trace key
+// space).
+func (t *TouchTrace) Len() int { return len(t.recs) }
+
+// FirstRead returns the first cycle the golden run read entry key, or 0.
+func (t *TouchTrace) FirstRead(key uint64) uint64 { return uint64(t.recs[key].firstRead) }
+
+// FirstSet returns the first cycle the golden run wrote entry key (a
+// behavioral write or a copy into it), or 0.
+func (t *TouchTrace) FirstSet(key uint64) uint64 { return uint64(t.recs[key].firstSet) }
+
+// LastRead returns the last cycle the golden run behaviorally read entry
+// key, or 0. Copies out of the entry do not count.
+func (t *TouchTrace) LastRead(key uint64) uint64 { return uint64(t.recs[key].lastRead) }
+
+// LastSet returns the last cycle the golden run behaviorally wrote entry
+// key, or 0. Copies into the entry do not count.
+func (t *TouchTrace) LastSet(key uint64) uint64 { return uint64(t.recs[key].lastSet) }
+
+// LastCopy returns the last cycle the golden run copied into entry key, or
+// 0.
+func (t *TouchTrace) LastCopy(key uint64) uint64 { return uint64(t.recs[key].lastCopy) }
+
+// CopyDst returns entry key's copy edge: 0 when the golden run never
+// copied it, the destination's key+1 when it copied it to one destination,
+// or Poisoned when it copied it to more than one.
+func (t *TouchTrace) CopyDst(key uint64) uint64 {
+	d := t.recs[key].copyDst
+	if d == poisonedDst {
+		return Poisoned
+	}
+	return uint64(d)
+}
+
+// ObsPre is, per entry, the mask of bits the golden run behaviorally
+// observes while the entry still holds its checkpoint value — i.e. before
+// the entry's first overwrite. A plain Get observes every bit; a GetObs
+// read contributes only its observation mask; a CopyEntry observes every
+// bit of its source (the copy propagates the full row). Once FirstSet is
+// stamped the pre-overwrite value is gone and later reads stop
+// accumulating: they observe the recomputed value, which a flip of an
+// unobserved bit provably cannot have changed. The constprop proof rule
+// flips only bits outside ObsPre of entries that are overwritten (and
+// converge) inside the horizon.
+func (t *TouchTrace) ObsPre(key uint64) uint64 { return t.recs[key].obsPre }
+
+// Clear zeroes every record, readying the trace for another golden run
+// without reallocating it.
+func (t *TouchTrace) Clear() {
+	clear(t.recs)
+	t.cycle = 0
 }
 
 // ProvenDead reports whether a flip of any bit of the entry with trace key
@@ -797,8 +856,8 @@ func (t *TouchTrace) copy(src, dst uint64) {
 // (worker.resolveDead) and the static prover's liveness rule, so the two
 // paths cannot drift.
 func (t *TouchTrace) ProvenDead(key, h uint64) (matchAt uint64, dead bool) {
-	r := t.FirstRead[key]
-	cw := t.FirstSet[key]
+	r := t.FirstRead(key)
+	cw := t.FirstSet(key)
 	if cw != 0 && cw <= h {
 		matchAt = cw
 	}
@@ -815,15 +874,10 @@ func (f *File) NewTouchTrace() *TouchTrace {
 	if !f.frozen {
 		panic("state: NewTouchTrace before Freeze")
 	}
-	return &TouchTrace{
-		FirstRead: make([]uint64, f.allEntries),
-		FirstSet:  make([]uint64, f.allEntries),
-		LastRead:  make([]uint64, f.allEntries),
-		LastSet:   make([]uint64, f.allEntries),
-		CopyDst:   make([]uint64, f.allEntries),
-		LastCopy:  make([]uint64, f.allEntries),
-		ObsPre:    make([]uint64, f.allEntries),
+	if f.allEntries >= uint64(poisonedDst) {
+		panic(fmt.Sprintf("state: %d entries overflow the trace's uint32 copy edges", f.allEntries))
 	}
+	return &TouchTrace{recs: make([]touch, f.allEntries)}
 }
 
 // StartTrace attaches t to every element so subsequent Get/Set calls record
@@ -843,13 +897,16 @@ func (f *File) StartTrace(t *TouchTrace) {
 	f.trace = t
 }
 
-// TraceCycle sets the cycle number stamped on first touches until the next
-// call. Cycle numbers must be >= 1.
+// TraceCycle sets the cycle number stamped on touches until the next call.
+// Cycle numbers must be >= 1 and fit the trace's uint32 stamps.
 func (f *File) TraceCycle(c uint64) {
 	if f.trace == nil {
 		panic("state: TraceCycle without StartTrace")
 	}
-	f.trace.cycle = c
+	if c > math.MaxUint32 {
+		panic(fmt.Sprintf("state: TraceCycle %d overflows the trace's uint32 cycle stamps", c))
+	}
+	f.trace.cycle = uint32(c)
 }
 
 // StopTrace detaches the active trace, restoring the zero-cost Get/Set
@@ -886,7 +943,53 @@ type Snapshot struct {
 
 // Snapshot captures the current contents.
 func (f *File) Snapshot() *Snapshot {
-	return &Snapshot{words: append([]uint64(nil), f.words...), digest: f.digest}
+	s := &Snapshot{}
+	f.SnapshotInto(s)
+	return s
+}
+
+// SnapshotInto captures the current contents into s, reusing its storage.
+func (f *File) SnapshotInto(s *Snapshot) {
+	s.words = append(s.words[:0], f.words...)
+	s.digest = f.digest
+}
+
+// A Delta is a File's contents recorded against a base Snapshot of the same
+// layout: only the words that differ from the base, plus the digest. A
+// golden run's keyframes differ from its checkpoint state in a small
+// fraction of the file, so deltas keep them an order of magnitude smaller
+// than full snapshots.
+type Delta struct {
+	idx    []uint32
+	val    []uint64
+	digest uint64
+}
+
+// DeltaInto records the current contents into d as a delta against base,
+// reusing d's storage.
+func (f *File) DeltaInto(d *Delta, base *Snapshot) {
+	if len(base.words) != len(f.words) {
+		panic("state: DeltaInto base layout mismatch")
+	}
+	d.idx, d.val = d.idx[:0], d.val[:0]
+	for i, w := range f.words {
+		if w != base.words[i] {
+			d.idx = append(d.idx, uint32(i))
+			d.val = append(d.val, w)
+		}
+	}
+	d.digest = f.digest
+}
+
+// PatchInto sets dst to base with d applied — the contents d was recorded
+// from — reusing dst's storage. base must be the snapshot d was recorded
+// against.
+func (d *Delta) PatchInto(dst, base *Snapshot) {
+	dst.words = append(dst.words[:0], base.words...)
+	for k, i := range d.idx {
+		dst.words[i] = d.val[k]
+	}
+	dst.digest = d.digest
 }
 
 // getFrom extracts entry i's value from an alternate word array with the

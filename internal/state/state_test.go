@@ -184,6 +184,52 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestDeltaPatch: a delta recorded against a base snapshot stores only the
+// words that differ from it, patches back onto the base to exactly the
+// recorded contents (digest included, so the patched snapshot restores
+// like a full one), and reusing a delta or a scratch snapshot for a
+// smaller difference leaves nothing of the larger one behind.
+func TestDeltaPatch(t *testing.T) {
+	f, elems := newTestFile()
+	rng := rand.New(rand.NewSource(7))
+	for _, e := range elems {
+		for i := 0; i < e.Entries(); i++ {
+			e.Set(i, rng.Uint64())
+		}
+	}
+	base := f.Snapshot()
+
+	var d Delta
+	var patched Snapshot
+	for _, n := range []int{40, 3} { // the second, smaller delta reuses the first's storage
+		f.Restore(base)
+		for k := 0; k < n; k++ {
+			e := elems[rng.Intn(len(elems))]
+			e.Set(rng.Intn(e.Entries()), rng.Uint64())
+		}
+		f.DeltaInto(&d, base)
+		want := f.Snapshot()
+		differ := 0
+		for i := range want.words {
+			if want.words[i] != base.words[i] {
+				differ++
+			}
+		}
+		if len(d.idx) != differ || len(d.val) != differ {
+			t.Errorf("%d writes: delta holds %d/%d words, want the %d that differ from the base", n, len(d.idx), len(d.val), differ)
+		}
+		d.PatchInto(&patched, base)
+		if !f.DiffEntries(&patched, func(uint64) bool { return false }) || patched.digest != want.digest {
+			t.Fatalf("%d writes: base patched with the delta differs from the recorded contents", n)
+		}
+		f.Restore(base)
+		f.Restore(&patched)
+		if f.Digest() != f.RecomputeDigest() || f.Digest() != want.digest {
+			t.Fatalf("%d writes: restoring the patched snapshot skewed the digest", n)
+		}
+	}
+}
+
 func TestReset(t *testing.T) {
 	f, elems := newTestFile()
 	zero := f.Digest()

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -31,21 +32,21 @@ func TestTouchTraceFirstTouch(t *testing.T) {
 	}
 
 	k2 := ctrl.EntryIndex(2)
-	if tr.FirstSet[k2] != 1 || tr.FirstRead[k2] != 2 {
-		t.Errorf("ctrl[2]: FirstSet=%d FirstRead=%d, want 1/2", tr.FirstSet[k2], tr.FirstRead[k2])
+	if tr.FirstSet(k2) != 1 || tr.FirstRead(k2) != 2 {
+		t.Errorf("ctrl[2]: FirstSet=%d FirstRead=%d, want 1/2", tr.FirstSet(k2), tr.FirstRead(k2))
 	}
 	k4 := ctrl.EntryIndex(4)
-	if tr.FirstSet[k4] != 0 || tr.FirstRead[k4] != 3 {
-		t.Errorf("ctrl[4]: FirstSet=%d FirstRead=%d, want 0/3", tr.FirstSet[k4], tr.FirstRead[k4])
+	if tr.FirstSet(k4) != 0 || tr.FirstRead(k4) != 3 {
+		t.Errorf("ctrl[4]: FirstSet=%d FirstRead=%d, want 0/3", tr.FirstSet(k4), tr.FirstRead(k4))
 	}
 	k0 := ctrl.EntryIndex(0)
-	if tr.FirstSet[k0] != 0 || tr.FirstRead[k0] != 0 {
-		t.Errorf("untouched ctrl[0] recorded: FirstSet=%d FirstRead=%d", tr.FirstSet[k0], tr.FirstRead[k0])
+	if tr.FirstSet(k0) != 0 || tr.FirstRead(k0) != 0 {
+		t.Errorf("untouched ctrl[0] recorded: FirstSet=%d FirstRead=%d", tr.FirstSet(k0), tr.FirstRead(k0))
 	}
 
 	// Touches after StopTrace must not record.
 	ctrl.Set(0, 1)
-	if tr.FirstSet[k0] != 0 {
+	if tr.FirstSet(k0) != 0 {
 		t.Error("Set after StopTrace recorded into the trace")
 	}
 }
@@ -62,7 +63,7 @@ func TestTouchTraceRecordsNoOpSets(t *testing.T) {
 	f.TraceCycle(4)
 	ctrl.Set(1, 5) // no-op: value unchanged
 	f.StopTrace()
-	if got := tr.FirstSet[ctrl.EntryIndex(1)]; got != 4 {
+	if got := tr.FirstSet(ctrl.EntryIndex(1)); got != 4 {
 		t.Errorf("no-op Set not traced: FirstSet=%d, want 4", got)
 	}
 }
@@ -82,11 +83,11 @@ func TestTouchTraceCoversNonInjectable(t *testing.T) {
 	ic.Get(3)
 	f.StopTrace()
 	k := ic.EntryIndex(3)
-	if tr.FirstSet[k] != 7 || tr.FirstRead[k] != 7 {
-		t.Errorf("icache[3]: FirstSet=%d FirstRead=%d, want 7/7", tr.FirstSet[k], tr.FirstRead[k])
+	if tr.FirstSet(k) != 7 || tr.FirstRead(k) != 7 {
+		t.Errorf("icache[3]: FirstSet=%d FirstRead=%d, want 7/7", tr.FirstSet(k), tr.FirstRead(k))
 	}
-	if tr.LastSet[k] != 7 || tr.LastRead[k] != 7 {
-		t.Errorf("icache[3]: LastSet=%d LastRead=%d, want 7/7", tr.LastSet[k], tr.LastRead[k])
+	if tr.LastSet(k) != 7 || tr.LastRead(k) != 7 {
+		t.Errorf("icache[3]: LastSet=%d LastRead=%d, want 7/7", tr.LastSet(k), tr.LastRead(k))
 	}
 }
 
@@ -106,11 +107,11 @@ func TestTouchTraceLastTouch(t *testing.T) {
 	ctrl.Set(1, 8)
 	f.StopTrace()
 	k := ctrl.EntryIndex(1)
-	if tr.FirstSet[k] != 2 || tr.FirstRead[k] != 2 {
-		t.Errorf("ctrl[1]: FirstSet=%d FirstRead=%d, want 2/2", tr.FirstSet[k], tr.FirstRead[k])
+	if tr.FirstSet(k) != 2 || tr.FirstRead(k) != 2 {
+		t.Errorf("ctrl[1]: FirstSet=%d FirstRead=%d, want 2/2", tr.FirstSet(k), tr.FirstRead(k))
 	}
-	if tr.LastSet[k] != 9 || tr.LastRead[k] != 6 {
-		t.Errorf("ctrl[1]: LastSet=%d LastRead=%d, want 9/6", tr.LastSet[k], tr.LastRead[k])
+	if tr.LastSet(k) != 9 || tr.LastRead(k) != 6 {
+		t.Errorf("ctrl[1]: LastSet=%d LastRead=%d, want 9/6", tr.LastSet(k), tr.LastRead(k))
 	}
 }
 
@@ -133,22 +134,22 @@ func TestCopyEntryTrace(t *testing.T) {
 		t.Fatalf("CopyEntry moved %d, want 21", got)
 	}
 	src, dst := ctrl.EntryIndex(0), ctrl.EntryIndex(2)
-	if tr.FirstRead[src] != 3 || tr.FirstSet[dst] != 3 {
-		t.Errorf("first touches %d/%d, want 3/3", tr.FirstRead[src], tr.FirstSet[dst])
+	if tr.FirstRead(src) != 3 || tr.FirstSet(dst) != 3 {
+		t.Errorf("first touches %d/%d, want 3/3", tr.FirstRead(src), tr.FirstSet(dst))
 	}
-	if tr.LastRead[src] != 0 || tr.LastSet[dst] != 0 {
+	if tr.LastRead(src) != 0 || tr.LastSet(dst) != 0 {
 		t.Errorf("copy stamped behavioral last touches: LastRead=%d LastSet=%d",
-			tr.LastRead[src], tr.LastSet[dst])
+			tr.LastRead(src), tr.LastSet(dst))
 	}
-	if tr.CopyDst[src] != dst+1 || tr.LastCopy[dst] != 8 {
-		t.Errorf("CopyDst=%d LastCopy=%d, want %d/8", tr.CopyDst[src], tr.LastCopy[dst], dst+1)
+	if tr.CopyDst(src) != dst+1 || tr.LastCopy(dst) != 8 {
+		t.Errorf("CopyDst=%d LastCopy=%d, want %d/8", tr.CopyDst(src), tr.LastCopy(dst), dst+1)
 	}
 	f.StartTrace(tr)
 	f.TraceCycle(9)
 	CopyEntry(ctrl, 3, ctrl, 0) // second distinct destination
 	f.StopTrace()
-	if tr.CopyDst[src] != Poisoned {
-		t.Errorf("multi-destination source not poisoned: CopyDst=%d", tr.CopyDst[src])
+	if tr.CopyDst(src) != Poisoned {
+		t.Errorf("multi-destination source not poisoned: CopyDst=%d", tr.CopyDst(src))
 	}
 }
 
@@ -199,8 +200,8 @@ func TestEntryIndexDisjoint(t *testing.T) {
 		}
 	}
 	tr := f.NewTouchTrace()
-	if len(tr.FirstRead) != total || len(tr.FirstSet) != total {
-		t.Fatalf("trace sized %d/%d, want %d", len(tr.FirstRead), len(tr.FirstSet), total)
+	if tr.Len() != total {
+		t.Fatalf("trace sized %d, want %d", tr.Len(), total)
 	}
 	for k := range seen {
 		if k >= uint64(total) {
@@ -339,20 +340,20 @@ func TestObsPreAccumulation(t *testing.T) {
 	if v := ctrl.GetObs(1, func(v uint64) uint64 { return 0x3 }); v != 0x55 {
 		t.Fatalf("GetObs = %#x, want 0x55", v)
 	}
-	if tr.ObsPre[k] != 0x3 || tr.FirstRead[k] != 1 || tr.LastRead[k] != 1 {
+	if tr.ObsPre(k) != 0x3 || tr.FirstRead(k) != 1 || tr.LastRead(k) != 1 {
 		t.Fatalf("after first GetObs: ObsPre=%#x FirstRead=%d LastRead=%d",
-			tr.ObsPre[k], tr.FirstRead[k], tr.LastRead[k])
+			tr.ObsPre(k), tr.FirstRead(k), tr.LastRead(k))
 	}
 	f.TraceCycle(2)
 	ctrl.GetObs(1, func(uint64) uint64 { return 0x8 })
-	if tr.ObsPre[k] != 0xB || tr.FirstRead[k] != 1 || tr.LastRead[k] != 2 {
+	if tr.ObsPre(k) != 0xB || tr.FirstRead(k) != 1 || tr.LastRead(k) != 2 {
 		t.Fatalf("after second GetObs: ObsPre=%#x FirstRead=%d LastRead=%d",
-			tr.ObsPre[k], tr.FirstRead[k], tr.LastRead[k])
+			tr.ObsPre(k), tr.FirstRead(k), tr.LastRead(k))
 	}
 	// The obs mask is truncated to the element width.
 	ctrl.GetObs(1, func(uint64) uint64 { return 1 << 60 })
-	if tr.ObsPre[k] != 0xB {
-		t.Fatalf("out-of-width obs bits recorded: ObsPre=%#x", tr.ObsPre[k])
+	if tr.ObsPre(k) != 0xB {
+		t.Fatalf("out-of-width obs bits recorded: ObsPre=%#x", tr.ObsPre(k))
 	}
 	// After the entry's first overwrite, reads observe the recomputed value
 	// and must stop accumulating — plain Get included.
@@ -360,8 +361,8 @@ func TestObsPreAccumulation(t *testing.T) {
 	ctrl.Set(1, 0x66)
 	ctrl.Get(1)
 	ctrl.GetObs(1, func(uint64) uint64 { return 0x100 })
-	if tr.ObsPre[k] != 0xB {
-		t.Fatalf("post-overwrite read accumulated: ObsPre=%#x", tr.ObsPre[k])
+	if tr.ObsPre(k) != 0xB {
+		t.Fatalf("post-overwrite read accumulated: ObsPre=%#x", tr.ObsPre(k))
 	}
 	f.StopTrace()
 }
@@ -376,17 +377,17 @@ func TestObsPrePlainReadObservesAll(t *testing.T) {
 	f.StartTrace(tr)
 	f.TraceCycle(1)
 	ctrl.Get(2)
-	if got := tr.ObsPre[ctrl.EntryIndex(2)]; got != ^uint64(0) {
+	if got := tr.ObsPre(ctrl.EntryIndex(2)); got != ^uint64(0) {
 		t.Fatalf("plain Get: ObsPre=%#x, want all-ones", got)
 	}
 	CopyEntry(ctrl, 3, ctrl, 4)
-	if got := tr.ObsPre[ctrl.EntryIndex(4)]; got != ^uint64(0) {
+	if got := tr.ObsPre(ctrl.EntryIndex(4)); got != ^uint64(0) {
 		t.Fatalf("copy src: ObsPre=%#x, want all-ones", got)
 	}
 	// A copy-in (or any overwrite) seals the destination before later reads.
 	f.TraceCycle(2)
 	ctrl.Get(3)
-	if got := tr.ObsPre[ctrl.EntryIndex(3)]; got != 0 {
+	if got := tr.ObsPre(ctrl.EntryIndex(3)); got != 0 {
 		t.Fatalf("copy dst read post-overwrite: ObsPre=%#x, want 0", got)
 	}
 	f.StopTrace()
@@ -497,4 +498,27 @@ func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 	f.CommitJournal()
 	f.Restore(snap)
 	check("after restore")
+}
+
+// TestTraceCycleOverflow: cycle stamps are uint32, so a cycle number they
+// cannot hold must panic rather than wrap into a stamp that reads as an
+// earlier cycle (or as "never touched").
+func TestTraceCycleOverflow(t *testing.T) {
+	f := New()
+	ctrl := f.Latch("ctrl", CatCtrl, 2, 8)
+	f.Freeze()
+	tr := f.NewTouchTrace()
+	f.StartTrace(tr)
+	defer f.StopTrace()
+	f.TraceCycle(math.MaxUint32)
+	ctrl.Get(0)
+	if got := tr.FirstRead(ctrl.EntryIndex(0)); got != math.MaxUint32 {
+		t.Fatalf("FirstRead = %d, want %d", got, uint64(math.MaxUint32))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("TraceCycle(2^32) did not panic")
+		}
+	}()
+	f.TraceCycle(math.MaxUint32 + 1)
 }

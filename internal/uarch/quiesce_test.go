@@ -151,8 +151,8 @@ func TestRunBulkAdvanceDisabledWhileTracing(t *testing.T) {
 		t.Error("traced Run at a fixed point retired instructions")
 	}
 	reads := 0
-	for _, v := range tr.FirstRead {
-		if v != 0 {
+	for k := 0; k < tr.Len(); k++ {
+		if tr.FirstRead(uint64(k)) != 0 {
 			reads++
 		}
 	}
@@ -172,8 +172,8 @@ func TestQuiescenceFastPathDisabledWhileTracing(t *testing.T) {
 	m.Step()
 	m.F.StopTrace()
 	reads := 0
-	for _, v := range tr.FirstRead {
-		if v != 0 {
+	for k := 0; k < tr.Len(); k++ {
+		if tr.FirstRead(uint64(k)) != 0 {
 			reads++
 		}
 	}
