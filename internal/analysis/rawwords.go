@@ -8,8 +8,8 @@ import (
 // RawWords polices the state package's packed bit storage. Every write to
 // the shared `words` slice of a state.Elem or state.File must flow through
 // the small set of bookkeeping writers that maintain the position-keyed
-// digest, the write counter, the undo journal and the touch trace in
-// lockstep with the raw bits. A stray `e.words[w] = v` elsewhere —
+// digest, the undo journal and the touch trace in lockstep with the raw
+// bits. A stray `e.words[w] = v` elsewhere —
 // including through a `words := e.words` local alias or a copy() into the
 // slice — silently desynchronizes the digest from the stored state, which
 // the injection engine can neither detect nor recover from.

@@ -88,7 +88,7 @@ type Config struct {
 	// recorded per-cycle bits (see DESIGN.md "Convergence termination"). A
 	// trial whose machine stops writing state needs neither: it never
 	// retires again, so the loop's locked monitor ends it within 200
-	// memoized O(1) Steps. The engine applies each
+	// Steps. The engine applies each
 	// mechanism only where the fault model keeps it sound: dead-injection
 	// resolution only for transient models (FaultModel.Transient), and the
 	// digest match and the certificate only once no fault is armed — from

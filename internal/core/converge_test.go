@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"pipefault/internal/uarch"
 	"pipefault/internal/workload"
 )
 
@@ -51,7 +53,7 @@ func TestConvergeEquivalenceMatrix(t *testing.T) {
 // — trial for trial, Cycles included, and scatter point for scatter point
 // — to the same campaign stepped full-horizon.
 func TestConvergeEquivalenceGzip(t *testing.T) {
-	cfg := Config{
+	convergeEquivalence(t, Config{
 		Workload:    workload.Gzip,
 		Checkpoints: 4,
 		Populations: []Population{
@@ -59,11 +61,45 @@ func TestConvergeEquivalenceGzip(t *testing.T) {
 			{Name: "l", LatchOnly: true, Trials: 6},
 		},
 		Seed: 4242,
+	})
+}
+
+// TestConvergeEquivalenceProtected is the same oracle with every Section 4
+// protection on: register-file ECC repair on read, pointer ECC,
+// instruction parity flushes and the timeout flush all run inside the
+// traced golden runs the shortcuts read.
+func TestConvergeEquivalenceProtected(t *testing.T) {
+	convergeEquivalence(t, Config{
+		Workload:    workload.Twolf,
+		Protect:     uarch.AllProtections(),
+		Checkpoints: 5,
+		Populations: []Population{
+			{Name: "l+r", Trials: 12},
+			{Name: "l", LatchOnly: true, Trials: 6},
+		},
+		Seed: 4242,
+	})
+}
+
+// convergeEquivalence runs cfg with early stopping on and off and requires
+// identical trials and scatter points. It also requires the shortcuts to
+// have resolved some trials, so the comparison cannot pass vacuously.
+func convergeEquivalence(t *testing.T, cfg Config) {
+	t.Helper()
+	var shortcut atomic.Int64
+	cfg.OnTrialResolved = func(kind ResolveKind, _ int) {
+		if kind == ResolveTaint || kind == ResolveConverge {
+			shortcut.Add(1)
+		}
 	}
 	on, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if shortcut.Load() == 0 {
+		t.Fatal("no trial resolved through an early-stop shortcut")
+	}
+	cfg.OnTrialResolved = nil
 	cfg.EarlyStop = EarlyStopOff
 	off, err := Run(cfg)
 	if err != nil {

@@ -707,10 +707,9 @@ func (w *worker) resolveDead(bit state.BitRef, horizon int) (outcome Outcome, mo
 // replays the remaining monitors over the golden bits. Both shortcuts
 // stand down when a trial watchdog is armed (except a resolveDead that
 // cannot cross the first watchdog stride), so watchdog expiry behavior is
-// bit-identical to the full loop. A machine that stops writing state
-// (Machine.Quiescent) needs no shortcut: it never retires again, so the
-// locked monitor fires within lockedCycles cycles, each an O(1) memoized
-// Step.
+// bit-identical to the full loop. A machine that stops writing state needs
+// no shortcut: it never retires again, so the locked monitor ends the trial
+// within lockedCycles full Steps.
 func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	m := w.m
 	g := w.g
@@ -797,7 +796,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		// Re-impose an armed persistent fault before the cycle's
 		// classification checks, so an overwrite by the pipeline never
 		// outlives the assertion window. Reassert writes through Elem.Set,
-		// folding the digest/journal/write-count like any behavioral write.
+		// folding the digest and journal like any behavioral write.
 		if armed != nil && !armed.Reassert(m.F, uint64(cyc)) {
 			armed = nil
 		}

@@ -179,8 +179,8 @@ func (m MultiBit) String() string { return fmt.Sprintf("mbu%d", m.Span) }
 func (MultiBit) Transient() bool  { return true }
 func (MultiBit) armRNG() bool     { return false }
 
-// Arm XORs the clamped span into the entry in one Set, so the digest,
-// journal and write count fold once for the whole upset.
+// Arm XORs the clamped span into the entry in one Set, so the digest and
+// journal fold once for the whole upset.
 func (m MultiBit) Arm(bit state.BitRef, _ *rand.Rand) ArmedFault {
 	e, i := bit.Elem, bit.Entry
 	span := m.Span

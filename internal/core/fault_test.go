@@ -312,9 +312,9 @@ func TestMultiBitSpanClamp(t *testing.T) {
 
 // TestStuckAtReassert: Arm forces the polarity, Reassert survives
 // behavioral overwrites through the trial window and expires after it, and
-// every imposition goes through the scalar Set path — digest and
-// write-count fold exactly like a behavioral write, with a no-op reassert
-// counting zero writes.
+// every imposition goes through the scalar Set path — the digest folds
+// exactly like a behavioral write, and a no-op reassert changes neither the
+// digest nor an open journal.
 func TestStuckAtReassert(t *testing.T) {
 	f := state.New()
 	d := f.RAM("d", state.CatData, 4, 16)
@@ -327,15 +327,18 @@ func TestStuckAtReassert(t *testing.T) {
 	}
 	checkDigest(t, f, "after Arm")
 
-	// Reasserting an already-correct bit is a no-op write: no write-count
-	// bump, same digest.
-	w0 := f.WriteCount()
+	// Reasserting an already-correct bit is a no-op write: same digest,
+	// nothing logged to an open journal.
+	f.BeginJournal()
+	d0, j0 := f.Digest(), f.JournalLen()
 	if !armed.Reassert(f, 1) {
 		t.Fatal("Reassert(1) = false inside the window")
 	}
-	if f.WriteCount() != w0 {
-		t.Errorf("no-op reassert bumped WriteCount by %d", f.WriteCount()-w0)
+	if f.Digest() != d0 || f.JournalLen() != j0 {
+		t.Errorf("no-op reassert changed state: digest %#x -> %#x, journal %d -> %d",
+			d0, f.Digest(), j0, f.JournalLen())
 	}
+	f.CommitJournal()
 
 	// A behavioral overwrite clears the bit; the next reassert re-imposes
 	// it and only it.
@@ -343,15 +346,15 @@ func TestStuckAtReassert(t *testing.T) {
 	if d.GetBit(2, 3) {
 		t.Fatal("test setup: overwrite did not clear the bit")
 	}
-	w0 = f.WriteCount()
+	d0 = f.Digest()
 	if !armed.Reassert(f, 2) {
 		t.Fatal("Reassert(2) = false inside the window")
 	}
 	if got := d.Get(2); got != 0xFFF0|1<<3 {
 		t.Errorf("reassert wrote %#x, want only bit 3 re-imposed over %#x", got, 0xFFF0&^(1<<3))
 	}
-	if f.WriteCount() != w0+1 {
-		t.Errorf("value-changing reassert bumped WriteCount by %d, want 1", f.WriteCount()-w0)
+	if f.Digest() == d0 {
+		t.Error("value-changing reassert left the digest unchanged")
 	}
 	checkDigest(t, f, "after reassert over overwrite")
 
@@ -440,8 +443,7 @@ func TestStuckAtTouchTrace(t *testing.T) {
 // TestStuckAtBitLaneWriters: lane writes (the hot-path writers for 1-bit
 // elements) and reasserts interleave coherently — a ClearMask kills the
 // stuck value like any overwrite, the next reassert re-imposes it through
-// the scalar path, and the lane's word view, the digest and the write count
-// all agree.
+// the scalar path, and the lane's word view and the digest agree.
 func TestStuckAtBitLaneWriters(t *testing.T) {
 	f := state.New()
 	v := f.Latch("valid", state.CatValid, 70, 1)
@@ -458,28 +460,30 @@ func TestStuckAtBitLaneWriters(t *testing.T) {
 	if v.Bool(5) {
 		t.Fatal("test setup: ClearMask did not clear the stuck entry")
 	}
-	w0 := f.WriteCount()
+	d0 := f.Digest()
 	if !armed.Reassert(f, 1) {
 		t.Fatal("Reassert(1) = false inside the window")
 	}
 	if !v.Bool(5) || lane.Word(0) != 1<<5 {
 		t.Errorf("reassert after ClearMask: word 0 = %#x, want only entry 5 set", lane.Word(0))
 	}
-	if f.WriteCount() != w0+1 {
-		t.Errorf("reassert bumped WriteCount by %d, want 1", f.WriteCount()-w0)
+	if f.Digest() == d0 {
+		t.Error("reassert after ClearMask left the digest unchanged")
 	}
 	checkDigest(t, f, "after reassert over ClearMask")
 
 	// SetMask over the armed entry is a no-op for the fault (the bit
 	// already holds the stuck value); the next reassert changes nothing.
 	lane.SetMask(1, 0b11) // entries 64, 65 — a different backing word
-	w0 = f.WriteCount()
+	f.BeginJournal()
+	d0, j0 := f.Digest(), f.JournalLen()
 	if !armed.Reassert(f, 2) {
 		t.Fatal("Reassert(2) = false inside the window")
 	}
-	if f.WriteCount() != w0 {
+	if f.Digest() != d0 || f.JournalLen() != j0 {
 		t.Error("no-op reassert after SetMask changed state")
 	}
+	f.CommitJournal()
 	if lane.Word(1) != 0b11 {
 		t.Errorf("reassert corrupted an unrelated lane word: %#x", lane.Word(1))
 	}

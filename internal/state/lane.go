@@ -9,17 +9,18 @@ import "math/bits"
 //
 // Equivalence contract: every lane op is defined by a scalar reference loop
 // over Elem.Bool/Set, and is bit-identical to that loop in all externally
-// observable state — word contents, file digest, WriteCount, undo-journal
-// rollback behavior, and touch-trace contents. While a touch trace is
-// attached the ops literally run their reference loop (golden runs are the
-// only traced runs, and per-entry read/set stamps in exact scalar order are
-// what the prover and the convergence certificate consume); untraced ops
-// take the word-parallel path. The bifurcation is invisible to trial
-// classification: trials are never traced, trial-vs-golden comparison is
-// digest-based, untraced reads have no side effects, and the write ops fold
-// the identical per-bit digest terms, count the identical value-changing
-// writes, and log the identical journal pre-image (one first-touch entry
-// per dirtied word, exactly what the scalar loop's first Set would log).
+// observable state — word contents, file digest, undo-journal rollback
+// behavior, and touch-trace contents. Traced or not, an op runs one
+// word-parallel body; while a touch trace is attached it first stamps
+// exactly the entries its reference loop reads or sets. A touch record is
+// per entry, so stamping a word's entries ahead of the word op leaves every
+// record as the loop would have left it: within one cycle only each entry's
+// own read-before-set order matters (ObsPre), and the op reads or writes
+// each entry at most once. The write ops fold the identical per-bit digest
+// terms and log the identical journal pre-image (one first-touch entry per
+// dirtied word, exactly what the scalar loop's first Set would log).
+// FirstSet and FirstClear alone keep a traced scalar scan: their early exit
+// is what defines which entries the reference loop read.
 type BitLane struct {
 	e        *Elem
 	wordBase uint64
@@ -43,15 +44,53 @@ func (e *Elem) Lane() BitLane {
 func (l BitLane) Entries() int { return l.n }
 
 // Word returns the raw backing word w (entries 64w .. 64w+63; entries past
-// the element end read as 0 — layout padding is kept zero). Word records no
-// trace touches and therefore refuses to run while a trace is attached:
-// callers compose words into composite scan masks on untraced hot paths
-// only, keeping their traced branch on the scalar loops.
+// the element end read as 0 — layout padding is kept zero). Scalar
+// reference: Bool over every entry of the word inside the element, so a
+// traced Word stamps a read on each of them.
 func (l BitLane) Word(w int) uint64 {
 	if l.e.trace != nil {
-		panic("state: BitLane.Word while traced: " + l.e.name)
+		l.stampWord(w)
 	}
 	return l.e.words[l.wordBase+uint64(w)]
+}
+
+// WordOf returns word w like Word, but its scalar reference reads only
+// mask's entries, so a traced WordOf stamps just those. A short-circuit
+// chain such as !valid(s) || issued(s) over every entry s becomes
+// v := Word(0); i := WordOf(0, v): the second element is read only where
+// the first let the scalar loop reach it.
+func (l BitLane) WordOf(w int, mask uint64) uint64 {
+	if l.e.trace != nil {
+		l.stamp(w, mask, false)
+	}
+	return l.e.words[l.wordBase+uint64(w)]
+}
+
+// stampWord records a read of every entry of word w inside the element.
+func (l BitLane) stampWord(w int) {
+	mask := ^uint64(0)
+	if rem := l.n - w<<6; rem < 64 {
+		mask >>= 64 - rem // rem <= 0 leaves 0; stamp rejects the word
+	}
+	l.stamp(w, mask, false)
+}
+
+// stamp records a read — or, with set, a write — of entry 64w+b for each
+// bit b of mask on the attached touch trace. The stamp helpers are
+// outlined so Word and WordOf stay inlinable; they run only while a trace
+// is attached.
+func (l BitLane) stamp(w int, mask uint64, set bool) {
+	l.maskCheck(w, mask)
+	t := l.e.trace
+	base := l.e.entryBase + uint64(w)<<6
+	for m := mask; m != 0; m &= m - 1 {
+		g := base + uint64(bits.TrailingZeros64(m))
+		if set {
+			t.set(g)
+		} else {
+			t.read(g)
+		}
+	}
 }
 
 // Words returns the number of backing words covering the lane.
@@ -160,18 +199,15 @@ func (l BitLane) AnySet(lo, hi int) bool {
 }
 
 // CountRange returns the number of set entries in [lo, hi). Scalar
-// reference: read every entry in the range and count.
+// reference: read every entry in the range and count, so a traced
+// CountRange stamps a read on each of them.
 func (l BitLane) CountRange(lo, hi int) int {
 	l.rangeCheck(lo, hi)
 	e := l.e
-	if e.trace != nil {
-		n := 0
+	if t := e.trace; t != nil {
 		for i := lo; i < hi; i++ {
-			if e.Bool(i) {
-				n++
-			}
+			t.read(e.entryBase + uint64(i))
 		}
-		return n
 	}
 	if lo >= hi {
 		return 0
@@ -197,8 +233,7 @@ func (l BitLane) CountRange(lo, hi int) int {
 
 // maskCheck panics when mask addresses entries past the element end: the
 // padding bits of the last word are not digest-keyed and must stay zero,
-// and the traced reference loop would stamp a neighboring element's trace
-// key.
+// and a traced stamp would land on a neighboring element's trace key.
 func (l BitLane) maskCheck(w int, mask uint64) {
 	if w < 0 || w<<6 >= l.n {
 		panic("state: BitLane word out of bounds: " + l.e.name)
@@ -211,9 +246,9 @@ func (l BitLane) maskCheck(w int, mask uint64) {
 // SetMask sets every entry 64w+b for each bit b of mask. Scalar reference:
 // Set(64w+b, 1) over mask's bits ascending — so a traced SetMask stamps a
 // set touch on every masked entry (a golden no-op write still clears a
-// trial's corruption), while the untraced path folds the digest delta with
-// per-bit mix terms, bumps WriteCount once per value-changing bit, logs the
-// word's first-touch pre-image, and early-outs when no bit changes.
+// trial's corruption). The word path folds the digest delta with per-bit
+// mix terms, logs the word's first-touch pre-image, and early-outs when no
+// bit changes.
 func (l BitLane) SetMask(w int, mask uint64) {
 	if mask == 0 {
 		return
@@ -221,11 +256,7 @@ func (l BitLane) SetMask(w int, mask uint64) {
 	l.maskCheck(w, mask)
 	e := l.e
 	if e.trace != nil {
-		base := w << 6
-		for m := mask; m != 0; m &= m - 1 {
-			e.Set(base+bits.TrailingZeros64(m), 1)
-		}
-		return
+		l.stamp(w, mask, true)
 	}
 	wi := l.wordBase + uint64(w)
 	cur := e.words[wi]
@@ -241,7 +272,6 @@ func (l BitLane) SetMask(w int, mask uint64) {
 		d ^= mix(base+b, 0) ^ mix(base+b, 1)
 	}
 	f.digest = d
-	f.writes += uint64(bits.OnesCount64(changed))
 	if f.jOn {
 		f.touch(wi)
 	}
@@ -257,11 +287,7 @@ func (l BitLane) ClearMask(w int, mask uint64) {
 	l.maskCheck(w, mask)
 	e := l.e
 	if e.trace != nil {
-		base := w << 6
-		for m := mask; m != 0; m &= m - 1 {
-			e.Set(base+bits.TrailingZeros64(m), 0)
-		}
-		return
+		l.stamp(w, mask, true)
 	}
 	wi := l.wordBase + uint64(w)
 	cur := e.words[wi]
@@ -277,7 +303,6 @@ func (l BitLane) ClearMask(w int, mask uint64) {
 		d ^= mix(base+b, 1) ^ mix(base+b, 0)
 	}
 	f.digest = d
-	f.writes += uint64(bits.OnesCount64(changed))
 	if f.jOn {
 		f.touch(wi)
 	}

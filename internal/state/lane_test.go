@@ -50,6 +50,19 @@ func refCountRange(e *Elem, lo, hi int) int {
 	return n
 }
 
+// refWordOf reads mask's entries of word w through Bool and assembles
+// them into a word.
+func refWordOf(e *Elem, w int, mask uint64) uint64 {
+	var v uint64
+	for m := mask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if e.Bool(w*64 + b) {
+			v |= 1 << b
+		}
+	}
+	return v
+}
+
 func refSetMask(e *Elem, w int, mask uint64) {
 	for m := mask; m != 0; m &= m - 1 {
 		e.Set(w*64+bits.TrailingZeros64(m), 1)
@@ -65,7 +78,7 @@ func refClearMask(e *Elem, w int, mask uint64) {
 // TestLaneDifferentialFuzz drives random op sequences over a paired lane
 // file and scalar-reference file and asserts the two stay bit-identical in
 // every externally observable dimension: op results, word contents, digest,
-// WriteCount, journal rollback, and (when traced) touch-trace contents.
+// journal rollback, and (when traced) touch-trace contents.
 func TestLaneDifferentialFuzz(t *testing.T) {
 	for _, traced := range []struct {
 		name string
@@ -113,7 +126,7 @@ func TestLaneDifferentialFuzz(t *testing.T) {
 					return w, mask
 				}
 				for k := 0; k < 1500; k++ {
-					switch rng.Intn(8) {
+					switch rng.Intn(10) {
 					case 0:
 						w, mask := randMask()
 						la.SetMask(w, mask)
@@ -153,6 +166,24 @@ func TestLaneDifferentialFuzz(t *testing.T) {
 						ea.Set(i, v)
 						eb.Set(i, v)
 					case 7:
+						w := rng.Intn(3)
+						all := ^uint64(0)
+						if w == 2 {
+							all = 1<<(150-128) - 1
+						}
+						raw := eb.words[eb.wordBase+uint64(w)]
+						if got, want := la.Word(w), refWordOf(eb, w, all); got != want || got != raw {
+							t.Fatalf("seed %d op %d: Word(%d) = %#x, want %#x (raw %#x)", seed, k, w, got, want, raw)
+						}
+					case 8:
+						w, mask := randMask()
+						raw := eb.words[eb.wordBase+uint64(w)]
+						got := la.WordOf(w, mask)
+						if want := refWordOf(eb, w, mask); got&mask != want || got != raw {
+							t.Fatalf("seed %d op %d: WordOf(%d, %#x) = %#x, want %#x under the mask (raw %#x)",
+								seed, k, w, mask, got, want, raw)
+						}
+					case 9:
 						if traced.on {
 							cyc++
 							fa.TraceCycle(cyc)
@@ -162,8 +193,8 @@ func TestLaneDifferentialFuzz(t *testing.T) {
 					if fa.Digest() != fb.Digest() {
 						t.Fatalf("seed %d op %d: digest diverged", seed, k)
 					}
-					if fa.WriteCount() != fb.WriteCount() {
-						t.Fatalf("seed %d op %d: WriteCount diverged: %d vs %d", seed, k, fa.WriteCount(), fb.WriteCount())
+					if fa.JournalLen() != fb.JournalLen() {
+						t.Fatalf("seed %d op %d: journal length diverged: %d vs %d", seed, k, fa.JournalLen(), fb.JournalLen())
 					}
 				}
 
@@ -216,11 +247,12 @@ func TestLaneDifferentialFuzz(t *testing.T) {
 
 // TestLaneTracedMatchesUntraced pins that tracing is pure observation for
 // lane ops: the same write sequence leaves identical contents, digest and
-// WriteCount whether or not a trace was attached.
+// undo journal whether or not a trace was attached.
 func TestLaneTracedMatchesUntraced(t *testing.T) {
-	run := func(traced bool) (*File, uint64) {
+	run := func(traced bool) (*File, int) {
 		f, e := laneTestFile()
 		l := e.Lane()
+		f.BeginJournal()
 		if traced {
 			tr := f.NewTouchTrace()
 			f.StartTrace(tr)
@@ -242,18 +274,18 @@ func TestLaneTracedMatchesUntraced(t *testing.T) {
 		if traced {
 			f.StopTrace()
 		}
-		return f, f.WriteCount()
+		return f, f.JournalLen()
 	}
-	fu, wu := run(false)
-	ft, wt := run(true)
+	fu, ju := run(false)
+	ft, jt := run(true)
 	if !fu.Equal(ft) {
 		t.Fatal("traced and untraced lane runs left different contents")
 	}
 	if fu.Digest() != ft.Digest() {
 		t.Fatal("traced and untraced lane runs left different digests")
 	}
-	if wu != wt {
-		t.Fatalf("traced and untraced lane runs counted different writes: %d vs %d", wu, wt)
+	if ju != jt {
+		t.Fatalf("traced and untraced lane runs logged different journals: %d vs %d words", ju, jt)
 	}
 }
 
@@ -295,10 +327,10 @@ func TestLaneLifecyclePanics(t *testing.T) {
 		_, e := laneTestFile()
 		e.Lane().FirstSet(0, 151)
 	})
-	mustPanicWith("Word while traced", "Word while traced", func() {
+	mustPanicWith("traced WordOf past element end", "mask past element end", func() {
 		f, e := laneTestFile()
 		f.StartTrace(f.NewTouchTrace())
-		e.Lane().Word(0)
+		e.Lane().WordOf(2, 1<<(150-128))
 	})
 }
 

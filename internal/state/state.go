@@ -259,7 +259,6 @@ func (e *Elem) put(i int, v uint64) {
 		f := e.file
 		bit := e.bitBase + uint64(i)<<6
 		f.digest ^= mix(bit, cur) ^ mix(bit, v)
-		f.writes++
 		if f.jOn {
 			f.touch(w)
 		}
@@ -276,7 +275,6 @@ func (e *Elem) put(i int, v uint64) {
 		f := e.file
 		bit := e.bitBase + uint64(i)
 		f.digest ^= mix(bit, v^1) ^ mix(bit, v)
-		f.writes++
 		if f.jOn {
 			f.touch(w)
 		}
@@ -295,7 +293,6 @@ func (e *Elem) put(i int, v uint64) {
 		}
 		f := e.file
 		f.digest ^= mix(bit, old) ^ mix(bit, v)
-		f.writes++
 		if f.jOn {
 			f.touch(w)
 		}
@@ -317,7 +314,6 @@ func (e *Elem) setStraddle(bit, v uint64) {
 	}
 	f := e.file
 	f.digest ^= mix(bit, old) ^ mix(bit, v)
-	f.writes++
 	if f.jOn {
 		f.touch(w)
 		f.touch(w + 1)
@@ -355,20 +351,19 @@ func (e *Elem) Flip(i, bit int) {
 }
 
 // CopyEntry copies entry si of src into entry di of dst as pure data
-// movement. The transfer updates the file digest, write count and undo
-// journal exactly like Get followed by Set, but an active touch trace
-// records it as a copy instead of a behavioral read-write pair: first
-// touches land on both ends (a copy propagates src corruption and
-// overwrites dst corruption, so dead-on-arrival and taint reasoning see a
-// read and a write at the same cycles as before), while the behavioral
-// last-touch stamps are left alone and the src→dst edge plus the dst's
-// last copy cycle are recorded instead. The convergence certificate chases
-// those edges to bound where a frozen trial-vs-golden delta can flow: a
-// recovery drain that wholesale-copies architectural state over
-// speculative state rewrites entries without observing them, and
-// last-touch stamps from those rewrites would otherwise block every
-// certificate involving the drained elements. Both elements must belong to
-// the same file.
+// movement. The transfer updates the file digest and undo journal exactly
+// like Get followed by Set, but an active touch trace records it as a copy
+// instead of a behavioral read-write pair: first touches land on both ends
+// (a copy propagates src corruption and overwrites dst corruption, so
+// dead-on-arrival and taint reasoning see a read and a write at the same
+// cycles as before), while the behavioral last-touch stamps are left alone
+// and the src→dst edge plus the dst's last copy cycle are recorded instead.
+// The convergence certificate chases those edges to bound where a frozen
+// trial-vs-golden delta can flow: a recovery drain that wholesale-copies
+// architectural state over speculative state rewrites entries without
+// observing them, and last-touch stamps from those rewrites would otherwise
+// block every certificate involving the drained elements. Both elements
+// must belong to the same file.
 func CopyEntry(dst *Elem, di int, src *Elem, si int) {
 	if dst.file != src.file {
 		panic("state: CopyEntry across files: " + src.name + " -> " + dst.name)
@@ -397,7 +392,6 @@ type File struct {
 	byName map[string]*Elem
 	words  []uint64
 	digest uint64
-	writes uint64 // state-changing Sets since construction (no-op Sets excluded)
 	frozen bool
 
 	zeroDigest uint64
@@ -682,14 +676,6 @@ func (f *File) CommitJournal() {
 // tests and instrumentation).
 func (f *File) JournalLen() int { return len(f.jLog) }
 
-// WriteCount returns the number of state-changing Sets performed on the
-// file since construction. Sets that leave the value unchanged do not
-// count, so two equal WriteCounts bracketing a cycle prove the cycle
-// changed no state. Direct word restores (RollbackTo, Restore, Reset)
-// bypass the counter; callers caching a WriteCount across them must
-// invalidate explicitly.
-func (f *File) WriteCount() uint64 { return f.writes }
-
 // TouchTrace records, per entry of every element, the first and last cycle
 // at which a golden run reads the entry and the first and last at which it
 // writes it (0 = never). Entries are keyed by Elem.EntryIndex. The trial
@@ -918,9 +904,6 @@ func (f *File) StopTrace() {
 	}
 	f.trace = nil
 }
-
-// Tracing reports whether a touch trace is attached.
-func (f *File) Tracing() bool { return f.trace != nil }
 
 // RecomputeDigest folds the digest from scratch over current contents: the
 // O(state) oracle for the incrementally maintained Digest. Tests and

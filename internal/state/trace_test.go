@@ -13,9 +13,6 @@ func TestTouchTraceFirstTouch(t *testing.T) {
 	ctrl := elems[4] // "ctrl", injectable latch, 5 entries
 	tr := f.NewTouchTrace()
 	f.StartTrace(tr)
-	if !f.Tracing() {
-		t.Fatal("Tracing() false after StartTrace")
-	}
 
 	f.TraceCycle(1)
 	ctrl.Set(2, 7) // first set of ctrl[2] at cycle 1
@@ -27,9 +24,6 @@ func TestTouchTraceFirstTouch(t *testing.T) {
 	ctrl.Get(4) // first read of a never-set entry
 
 	f.StopTrace()
-	if f.Tracing() {
-		t.Fatal("Tracing() true after StopTrace")
-	}
 
 	k2 := ctrl.EntryIndex(2)
 	if tr.FirstSet(k2) != 1 || tr.FirstRead(k2) != 2 {
@@ -154,8 +148,8 @@ func TestCopyEntryTrace(t *testing.T) {
 }
 
 // TestCopyEntryDigestJournal: CopyEntry is a real write everywhere but the
-// trace — digest, write count and the undo journal must behave exactly as a
-// Get+Set would, including the no-op fast path.
+// trace — the digest and the undo journal must behave exactly as a Get+Set
+// would, including the no-op fast path.
 func TestCopyEntryDigestJournal(t *testing.T) {
 	f, elems := newTestFile()
 	ctrl, rat := elems[4], elems[3] // rat is 7-bit: exercises the straddle path
@@ -163,15 +157,22 @@ func TestCopyEntryDigestJournal(t *testing.T) {
 	rat.Set(9, 101)
 	f.BeginJournal()
 	mark := f.Mark()
-	base := f.WriteCount()
+	d0 := f.Digest()
 	CopyEntry(ctrl, 1, ctrl, 0)
 	CopyEntry(rat, 2, rat, 9)
-	if f.WriteCount() != base+2 {
-		t.Fatalf("WriteCount=%d after two copies, want %d", f.WriteCount(), base+2)
+	if ctrl.Get(1) != 55 || rat.Get(2) != 101 {
+		t.Fatalf("copies wrote ctrl[1]=%d rat[2]=%d, want 55/101", ctrl.Get(1), rat.Get(2))
 	}
+	if f.Digest() == d0 {
+		t.Fatal("two value-changing copies left the digest unchanged")
+	}
+	// A fresh mark makes every word loggable again, so a write the no-op
+	// path failed to skip would grow the journal.
+	f.Mark()
+	d1, j1 := f.Digest(), f.JournalLen()
 	CopyEntry(ctrl, 1, ctrl, 0) // no-op: destination already equal
-	if f.WriteCount() != base+2 {
-		t.Fatal("no-op CopyEntry advanced WriteCount")
+	if f.Digest() != d1 || f.JournalLen() != j1 {
+		t.Fatal("no-op CopyEntry changed the digest or the journal")
 	}
 	if f.Digest() != f.RecomputeDigest() {
 		t.Fatalf("digest drifted after CopyEntry: %#x != %#x", f.Digest(), f.RecomputeDigest())
@@ -424,38 +425,6 @@ func TestGetObsStraddle(t *testing.T) {
 		}
 	}
 	f.StopTrace()
-}
-
-// TestWriteCount: WriteCount advances on every state-changing Set and only
-// those — no-op Sets and reads leave it alone, so equal counts bracketing
-// an interval prove the interval changed nothing.
-func TestWriteCount(t *testing.T) {
-	f, elems := newTestFile()
-	ctrl := elems[4]
-	base := f.WriteCount()
-	ctrl.Set(0, 3)
-	if f.WriteCount() != base+1 {
-		t.Fatalf("WriteCount=%d after one write, want %d", f.WriteCount(), base+1)
-	}
-	ctrl.Set(0, 3) // no-op
-	ctrl.Get(0)
-	if f.WriteCount() != base+1 {
-		t.Fatalf("no-op Set or Get moved WriteCount to %d", f.WriteCount())
-	}
-	ctrl.Flip(0, 1) // a flip always changes state
-	if f.WriteCount() != base+2 {
-		t.Fatalf("Flip did not advance WriteCount: %d", f.WriteCount())
-	}
-	// Straddling path counts too: pc is 62 bits wide at bit base 0, so use
-	// the regfile RAM rows (64-bit, aligned) vs rat (7-bit, straddles).
-	rat := elems[3]
-	before := f.WriteCount()
-	for i := 0; i < rat.Entries(); i++ {
-		rat.Set(i, uint64(i%128)+1)
-	}
-	if f.WriteCount() == before {
-		t.Fatal("straddling Set path did not advance WriteCount")
-	}
 }
 
 // TestIncrementalDigestMatchesRecompute: after an arbitrary mix of Sets,

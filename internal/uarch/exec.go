@@ -194,16 +194,6 @@ func (m *Machine) enterComplexPipe(p int, inst isa.Inst, a, b uint64) {
 // ones through the complex ALU's writeback port.
 func (m *Machine) advanceComplexPipe() {
 	e := m.e
-	if m.F.Tracing() {
-		// Scalar reference for the word-parallel walk below.
-		for i := 0; i < ComplexDepth; i++ {
-			if !e.cpValid.Bool(i) {
-				continue
-			}
-			m.complexSlotTick(i)
-		}
-		return
-	}
 	// The body only clears cpValid bits, so the snapshot mask stays exact.
 	for w := e.lnCpValid.Word(0); w != 0; w &= w - 1 {
 		m.complexSlotTick(bits.TrailingZeros64(w))

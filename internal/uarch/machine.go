@@ -63,20 +63,6 @@ type Machine struct {
 	// Retire accounting for IPC instrumentation.
 	//pipelint:shadow-ok retire counter is instrumentation, never an injection target; Clone carries it
 	Retired uint64
-
-	// Quiescence cache: qValid records that the last full Step evaluation
-	// changed no state, qWC the file WriteCount observed at that point. A
-	// machine whose WriteCount still equals qWC is at a fixed point — the
-	// next Step is provably a no-op — so Step can skip stage evaluation and
-	// just advance Cycle. Any Set (including an injected Flip) moves the
-	// WriteCount and self-invalidates the cache; RollbackTo/Restore bypass
-	// Set and clear qValid explicitly.
-	//pipelint:shadow-ok fixed-point memo, derived from F.WriteCount; never an injection target
-	//pipelint:clone-ok memo is deliberately dropped: the clone's fresh File restarts WriteCount at zero
-	qValid bool
-	//pipelint:shadow-ok fixed-point memo, derived from F.WriteCount; never an injection target
-	//pipelint:clone-ok memo is deliberately dropped: the clone's fresh File restarts WriteCount at zero
-	qWC uint64
 }
 
 // New builds a machine loaded with the given program on a fresh memory.
@@ -179,24 +165,10 @@ func (m *Machine) TraceDigest() uint64 { return m.F.Digest() ^ m.Mem.Digest() }
 
 // Step advances the machine one clock cycle. Stages are evaluated in
 // reverse pipeline order so that same-cycle reads observe previous-cycle
-// state, giving edge-triggered latch semantics.
-//
-// When the previous Step changed no state and nothing has written the file
-// since, the machine is at a fixed point: re-evaluating the stages would
-// read the same values, take the same branches, and write nothing again.
-// Such cycles advance only the cycle counter. Every observable event
-// (retirement, exception, store drain) implies a state write — retirement
-// moves robHead/robCount, an exception sets ms.halted, a store drain
-// decrements sb.count — so a zero-write cycle has no events and no memory
-// side effects, and skipping it is exact. The fast path is disabled while
-// a touch trace is attached: golden runs must record the reads that a
-// would-be evaluation performs.
+// state, giving edge-triggered latch semantics. Golden runs and trials step
+// through the same stage bodies: while a touch trace is attached, the
+// bit-store accessors and lane ops stamp the reads and writes themselves.
 func (m *Machine) Step() {
-	if m.qValid && m.F.WriteCount() == m.qWC && !m.F.Tracing() {
-		m.Cycle++
-		return
-	}
-	wc := m.F.WriteCount()
 	m.retire()
 	m.drainStoreBuffer()
 	m.writeback()
@@ -208,32 +180,13 @@ func (m *Machine) Step() {
 	m.decode()
 	m.fetch()
 	m.Cycle++
-	m.qWC = m.F.WriteCount()
-	m.qValid = wc == m.qWC
-}
-
-// Quiescent reports whether the machine is at a known fixed point: the last
-// full Step evaluation wrote nothing and no writes have happened since, so
-// every future Step is a no-op until external state mutation.
-func (m *Machine) Quiescent() bool {
-	return m.qValid && m.F.WriteCount() == m.qWC
 }
 
 // Run steps until the machine halts or maxCycles elapse; it returns the
 // number of cycles executed.
-//
-// A quiescent machine never halts on its own — halting requires a write to
-// ms.halted, and Quiescent certifies every future Step writes nothing — so
-// when the fixed point is reached the remaining cycles are jumped in one
-// assignment instead of looping Step's per-cycle fast path. Disabled while
-// a touch trace is attached, exactly like Step's own fast path.
 func (m *Machine) Run(maxCycles uint64) uint64 {
 	start := m.Cycle
 	for !m.Halted() && m.Cycle-start < maxCycles {
-		if m.Quiescent() && !m.F.Tracing() {
-			m.Cycle = start + maxCycles
-			break
-		}
 		m.Step()
 	}
 	return m.Cycle - start
@@ -270,7 +223,6 @@ func (m *Machine) Snapshot() *Snapshot {
 // separately by the caller).
 func (m *Machine) Restore(s *Snapshot) {
 	m.F.Restore(s.st)
-	m.qValid = false // Restore writes words directly, bypassing WriteCount
 	m.Cycle = s.cycle
 	m.nextSeq = s.nextSeq
 	m.Retired = s.retired
@@ -337,7 +289,6 @@ func (m *Machine) Mark(p *MarkPoint) {
 // Mem.RollbackTo). Marks obey stack discipline.
 func (m *Machine) RollbackTo(p *MarkPoint) {
 	m.F.RollbackTo(p.st)
-	m.qValid = false // journal replay writes words directly, bypassing WriteCount
 	m.Cycle = p.cycle
 	m.nextSeq = p.nextSeq
 	m.Retired = p.retired
@@ -385,16 +336,13 @@ func (m *Machine) FetchStalledIllegal() bool {
 	if e.robCount.Get(0) != 0 || e.fqCount.Get(0) != 0 || e.f2Valid.Bool(0) {
 		return false
 	}
-	if m.F.Tracing() {
-		// Scalar reference: golden runs must stamp the exact interleaved
-		// short-circuit reads this probe historically performs.
-		for i := 0; i < DecodeWidth; i++ {
-			if e.deValid.Bool(i) || e.rnValid.Bool(i) {
-				return false
-			}
+	// A scalar loop, not lane words: the interleaved early exit across two
+	// elements defines the reads a traced golden run stamps, and it covers
+	// four entries of an otherwise empty pipeline.
+	for i := 0; i < DecodeWidth; i++ {
+		if e.deValid.Bool(i) || e.rnValid.Bool(i) {
+			return false
 		}
-	} else if e.lnDeValid.Word(0) != 0 || e.lnRnValid.Word(0) != 0 {
-		return false
 	}
 	pc := e.fePC.Get(0) << 2
 	return !m.Legal.ContainsRange(pc, isa.WordSize)

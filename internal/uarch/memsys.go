@@ -162,16 +162,6 @@ func (m *Machine) completeLoad(p, lqIdx int, tag, dest uint64, writes bool, sche
 func (m *Machine) memMHR() {
 	e := m.e
 	filled := false
-	if m.F.Tracing() {
-		// Scalar reference for the word-parallel walk below.
-		for i := 0; i < NumMHR; i++ {
-			if !e.mhrValid.Bool(i) {
-				continue
-			}
-			m.mhrTick(i, &filled)
-		}
-		return
-	}
 	// The body only clears mhrValid bits, so the snapshot mask stays exact.
 	for w := e.lnMhrValid.Word(0); w != 0; w &= w - 1 {
 		m.mhrTick(bits.TrailingZeros64(w), &filled)

@@ -12,20 +12,10 @@ import (
 // entries are freed.
 func (m *Machine) writeback() {
 	e := m.e
-	if m.F.Tracing() {
-		// Scalar reference for the word-parallel walk below.
-		for p := 0; p < 7; p++ {
-			if !e.wbValid.Bool(p) {
-				continue
-			}
-			m.wbDrainPort(p)
-		}
-	} else {
-		// The body only clears wbValid bits, so the snapshot mask stays
-		// exact across the walk.
-		for w := e.lnWbValid.Word(0); w != 0; w &= w - 1 {
-			m.wbDrainPort(bits.TrailingZeros64(w))
-		}
+	// The body only clears wbValid bits, so the snapshot mask stays exact
+	// across the walk.
+	for w := e.lnWbValid.Word(0); w != 0; w &= w - 1 {
+		m.wbDrainPort(bits.TrailingZeros64(w))
 	}
 	m.genPendingECC()
 }
@@ -328,23 +318,14 @@ func (m *Machine) undoROBEntry(t int, restoreRename bool) {
 // exceeds cut.
 func (m *Machine) squashYounger(cut uint64) {
 	e := m.e
-	if m.F.Tracing() {
-		// Scalar reference for the word-parallel walk below.
-		for s := 0; s < SchedSize; s++ {
-			if e.isValid.Bool(s) && m.robAge(e.isRobTag.Get(s)) > cut {
-				e.isValid.SetBool(s, false)
-			}
+	var kill uint64
+	for w := e.lnIsValid.Word(0); w != 0; w &= w - 1 {
+		s := bits.TrailingZeros64(w)
+		if m.robAge(e.isRobTag.Get(s)) > cut {
+			kill |= 1 << s
 		}
-	} else {
-		var kill uint64
-		for w := e.lnIsValid.Word(0); w != 0; w &= w - 1 {
-			s := bits.TrailingZeros64(w)
-			if m.robAge(e.isRobTag.Get(s)) > cut {
-				kill |= 1 << s
-			}
-		}
-		e.lnIsValid.ClearMask(0, kill)
 	}
+	e.lnIsValid.ClearMask(0, kill)
 	for p := 0; p < IssueWidth; p++ {
 		if e.ipValid.Bool(p) && m.robAge(e.ipRobTag.Get(p)) > cut {
 			e.ipValid.SetBool(p, false)

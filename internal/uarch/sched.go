@@ -70,34 +70,21 @@ func (m *Machine) schedule() {
 	// Issuing only flips isIssued, robHead is stable within the cycle, and
 	// each port is visited once, so the cached view stays exact as long as
 	// issued entries are cleared from the ready mask.
+	//
+	// Eligible: valid && !issued && s1Ready && s2Ready, each word read only
+	// where the short-circuit chain reaches it.
+	valid := e.lnIsValid.Word(0)
+	live := valid &^ e.lnIsIssued.WordOf(0, valid)
+	s1 := live & e.lnIsS1Ready.WordOf(0, live)
+	ready := uint32(s1 & e.lnIsS2Ready.WordOf(0, s1))
 	var (
-		ready uint32
 		age   [SchedSize]uint64
 		ports [SchedSize]uint8
 	)
-	if m.F.Tracing() {
-		// Scalar reference for the word-parallel gather below: golden runs
-		// stamp the per-entry short-circuit reads in this exact pattern.
-		for s := 0; s < SchedSize; s++ {
-			if !e.isValid.Bool(s) || e.isIssued.Bool(s) {
-				continue
-			}
-			if !e.isS1Ready.Bool(s) || !e.isS2Ready.Bool(s) {
-				continue
-			}
-			ready |= 1 << s
-			age[s] = m.robAge(e.isRobTag.Get(s))
-			ports[s] = portMaskForClass(isa.Class(e.isClass.Get(s)))
-		}
-	} else {
-		elig := e.lnIsValid.Word(0) &^ e.lnIsIssued.Word(0) &
-			e.lnIsS1Ready.Word(0) & e.lnIsS2Ready.Word(0)
-		ready = uint32(elig)
-		for rm := ready; rm != 0; rm &= rm - 1 {
-			s := bits.TrailingZeros32(rm)
-			age[s] = m.robAge(e.isRobTag.Get(s))
-			ports[s] = portMaskForClass(isa.Class(e.isClass.Get(s)))
-		}
+	for rm := ready; rm != 0; rm &= rm - 1 {
+		s := bits.TrailingZeros32(rm)
+		age[s] = m.robAge(e.isRobTag.Get(s))
+		ports[s] = portMaskForClass(isa.Class(e.isClass.Get(s)))
 	}
 
 	// Per-port oldest-first selection.
@@ -169,24 +156,10 @@ func (m *Machine) wakeup(dest uint64) {
 		return
 	}
 	e := m.e
-	if m.F.Tracing() {
-		// Scalar reference for the word-parallel walk below.
-		for s := 0; s < SchedSize; s++ {
-			if !e.isValid.Bool(s) || e.isIssued.Bool(s) {
-				continue
-			}
-			if e.isSrc1.Get(s) == dest {
-				e.isS1Ready.SetBool(s, true)
-			}
-			if e.isSrc2.Get(s) == dest && !e.isUseLit.Bool(s) {
-				e.isS2Ready.SetBool(s, true)
-			}
-		}
-		return
-	}
 	// Visit only live, un-issued entries; the body never writes isValid or
 	// isIssued, so the snapshot mask stays exact across the walk.
-	for w := e.lnIsValid.Word(0) &^ e.lnIsIssued.Word(0); w != 0; w &= w - 1 {
+	valid := e.lnIsValid.Word(0)
+	for w := valid &^ e.lnIsIssued.WordOf(0, valid); w != 0; w &= w - 1 {
 		s := bits.TrailingZeros64(w)
 		if e.isSrc1.Get(s) == dest {
 			e.isS1Ready.SetBool(s, true)
@@ -211,16 +184,6 @@ func (m *Machine) replayDependents(dest uint64) {
 		if e.swValid.Bool(s) && e.swTag.Get(s) == dest {
 			e.swValid.SetBool(s, false)
 		}
-	}
-	if m.F.Tracing() {
-		// Scalar reference for the word-parallel walk below.
-		for s := 0; s < SchedSize; s++ {
-			if !e.isValid.Bool(s) {
-				continue
-			}
-			m.replayEntry(s, dest)
-		}
-		return
 	}
 	// The body never writes isValid, so the snapshot mask stays exact.
 	for w := e.lnIsValid.Word(0); w != 0; w &= w - 1 {
