@@ -21,7 +21,7 @@ func goldenTraceFingerprint(t *testing.T, cfg Config) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cycles, err := s.schedule()
+	_, _, cycles, err := s.schedule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +34,7 @@ func goldenTraceFingerprint(t *testing.T, cfg Config) uint64 {
 		h.Write(buf[:])
 	}
 	for _, cycle := range cycles {
-		for m.Cycle < cycle {
-			m.Step()
-		}
+		walkTo(m, cycle)
 		g, validInsns := w.golden()
 		if !g.traced || !g.conv {
 			t.Fatal("golden run not traced with the certificate on")

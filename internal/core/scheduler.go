@@ -87,18 +87,49 @@ func setupCampaign(cfg Config) (*campaignSetup, error) {
 
 // schedule runs the measurement pass — the end-to-end fault-free run — and
 // draws the checkpoint cycles from its length. It returns the halted
-// measurement machine and the checkpoint cycles.
-func (s *campaignSetup) schedule() (meas *uarch.Machine, cycles []uint64, err error) {
+// measurement machine, the checkpoint cycles, and warm: a clone of the
+// measurement machine at WarmupCycles, where the checkpoint window opens,
+// or nil when the workload halts before it. Walks over the schedule start
+// from warm (see walkStart), so no campaign steps the fault-free prefix
+// twice.
+func (s *campaignSetup) schedule() (meas, warm *uarch.Machine, cycles []uint64, err error) {
 	meas = s.newMachine()
-	meas.Run(maxMeasureCycles)
+	if walkTo(meas, min(uint64(s.cfg.WarmupCycles), maxMeasureCycles)) {
+		warm = meas.Clone()
+	}
+	meas.Run(maxMeasureCycles - meas.Cycle)
 	if !meas.Halted() {
-		return nil, nil, fmt.Errorf("core: %s did not halt within %d cycles", s.cfg.Workload.Name, uint64(maxMeasureCycles))
+		return nil, nil, nil, fmt.Errorf("core: %s did not halt within %d cycles", s.cfg.Workload.Name, uint64(maxMeasureCycles))
 	}
 	// The window bound keeps 2,000 cycles of slack past the trial horizon,
 	// so checkpoint schedules stay those of campaigns whose golden runs
 	// stepped that far.
 	cycles, err = selectCheckpoints(&s.cfg, meas.Cycle, uint64(s.cfg.Horizon+2000))
-	return meas, cycles, err
+	return meas, warm, cycles, err
+}
+
+// walkTo steps m until it reaches cycle cyc or halts, and reports whether
+// it is still running. Every walk over a checkpoint schedule — the
+// campaign pilot, SurveyProofs, the warm-up of the measurement pass — goes
+// through it.
+func walkTo(m *uarch.Machine, cyc uint64) bool {
+	for m.Cycle < cyc && !m.Halted() {
+		m.Step()
+	}
+	return !m.Halted()
+}
+
+// walkStart returns the machine a walk over cycles starts from: warm, the
+// measurement pass's clone at the warm-up, when it stands at or before the
+// first checkpoint; otherwise a fresh machine at reset. Reset covers
+// selectCheckpoints' short-workload window (which opens at a tenth of the
+// run, possibly before the warm-up), a workload that halts before the
+// warm-up (warm is nil), and synthetic test schedules.
+func walkStart(warm *uarch.Machine, newMachine func() *uarch.Machine, cycles []uint64) *uarch.Machine {
+	if warm != nil && len(cycles) > 0 && warm.Cycle <= cycles[0] {
+		return warm
+	}
+	return newMachine()
 }
 
 // start validates, measures the golden run, selects checkpoint cycles and
@@ -108,7 +139,7 @@ func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	meas, cycles, err := s.schedule()
+	meas, warm, cycles, err := s.schedule()
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +162,7 @@ func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
 	for _, p := range cfg.Populations {
 		res.Pops[p.Name] = &PopResult{Name: p.Name}
 	}
-	return runCampaign(ctx, cfg, s.newMachine, cycles, res, resume)
+	return runCampaign(ctx, cfg, s.newMachine, warm, cycles, res, resume)
 }
 
 // selectCheckpoints draws the campaign's checkpoint cycles from the seeded
@@ -164,10 +195,12 @@ func selectCheckpoints(cfg *Config, total, span uint64) ([]uint64, error) {
 // runCampaign runs the engine over preselected checkpoint cycles. It is
 // the internal entry point below cycle selection, so tests can drive the
 // engine with synthetic checkpoint schedules (e.g. cycles past the
-// architectural halt). It owns the campaign journal: opened (or, on
-// resume, replayed then reopened for append) here, written by the
-// engine's aggregation loop, closed on the way out.
-func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machine, cycles []uint64, res *Result, resume bool) (*Result, error) {
+// architectural halt). warm is the measurement pass's warm-up clone, or
+// nil; the pilot starts from it when walkStart allows. It owns the
+// campaign journal: opened (or, on resume, replayed then reopened for
+// append) here, written by the engine's aggregation loop, closed on the
+// way out.
+func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machine, warm *uarch.Machine, cycles []uint64, res *Result, resume bool) (*Result, error) {
 	totalPerCk := 0
 	for _, p := range cfg.Populations {
 		totalPerCk += p.Trials
@@ -189,7 +222,7 @@ func runCampaign(ctx context.Context, cfg Config, newMachine func() *uarch.Machi
 			return nil, err
 		}
 	}
-	res, err := runPool(ctx, cfg, newMachine, cycles, res, prior, jw)
+	res, err := runPool(ctx, cfg, newMachine, walkStart(warm, newMachine, cycles), cycles, res, prior, jw)
 	if jerr := jw.close(); err == nil && jerr != nil {
 		err = jerr
 	}

@@ -118,7 +118,7 @@ func TestHaltBeforeLastCheckpoint(t *testing.T) {
 		// One reachable checkpoint, two scheduled after the halt.
 		cycles := []uint64{total / 3, total + 1000, total + 2000}
 		cfg.Checkpoints = len(cycles)
-		res, err := runCampaign(context.Background(), cfg, newMachine, cycles, res, false)
+		res, err := runCampaign(context.Background(), cfg, newMachine, nil, cycles, res, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,9 +235,7 @@ func TestGoldenReuse(t *testing.T) {
 	pilot.Mem.BeginImaging()
 	var imgs []*ckImage
 	for ck, cyc := range []uint64{total / 3, total - 200} {
-		for pilot.Cycle < cyc {
-			pilot.Step()
-		}
+		walkTo(pilot, cyc)
 		imgs = append(imgs, &ckImage{ck: ck, snap: pilot.Snapshot(), mem: pilot.Mem.CaptureImage()})
 	}
 	pilot.Mem.EndImaging()
@@ -304,4 +302,115 @@ func TestGoldenReuse(t *testing.T) {
 			t.Errorf("keyframe %d (cycle %d) differs from a fresh worker's", i, wk.cyc)
 		}
 	}
+}
+
+// pilotImages runs the pilot from m over cycles and returns the image it
+// captures at every checkpoint.
+func pilotImages(t *testing.T, m *uarch.Machine, cycles []uint64) []*ckImage {
+	t.Helper()
+	out := make(chan *ckImage, len(cycles))
+	runPilot(context.Background(), m, cycles, make([]bool, len(cycles)), out)
+	close(out)
+	var imgs []*ckImage
+	for img := range out {
+		imgs = append(imgs, img)
+	}
+	if len(imgs) != len(cycles) {
+		t.Fatalf("pilot captured %d images for %d checkpoints", len(imgs), len(cycles))
+	}
+	return imgs
+}
+
+// imagesEqual fails unless got and want are the same checkpoint images:
+// the state-file snapshot and its digest, Cycle, Retired, nextSeq and
+// every seq shadow, and the memory image's digest and pages.
+func imagesEqual(t *testing.T, name string, newMachine func() *uarch.Machine, got, want []*ckImage) {
+	t.Helper()
+	gm, wm := newMachine(), newMachine()
+	for i := range want {
+		g, w := got[i], want[i]
+		gm.RestoreCheckpoint(g.snap, g.mem, nil)
+		wm.RestoreCheckpoint(w.snap, w.mem, nil)
+		if gm.Cycle != wm.Cycle || gm.Retired != wm.Retired || gm.Digest() != wm.Digest() {
+			t.Errorf("%s checkpoint %d: cycle %d retired %d digest %#x, want %d %d %#x",
+				name, i, gm.Cycle, gm.Retired, gm.Digest(), wm.Cycle, wm.Retired, wm.Digest())
+		}
+		if !reflect.DeepEqual(g.snap, w.snap) {
+			t.Errorf("%s checkpoint %d: snapshot (state file or seq shadows) differs", name, i)
+		}
+		if g.mem.Digest() != w.mem.Digest() || !reflect.DeepEqual(g.mem, w.mem) {
+			t.Errorf("%s checkpoint %d: memory image differs", name, i)
+		}
+	}
+}
+
+// TestPilotWarmStartMatchesReset: the pilot starts from the measurement
+// pass's clone at the warm-up instead of walking from reset, and must
+// capture exactly the images a walk from reset captures. A schedule that
+// opens before the warm-up falls back to reset, and a workload that halts
+// before the warm-up takes no clone and still runs.
+func TestPilotWarmStartMatchesReset(t *testing.T) {
+	t.Run("gzip", func(t *testing.T) {
+		s, err := setupCampaign(Config{Workload: workload.Gzip, Checkpoints: 3, Seed: 4242, WarmupCycles: 100_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, warm, cycles, err := s.schedule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm == nil || warm.Cycle != uint64(s.cfg.WarmupCycles) {
+			t.Fatalf("measurement pass cloned no machine at the warm-up (%v)", warm)
+		}
+		// The fallback schedule opens before the warm-up; the reset walk
+		// over it and the campaign schedule is the reference.
+		early := []uint64{warm.Cycle - 1000}
+		want := pilotImages(t, s.newMachine(), append(early, cycles...))
+
+		fallback := walkStart(warm, s.newMachine, early)
+		if fallback == warm || fallback.Cycle != 0 {
+			t.Fatalf("schedule opening at %d started at cycle %d, want reset", early[0], fallback.Cycle)
+		}
+		pilot := walkStart(warm, s.newMachine, cycles)
+		if pilot != warm {
+			t.Fatal("pilot did not start from the warm-up clone")
+		}
+		imagesEqual(t, "fallback", s.newMachine, pilotImages(t, fallback, early), want[:1])
+		imagesEqual(t, "warm", s.newMachine, pilotImages(t, pilot, cycles), want[1:])
+	})
+
+	t.Run("halt-before-warmup", func(t *testing.T) {
+		cfg := stealTestConfig()
+		cfg.WarmupCycles = math.MaxInt32
+		s, err := setupCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meas, warm, cycles, err := s.schedule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm != nil {
+			t.Fatalf("workload halted at cycle %d but a warm-up clone was taken", meas.Cycle)
+		}
+		if cycles[0] >= meas.Cycle {
+			t.Fatalf("checkpoint %d past the halt at %d", cycles[0], meas.Cycle)
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pop := range cfg.Populations {
+			if got := len(res.Scatter[pop.Name]); got != cfg.Checkpoints {
+				t.Errorf("%s: %d checkpoints aggregated, want %d", pop.Name, got, cfg.Checkpoints)
+			}
+		}
+		cov, err := SurveyProofs(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cov) != cfg.Checkpoints {
+			t.Errorf("survey covered %d checkpoints, want %d", len(cov), cfg.Checkpoints)
+		}
+	})
 }

@@ -27,23 +27,24 @@ func SurveyProofs(cfg Config) ([]ProofCoverage, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, cycles, err := s.schedule()
+	_, warm, cycles, err := s.schedule()
 	if err != nil {
 		return nil, err
 	}
 	// The prover always runs — a ProveOff survey would be empty.
 	s.cfg.Prove = ProveOn
 
-	// One machine walks the sorted schedule monotonically, like the
-	// campaign's reachability pilot; at each checkpoint the worker records
-	// the golden continuation and the prover partitions the population.
-	m := s.newMachine()
+	// One machine walks the sorted schedule monotonically from the same
+	// start as the campaign's reachability pilot; at each checkpoint the
+	// worker records the golden continuation and the prover partitions the
+	// population.
+	m := walkStart(warm, s.newMachine, cycles)
 	w := newWorker(s.cfg, m)
 	f := m.F
 	out := make([]ProofCoverage, 0, len(cycles))
 	for ck, cycle := range cycles {
-		for m.Cycle < cycle {
-			m.Step()
+		if !walkTo(m, cycle) {
+			break
 		}
 		g, _ := w.golden()
 		proof := w.computeProof(g)

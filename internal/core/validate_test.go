@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"pipefault/internal/workload"
 )
 
 // TestConfigErrorTyped: every Validate rejection is a *ConfigError naming
@@ -64,4 +66,76 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate rejected a defaults-only config: %v", err)
 	}
+}
+
+// FuzzConfigValidate: whatever the field values and flag strings, the flag
+// parsers return a value or an error and Validate returns nil or a
+// *ConfigError — none of them panics. A parsed flag round-trips through
+// String, a parsed fault model passes Validate, and a config Validate
+// accepts has a fault model and prover mode the engine can run.
+func FuzzConfigValidate(f *testing.F) {
+	f.Add(true, 3, 600, 5000, 4, int64(0), 0, uint8(0), uint8(0), "transient", 0, uint8(0), 2, "l+r", 5, "l", 3, true, "on", "on")
+	f.Add(true, 0, 0, 0, 0, int64(time.Second), 2, uint8(1), uint8(1), "intermittent", 80, uint8(1), 0, "l+r", 25, "l+r", 1, false, "off", "off")
+	f.Add(true, -1, -5, -1, -2, int64(-1), -1, uint8(9), uint8(7), "stuck0", 0, uint8(2), -1, "", -1, "x", 0, true, "", "maybe")
+	f.Add(false, 1, math.MaxInt, 0, 1, int64(0), 0, uint8(0), uint8(0), "mbu2", -3, uint8(255), math.MinInt, "a", 1, "b", 1, false, "ON", "Off")
+	f.Fuzz(func(t *testing.T, hasWorkload bool, checkpoints, horizon, warmup, workers int, timeout int64, crossCheck int,
+		earlyStop, prove uint8, model string, duration int, polarity uint8, span int,
+		pop1 string, trials1 int, pop2 string, trials2 int, latch bool, esFlag, proveFlag string) {
+		if es, err := ParseEarlyStopMode(esFlag); err == nil && es.String() != esFlag {
+			t.Errorf("ParseEarlyStopMode(%q) = %v", esFlag, es)
+		}
+		if pm, err := ParseProveMode(proveFlag); err == nil && pm.String() != proveFlag {
+			t.Errorf("ParseProveMode(%q) = %v", proveFlag, pm)
+		}
+		fm, err := ParseFaultModel(model, duration)
+		if err == nil {
+			if fm == nil {
+				t.Fatalf("ParseFaultModel(%q, %d) = nil, nil", model, duration)
+			}
+			if verr := validateModel(fm); verr != nil {
+				t.Errorf("ParseFaultModel(%q, %d) = %v, which Validate rejects: %v", model, duration, fm, verr)
+			}
+		} else if fm == nil {
+			// An unknown flag: fuzz the model's fields directly instead.
+			switch len(model) % 3 {
+			case 1:
+				fm = StuckAt{Polarity: polarity, Duration: duration, Random: latch, Permanent: polarity%2 == 0}
+			case 2:
+				fm = MultiBit{Span: span}
+			}
+		}
+
+		cfg := Config{
+			Checkpoints:  checkpoints,
+			Horizon:      horizon,
+			WarmupCycles: warmup,
+			Workers:      workers,
+			TrialTimeout: time.Duration(timeout),
+			CrossCheck:   crossCheck,
+			EarlyStop:    EarlyStopMode(earlyStop),
+			Prove:        ProveMode(prove),
+			Model:        fm,
+			Populations: []Population{
+				{Name: pop1, Trials: trials1},
+				{Name: pop2, Trials: trials2, LatchOnly: latch},
+			},
+		}
+		if hasWorkload {
+			cfg.Workload = workload.Tiny
+		}
+		err = cfg.Validate()
+		if err == nil {
+			if _, ok := resolveModel(cfg.Model).(TransientFlip); !ok && cfg.Prove != ProveOff {
+				t.Errorf("Validate kept Prove %v for model %v", cfg.Prove, cfg.Model)
+			}
+			return
+		}
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Fatalf("Validate = %v (%T), want *ConfigError", err, err)
+		}
+		if ce.Field == "" || ce.Error() == "" {
+			t.Errorf("ConfigError %+v names no field or renders empty", ce)
+		}
+	})
 }
