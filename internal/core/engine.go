@@ -57,7 +57,7 @@ type keyframe struct {
 // checkpoint's last trial.
 type goldenRun struct {
 	digests []uint64 // composite digest (state ^ memory) after cycle i+1
-	events  []uarch.RetireEvent
+	events  []goldenEvent
 
 	// Early-stop liveness data (EarlyStopOn, or the prover): the golden
 	// continuation's touch trace over every entry, its first retiring
@@ -89,6 +89,34 @@ type goldenRun struct {
 	base      state.Snapshot
 	keyframes []keyframe
 	evCount   []uint32 // evCount[c-1] = len(events) after cycle c
+}
+
+// A goldenEvent is one retirement of a golden run, reduced to the fields
+// the trial monitor compares and the shadow seqno golden() looks up: a is
+// the register value (RetReg), the PAL argument (RetPal) or the store
+// address (RetStore), b the store data, and small the destination register
+// (RetReg) or the store size (RetStore). It takes 40 bytes where a
+// uarch.RetireEvent takes 64, and the retirement trace is the largest
+// buffer a golden run keeps.
+type goldenEvent struct {
+	pc, a, b, seq uint64
+	palFn         uint32
+	kind          uarch.RetireKind
+	small         uint8
+}
+
+// goldenEventOf keeps the fields of ev that its kind defines.
+func goldenEventOf(ev uarch.RetireEvent) goldenEvent {
+	g := goldenEvent{pc: ev.PC, seq: ev.Seq, kind: ev.Kind}
+	switch ev.Kind {
+	case uarch.RetReg:
+		g.a, g.small = ev.Value, ev.Dest
+	case uarch.RetStore:
+		g.a, g.b, g.small = ev.Addr, ev.Data, ev.Size
+	case uarch.RetPal:
+		g.a, g.palFn = ev.Value, ev.PalFn
+	}
+	return g
 }
 
 // bitAt reads cycle c's flag from a per-cycle bitset.
@@ -191,19 +219,19 @@ func (t *trialMonitor) onRetire(ev uarch.RetireEvent) {
 		t.outOfTrace = true
 		return
 	}
-	ge := t.g.events[t.idx]
+	ge := &t.g.events[t.idx]
 	t.idx++
 	switch {
-	case ev.PC != ge.PC || ev.Kind != ge.Kind:
+	case ev.PC != ge.pc || ev.Kind != ge.kind:
 		t.mode, t.diverged = FailCtrl, true
-	case ev.Kind == uarch.RetReg && (ev.Dest != ge.Dest || ev.Value != ge.Value):
+	case ev.Kind == uarch.RetReg && (ev.Dest != ge.small || ev.Value != ge.a):
 		t.mode, t.diverged = FailRegfile, true
 	case ev.Kind == uarch.RetStore &&
-		(ev.Addr != ge.Addr || ev.Data != ge.Data || ev.Size != ge.Size):
+		(ev.Addr != ge.a || ev.Data != ge.b || ev.Size != ge.small):
 		t.mode, t.diverged = FailMem, true
-	case ev.Kind == uarch.RetPal && ev.PalFn != ge.PalFn:
+	case ev.Kind == uarch.RetPal && ev.PalFn != ge.palFn:
 		t.mode, t.diverged = FailCtrl, true
-	case ev.Kind == uarch.RetPal && ev.Value != ge.Value:
+	case ev.Kind == uarch.RetPal && ev.Value != ge.a:
 		t.mode, t.diverged = FailRegfile, true
 	}
 }
@@ -250,7 +278,7 @@ type worker struct {
 // newWorker wires up a worker's reusable buffers and callbacks.
 func newWorker(cfg Config, m *uarch.Machine) *worker {
 	w := &worker{cfg: cfg, m: m, model: resolveModel(cfg.Model), g: &goldenRun{}}
-	w.onGolden = func(ev uarch.RetireEvent) { w.g.events = append(w.g.events, ev) }
+	w.onGolden = func(ev uarch.RetireEvent) { w.g.events = append(w.g.events, goldenEventOf(ev)) }
 	w.onRetire = w.mon.onRetire
 	w.onExc = w.mon.onExc
 	return w
@@ -282,8 +310,13 @@ func (w *worker) goldenContinuation() *goldenRun {
 	// certificate only once no fault is armed).
 	conv := w.cfg.EarlyStop == EarlyStopOn
 	traced := conv || w.cfg.Prove != ProveOff
-	g.digests = g.digests[:0]
-	g.events = g.events[:0]
+	// Reserve the digests for the horizon and the retirement trace at the
+	// checkpoint's IPC so far plus an eighth. Grown by append, a worker's
+	// first golden run would leave its outgrown buffers (about the trace's
+	// final size again) as garbage, and the peak heap would then depend on
+	// which GC cycle they fall into.
+	g.digests = slices.Grow(g.digests[:0], int(h))
+	g.events = slices.Grow(g.events[:0], int(m.Retired*h/max(m.Cycle, 1)*9/8))
 	g.evCount = g.evCount[:0]
 	g.keyframes = g.keyframes[:0]
 	g.excAt, g.excMode = 0, FailNone
@@ -315,6 +348,7 @@ func (w *worker) goldenContinuation() *goldenRun {
 	}
 	if conv {
 		m.F.SnapshotInto(&g.base)
+		g.evCount = slices.Grow(g.evCount, int(h))
 	}
 	lastRetired := m.Retired
 	for cyc = 1; cyc <= h; cyc++ {
