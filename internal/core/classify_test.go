@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"pipefault/internal/mem"
@@ -31,14 +32,20 @@ func newTestEngine(t *testing.T, w *workload.Workload, warmup uint64) (*worker, 
 	cfg := Config{Workload: w}
 	cfg.setDefaults()
 	en := newWorker(cfg, m)
-
-	snap := m.Snapshot()
+	en.g = sweepGolden(en)
 	m.Mem.BeginUndo()
-	mark := m.Mem.Mark()
-	g := en.goldenContinuation()
-	m.Restore(snap)
-	m.Mem.RollbackTo(mark)
-	return en, g
+	return en, en.g
+}
+
+// sweepGolden runs a one-checkpoint golden sweep from the worker's machine
+// state, on a clone, and returns the checkpoint's golden run.
+func sweepGolden(w *worker) *goldenRun {
+	var g *goldenRun
+	runSweep(context.Background(), w.cfg, w.m.Clone(), []uint64{w.m.Cycle}, nil, nil, func(win *ckWindow) bool {
+		g = &win.g
+		return true
+	})
+	return g
 }
 
 // flipRef builds a BitRef for a named element.

@@ -43,14 +43,11 @@ func TestContainmentSoak(t *testing.T) {
 	}
 	w := newWorker(cfg, m)
 
-	// Replay a checkpoint's preamble: golden continuation, then rewind.
+	// The checkpoint's golden run, from a one-checkpoint sweep, then the
+	// journal brackets a checkpoint's trials run under.
+	w.g = sweepGolden(w)
 	m.BeginJournal()
-	m.Mark(&w.ckMark)
 	m.Mem.BeginUndo()
-	memMark := m.Mem.Mark()
-	w.goldenContinuation()
-	m.RollbackTo(&w.ckMark)
-	m.Mem.RollbackTo(memMark)
 
 	base := m.Digest()
 	swept, elems, anomalies := 0, 0, 0

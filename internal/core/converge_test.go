@@ -169,7 +169,7 @@ func TestConvergeTrialStopsAtReconvergence(t *testing.T) {
 }
 
 // TestConvergeCertificateSkipsTail: the re-convergence certificate resolves
-// a diverged-but-frozen trial at a stride boundary — fewer simulated steps
+// a diverged-but-frozen trial at an absolute stride boundary — fewer simulated steps
 // than the reported Cycles (the tail is replayed closed-form from the
 // golden monitors) — and the full-horizon loop agrees on every field.
 func TestConvergeCertificateSkipsTail(t *testing.T) {
@@ -182,8 +182,8 @@ func TestConvergeCertificateSkipsTail(t *testing.T) {
 	en.cfg.OnTrialResolved = func(k ResolveKind, s int) { steps = s }
 	fast := runTargeted(t, en, g, elem, entry, bit)
 	en.cfg.OnTrialResolved = nil
-	if steps%convStride != 0 {
-		t.Errorf("certificate fired after %d steps, not a convStride=%d boundary", steps, convStride)
+	if (g.start+uint64(steps))%convStride != 0 {
+		t.Errorf("certificate fired after %d steps from cycle %d, not on an absolute convStride=%d boundary", steps, g.start, convStride)
 	}
 	en.cfg.EarlyStop = EarlyStopOff
 	slow := runTargeted(t, en, g, elem, entry, bit)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pipefault/internal/state"
 	"pipefault/internal/workload"
 )
 
@@ -75,7 +76,7 @@ func TestEarlyStopEquivalenceMatrix(t *testing.T) {
 func deadBit(t *testing.T, en *worker, g *goldenRun) (string, int) {
 	t.Helper()
 	horizon := en.cfg.Horizon
-	if n := len(g.digests); horizon > n {
+	if n := g.n; horizon > n {
 		horizon = n
 	}
 	for _, e := range en.m.F.Elems() {
@@ -154,14 +155,13 @@ func TestEarlyStopHaltingFlip(t *testing.T) {
 // retire and illegal-fetch bits are set where the predicates say, with no
 // exception.
 func syntheticGolden(h uint64, retired, illegal func(c uint64) bool) *goldenRun {
-	nw := (h + 63) / 64
-	g := &goldenRun{retireBits: make([]uint64, nw), illegalBits: make([]uint64, nw), traced: true}
+	g := &goldenRun{cycles: make([]cycleRec, h), n: int(h), traced: true}
 	for c := uint64(1); c <= h; c++ {
 		if retired(c) {
-			setBitAt(g.retireBits, c)
+			g.cycles[c-1].flags |= cycRetired
 		}
 		if illegal(c) {
-			setBitAt(g.illegalBits, c)
+			g.cycles[c-1].flags |= cycIllegal
 		}
 	}
 	return g
@@ -255,7 +255,7 @@ func TestCrossCheckCatchesTamperedTrace(t *testing.T) {
 	if !g.traced || !en.model.Transient() {
 		t.Fatal("fixture needs a traced golden run under the transient model")
 	}
-	g.trace = en.m.F.NewTouchTrace()
+	g.trace = &state.WindowTrace{}
 	err := en.crossCheck(0, nil)
 	var ce *CrossCheckError
 	if !errors.As(err, &ce) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
-	"slices"
 	"time"
 
 	"pipefault/internal/prove"
@@ -30,18 +29,20 @@ func wallClock() int64 {
 }
 
 // convStride is the cycle spacing of convergence keyframes along the
-// golden continuation (power of two; the trial loop's boundary test is a
-// masked compare). Smaller strides prove frozen-delta trials earlier but
-// cost one state-file delta each; 512 keeps a 10k-cycle horizon at 19
-// keyframes (~6 KB each on gzip) while bounding the wasted stepping of a
-// provable trial to under half a keyframe interval on average.
+// golden sweep (power of two; the trial loop's boundary test is a masked
+// compare). Keyframes sit at absolute multiples of convStride, so every
+// window that covers a boundary shares its keyframe. Smaller strides prove
+// frozen-delta trials earlier but cost one state-file delta each; 512
+// keeps a 10k-cycle horizon at 19-20 keyframes (~6 KB each on gzip) while
+// bounding the wasted stepping of a provable trial to under half a
+// keyframe interval on average.
 const convStride = 512
 
 // keyframe is one golden trajectory keyframe: the state-file contents after
-// cycle cyc of the continuation, as a delta against the golden run's base
-// (its checkpoint state), and the memory digest. The trial loop diffs its
-// own state against the patched keyframe to compute the exact set of
-// entries still differing from the golden run (see tryConverge).
+// absolute cycle cyc, as a delta against the sweep's base, and the memory
+// digest. The trial loop diffs its own state against the patched keyframe
+// to compute the exact set of entries still differing from the golden run
+// (see tryConverge).
 type keyframe struct {
 	cyc       uint64
 	delta     state.Delta
@@ -49,84 +50,144 @@ type keyframe struct {
 }
 
 // goldenRun is a checkpoint's fault-free continuation over the trial
-// horizon: the per-cycle whole-machine trajectory digest and the
-// retired-instruction trace. The worker running a checkpoint records it
-// once, then reads it for every trial of that checkpoint. A worker owns
-// one goldenRun for its whole life and records each checkpoint's run into
-// the previous one's storage: nothing reads a golden run after its
-// checkpoint's last trial.
+// horizon, as the golden sweep recorded it (see sweep.go): per cycle the
+// whole-machine trajectory digest, the cumulative retirement count and the
+// monitor flags, plus the retired-instruction trace and the keyframes.
+// They live in the sweep's rings; the window reads its stretch of each by
+// ordinal. Read-only: the worker running the checkpoint reads it for every
+// trial.
 type goldenRun struct {
-	digests []uint64 // composite digest (state ^ memory) after cycle i+1
-	events  []goldenEvent
+	start  uint64 // the checkpoint cycle (absolute)
+	n      int    // window length in cycles (the horizon)
+	cycles []cycleRec
+	ord    uint64 // cycles ordinal of window cycle 1
+	events []goldenEvent
+	ev0    uint64 // events ordinal of the window's first retirement
+	nEv    int
 
-	// Early-stop liveness data (EarlyStopOn, or the prover): the golden
-	// continuation's touch trace over every entry, its first retiring
-	// exception, and the per-cycle retire and illegal-fetch bits the
-	// trial-loop monitors read. A trial whose flipped entry is overwritten
+	// Early-stop liveness data (EarlyStopOn, or the prover): the window's
+	// touch trace over every entry, its first retiring exception, and the
+	// first monitor failure replayed over the per-cycle retire and
+	// illegal-fetch flags. A trial whose flipped entry is overwritten
 	// before the golden run ever reads it behaves bit-identically to the
 	// golden run, so its outcome is a pure function of these fields (see
 	// (*worker).resolveDead); firstFailure replays the monitors over them.
-	// traced gates the fast path: goldens built without tracing
-	// (EarlyStopOff with ProveOff) leave it false and every trial takes the
-	// full loop.
-	trace       *state.TouchTrace
-	excAt       uint64 // first cycle an exception reaches retirement
-	excMode     FailureMode
-	retireBits  []uint64 // bit (c-1): >=1 instruction retired at cycle c
-	illegalBits []uint64 // bit (c-1): FetchStalledIllegal() after cycle c
-	failAt      uint64   // firstFailure(0, streaks{}, Horizon)
-	failMode    FailureMode
-	traced      bool
+	// traced gates the fast path: a sweep without tracing (EarlyStopOff with
+	// ProveOff) leaves it false and every trial takes the full loop.
+	trace    *state.WindowTrace
+	excAt    uint64 // first cycle an exception reaches retirement
+	excMode  FailureMode
+	failAt   uint64 // firstFailure(0, streaks{}, Horizon)
+	failMode FailureMode
+	traced   bool
 
-	// Convergence-certificate data (EarlyStopOn): the checkpoint state
-	// (base), state keyframes at convStride boundaries as deltas against
-	// it, plus cumulative retire-event counts, which let tryConverge check
-	// that a trial's retirement stream is aligned with the golden run's.
-	// conv gates the certificate exactly as traced gates the taint paths.
-	// keyframes keeps its length-capacity tail across runs, so each slot's
-	// delta storage is reused.
+	// Convergence-certificate data (EarlyStopOn): the base state of the
+	// sweep's run of windows and the keyframes at the absolute convStride
+	// boundaries inside the window, as deltas against it. conv gates the
+	// certificate exactly as traced gates the taint paths.
 	conv      bool
-	base      state.Snapshot
+	base      *state.Snapshot
 	keyframes []keyframe
-	evCount   []uint32 // evCount[c-1] = len(events) after cycle c
+	kf0       uint64 // keyframes ordinal of the window's first keyframe
+	nKf       int
+}
+
+// cycle returns the record of window cycle c (1-based).
+func (g *goldenRun) cycle(c int) *cycleRec {
+	return &g.cycles[(g.ord+uint64(c)-1)%uint64(len(g.cycles))]
+}
+
+// event returns the window's i-th retirement event (0-based).
+func (g *goldenRun) event(i int) *goldenEvent {
+	return &g.events[(g.ev0+uint64(i))%uint64(len(g.events))]
+}
+
+// digest returns the composite digest after window cycle c.
+func (g *goldenRun) digest(c int) uint64 { return g.cycle(c).digest }
+
+// evCount returns the number of retirement events through window cycle c.
+func (g *goldenRun) evCount(c int) int { return int(g.cycle(c).ev - uint32(g.ev0)) }
+
+// retired reports whether an instruction retired at window cycle c.
+func (g *goldenRun) retired(c uint64) bool { return g.cycle(int(c)).flags&cycRetired != 0 }
+
+// illegal reports whether fetch stalled on an illegal address after window
+// cycle c.
+func (g *goldenRun) illegal(c uint64) bool { return g.cycle(int(c)).flags&cycIllegal != 0 }
+
+// keyframe returns the keyframe after absolute cycle a, or nil when the
+// window holds none there.
+func (g *goldenRun) keyframe(a uint64) *keyframe {
+	first := (g.start/convStride + 1) * convStride
+	if a < first || (a-first)%convStride != 0 {
+		return nil
+	}
+	ki := (a - first) / convStride
+	if ki >= uint64(g.nKf) {
+		return nil
+	}
+	return &g.keyframes[(g.kf0+ki)%uint64(len(g.keyframes))]
 }
 
 // A goldenEvent is one retirement of a golden run, reduced to the fields
-// the trial monitor compares and the shadow seqno golden() looks up: a is
-// the register value (RetReg), the PAL argument (RetPal) or the store
-// address (RetStore), b the store data, and small the destination register
-// (RetReg) or the store size (RetStore). It takes 40 bytes where a
-// uarch.RetireEvent takes 64, and the retirement trace is the largest
-// buffer a golden run keeps.
+// the trial monitor compares and the shadow seqno validInsns looks up, in
+// 32 bytes where a uarch.RetireEvent takes 64: the retirement trace is the
+// largest buffer the sweep keeps. pk holds the PC in its low 48 bits (a
+// fault-free run retires only program addresses), the kind in its top
+// byte and the destination register (RetReg) or store size (RetStore)
+// below it; a is the register value (RetReg), the PAL argument (RetPal) or
+// the store address (RetStore); b is the store data (RetStore) or the PAL
+// function (RetPal).
 type goldenEvent struct {
-	pc, a, b, seq uint64
-	palFn         uint32
-	kind          uarch.RetireKind
-	small         uint8
+	pk, a, b, seq uint64
 }
+
+// goldenPCBits is the width of the PC in goldenEvent.pk.
+const goldenPCBits = 48
 
 // goldenEventOf keeps the fields of ev that its kind defines.
 func goldenEventOf(ev uarch.RetireEvent) goldenEvent {
-	g := goldenEvent{pc: ev.PC, seq: ev.Seq, kind: ev.Kind}
+	if ev.PC>>goldenPCBits != 0 {
+		panic(fmt.Sprintf("core: golden retirement at pc %#x beyond %d address bits", ev.PC, goldenPCBits))
+	}
+	g := goldenEvent{pk: ev.PC | uint64(ev.Kind)<<56, seq: ev.Seq}
 	switch ev.Kind {
 	case uarch.RetReg:
-		g.a, g.small = ev.Value, ev.Dest
+		g.a = ev.Value
+		g.pk |= uint64(ev.Dest) << goldenPCBits
 	case uarch.RetStore:
-		g.a, g.b, g.small = ev.Addr, ev.Data, ev.Size
+		g.a, g.b = ev.Addr, ev.Data
+		g.pk |= uint64(ev.Size) << goldenPCBits
 	case uarch.RetPal:
-		g.a, g.palFn = ev.Value, ev.PalFn
+		g.a, g.b = ev.Value, uint64(ev.PalFn)
 	}
 	return g
 }
 
-// bitAt reads cycle c's flag from a per-cycle bitset.
-func bitAt(bits []uint64, c uint64) bool {
-	return bits[(c-1)>>6]>>((c-1)&63)&1 == 1
+// pc returns the retiring instruction's PC.
+func (g *goldenEvent) pc() uint64 { return g.pk & (1<<goldenPCBits - 1) }
+
+// kind returns the retirement kind.
+func (g *goldenEvent) kind() uarch.RetireKind { return uarch.RetireKind(g.pk >> 56) }
+
+// small returns the destination register (RetReg) or store size
+// (RetStore), and 0 otherwise.
+func (g *goldenEvent) small() uint8 { return uint8(g.pk >> goldenPCBits) }
+
+// data returns the store data (RetStore), and 0 otherwise.
+func (g *goldenEvent) data() uint64 {
+	if g.kind() == uarch.RetStore {
+		return g.b
+	}
+	return 0
 }
 
-// setBitAt sets cycle c's flag in a pre-sized per-cycle bitset.
-func setBitAt(bits []uint64, c uint64) {
-	bits[(c-1)>>6] |= 1 << ((c - 1) & 63)
+// palFn returns the PAL function (RetPal), and 0 otherwise.
+func (g *goldenEvent) palFn() uint32 {
+	if g.kind() == uarch.RetPal {
+		return uint32(g.b)
+	}
+	return 0
 }
 
 // lockedCycles is the no-retirement deadlock-detection horizon. The paper
@@ -180,7 +241,7 @@ func (g *goldenRun) firstFailure(from uint64, st streaks, h uint64) (uint64, Fai
 		if c == g.excAt {
 			return c, g.excMode
 		}
-		if fm := st.step(bitAt(g.retireBits, c), bitAt(g.illegalBits, c)); fm != FailNone {
+		if fm := st.step(g.retired(c), g.illegal(c)); fm != FailNone {
 			return c, fm
 		}
 	}
@@ -215,21 +276,21 @@ func (t *trialMonitor) onRetire(ev uarch.RetireEvent) {
 	if t.diverged || t.outOfTrace {
 		return
 	}
-	if t.idx >= len(t.g.events) {
+	if t.idx >= t.g.nEv {
 		t.outOfTrace = true
 		return
 	}
-	ge := &t.g.events[t.idx]
+	ge := t.g.event(t.idx)
 	t.idx++
 	switch {
-	case ev.PC != ge.pc || ev.Kind != ge.kind:
+	case ev.PC != ge.pc() || ev.Kind != ge.kind():
 		t.mode, t.diverged = FailCtrl, true
-	case ev.Kind == uarch.RetReg && (ev.Dest != ge.small || ev.Value != ge.a):
+	case ev.Kind == uarch.RetReg && (ev.Dest != ge.small() || ev.Value != ge.a):
 		t.mode, t.diverged = FailRegfile, true
 	case ev.Kind == uarch.RetStore &&
-		(ev.Addr != ge.a || ev.Data != ge.b || ev.Size != ge.small):
+		(ev.Addr != ge.a || ev.Data != ge.b || ev.Size != ge.small()):
 		t.mode, t.diverged = FailMem, true
-	case ev.Kind == uarch.RetPal && ev.PalFn != ge.palFn:
+	case ev.Kind == uarch.RetPal && ev.PalFn != ge.palFn():
 		t.mode, t.diverged = FailCtrl, true
 	case ev.Kind == uarch.RetPal && ev.Value != ge.a:
 		t.mode, t.diverged = FailRegfile, true
@@ -249,154 +310,35 @@ func (t *trialMonitor) onExc(ev uarch.ExcEvent) {
 	}
 }
 
-// worker runs golden continuations and trials on a private machine. Every
-// worker serves arbitrary checkpoints by materializing their portable
-// images, and g points at the current checkpoint's golden run (read-only
-// once recorded). Workers never share mutable state.
+// worker runs trials on a private machine. Every worker serves arbitrary
+// checkpoints by materializing their portable images, and g points at the
+// current checkpoint's golden run, which the sweep recorded and nobody
+// writes. Workers never share mutable state.
 type worker struct {
 	cfg Config
 	m   *uarch.Machine
 	//pipelint:shadow-ok resolved fault model from Config.Model; campaign parameter, not injectable machine state
 	model FaultModel
-	//pipelint:shadow-ok the worker's one golden run (being recorded, or read-only for trials); engine scaffolding
+	//pipelint:shadow-ok the current checkpoint's golden run, read-only; engine scaffolding
 	g *goldenRun
 	//pipelint:shadow-ok tryConverge's scratch: a keyframe delta patched onto the golden base; engine scaffolding
 	kfSnap state.Snapshot
 	//pipelint:shadow-ok per-trial classifier scratch, reset each trial; never injectable machine state
 	mon trialMonitor
 	//pipelint:shadow-ok reusable rewind marks for the undo journal; engine scaffolding
-	ckMark uarch.MarkPoint
-	//pipelint:shadow-ok reusable rewind marks for the undo journal; engine scaffolding
 	trialMark uarch.MarkPoint
 
-	// Callbacks built once per worker and re-attached per golden run/trial.
-	onGolden func(uarch.RetireEvent)
+	// Callbacks built once per worker and re-attached per trial.
 	onRetire func(uarch.RetireEvent)
 	onExc    func(uarch.ExcEvent)
 }
 
 // newWorker wires up a worker's reusable buffers and callbacks.
 func newWorker(cfg Config, m *uarch.Machine) *worker {
-	w := &worker{cfg: cfg, m: m, model: resolveModel(cfg.Model), g: &goldenRun{}}
-	w.onGolden = func(ev uarch.RetireEvent) { w.g.events = append(w.g.events, goldenEventOf(ev)) }
+	w := &worker{cfg: cfg, m: m, model: resolveModel(cfg.Model)}
 	w.onRetire = w.mon.onRetire
 	w.onExc = w.mon.onExc
 	return w
-}
-
-// goldenContinuation steps the worker's machine through the fault-free
-// continuation for the trial horizon and returns the per-cycle digests and
-// retirement trace, recorded into the worker's one goldenRun (the previous
-// checkpoint's run is overwritten). Under EarlyStopOn (or with the prover
-// on) it additionally records the liveness data the closed-form trial
-// classifier needs: a touch trace over every entry, the first retiring
-// exception, and the per-cycle retire and illegal-fetch bits that
-// firstFailure replays the trial-loop monitors over. The monitor probes
-// (FetchStalledIllegal, retire accounting) run with the trace attached, so
-// every state read a trial's per-cycle classification would perform is
-// captured — the soundness condition for treating an unread-then-
-// overwritten entry as dead. The caller rewinds the machine afterwards.
-func (w *worker) goldenContinuation() *goldenRun {
-	m := w.m
-	g := w.g
-	h := uint64(w.cfg.Horizon)
-	// The prover consumes the same liveness data as the taint fast path, so
-	// either consumer arms the trace. Tracing is pure observation — it
-	// changes which trials are *drawn* only through the proof, never how a
-	// drawn trial executes. Convergence additionally records keyframes and
-	// the cumulative event counts its certificate checks. Every fault model
-	// gets the same golden run: the model decides which consumers may use
-	// it (resolveDead and the prover are transient-only; runTrial tries the
-	// certificate only once no fault is armed).
-	conv := w.cfg.EarlyStop == EarlyStopOn
-	traced := conv || w.cfg.Prove != ProveOff
-	// Reserve the digests for the horizon and the retirement trace at the
-	// checkpoint's IPC so far plus an eighth. Grown by append, a worker's
-	// first golden run would leave its outgrown buffers (about the trace's
-	// final size again) as garbage, and the peak heap would then depend on
-	// which GC cycle they fall into.
-	g.digests = slices.Grow(g.digests[:0], int(h))
-	g.events = slices.Grow(g.events[:0], int(m.Retired*h/max(m.Cycle, 1)*9/8))
-	g.evCount = g.evCount[:0]
-	g.keyframes = g.keyframes[:0]
-	g.excAt, g.excMode = 0, FailNone
-	g.failAt, g.failMode = 0, FailNone
-	g.traced, g.conv = traced, conv
-	m.OnRetire = w.onGolden
-	var cyc uint64
-	if traced {
-		if g.trace == nil {
-			g.trace = m.F.NewTouchTrace()
-		} else {
-			g.trace.Clear()
-		}
-		m.F.StartTrace(g.trace)
-		m.OnExc = func(ev uarch.ExcEvent) {
-			if g.excAt != 0 {
-				return
-			}
-			g.excAt = cyc
-			if ev.Kind == uarch.ExcDTLB {
-				g.excMode = FailDTLB
-			} else {
-				g.excMode = FailExcept
-			}
-		}
-		nw := int(h+63) / 64
-		g.retireBits = clearBits(g.retireBits, nw)
-		g.illegalBits = clearBits(g.illegalBits, nw)
-	}
-	if conv {
-		m.F.SnapshotInto(&g.base)
-		g.evCount = slices.Grow(g.evCount, int(h))
-	}
-	lastRetired := m.Retired
-	for cyc = 1; cyc <= h; cyc++ {
-		if traced {
-			m.F.TraceCycle(cyc)
-		}
-		m.Step()
-		g.digests = append(g.digests, m.TraceDigest())
-		if !traced {
-			continue
-		}
-		if m.Retired > lastRetired {
-			lastRetired = m.Retired
-			setBitAt(g.retireBits, cyc)
-		}
-		if m.FetchStalledIllegal() {
-			setBitAt(g.illegalBits, cyc)
-		}
-		if conv {
-			g.evCount = append(g.evCount, uint32(len(g.events)))
-			if cyc&(convStride-1) == 0 {
-				n := len(g.keyframes)
-				g.keyframes = slices.Grow(g.keyframes, 1)[:n+1]
-				kf := &g.keyframes[n]
-				kf.cyc = cyc
-				m.F.DeltaInto(&kf.delta, &g.base)
-				kf.memDigest = m.Mem.Digest()
-			}
-		}
-	}
-	if traced {
-		m.F.StopTrace()
-		m.OnExc = nil
-		g.failAt, g.failMode = g.firstFailure(0, streaks{}, h)
-	}
-	m.OnRetire = nil
-	return g
-}
-
-// clearBits returns a zeroed n-word bitset, reusing bits' storage when it
-// is large enough.
-func clearBits(bits []uint64, n int) []uint64 {
-	if cap(bits) < n {
-		return make([]uint64, n)
-	}
-	bits = bits[:n]
-	clear(bits)
-	return bits
 }
 
 // checkpointSeed derives the per-checkpoint RNG seed from the campaign seed
@@ -421,10 +363,9 @@ func splitmix64(x uint64) uint64 {
 }
 
 // computeProof runs the static benign-injection prover over the machine's
-// current (checkpoint) state and the freshly recorded golden run, or
-// returns nil under ProveOff. The machine must be rewound to checkpoint
-// state and the trace detached — the idleness rule reads gate values as of
-// the checkpoint.
+// current (checkpoint) state and the checkpoint's golden run, or returns
+// nil under ProveOff. The machine must stand at checkpoint state — the
+// idleness rule reads gate values as of the checkpoint.
 func (w *worker) computeProof(g *goldenRun) *prove.Proof {
 	if w.cfg.Prove == ProveOff {
 		return nil
@@ -483,8 +424,7 @@ const crossCheckSalt = 0x636865636b // "check"
 //     EarlyStopOff and must classify µArch Match — the claim every proof
 //     rule makes.
 //
-// The machine must sit at checkpoint state with no journal bracket open
-// (worker.golden closes its own). Each check trial rewinds through the
+// The machine must sit at checkpoint state with no journal bracket open. Each check trial rewinds through the
 // containment boundary ordinary trials use, so the oracle perturbs
 // nothing; it can only abort the campaign.
 func (w *worker) crossCheck(ck int, proof *prove.Proof) error {
@@ -857,7 +797,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		// moment the golden run writes the stuck entry. armed is permanently
 		// nil for one-shot models, so the gate costs a nil compare on the
 		// classic path.
-		if armed == nil && !w.mon.outOfTrace && m.TraceDigest() == g.digests[cyc-1] {
+		if armed == nil && !w.mon.outOfTrace && m.TraceDigest() == g.digest(cyc) {
 			kind = ResolveConverge
 			trial.Outcome = OutMatch
 			return trial
@@ -866,7 +806,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		// the cycle a windowed stuck-at disarms, the trial is a plain state
 		// delta against the golden run — the certificate's premise. A
 		// permanent fault never disarms, so it never gets here.
-		if conv && armed == nil && cyc&(convStride-1) == 0 && cyc < horizon {
+		if conv && armed == nil && (g.start+uint64(cyc))&(convStride-1) == 0 && cyc < horizon {
 			done, ok := w.tryConverge(trial, cyc, horizon, st)
 			if testConvergeHook != nil {
 				testConvergeHook(cyc, ok)
@@ -883,7 +823,8 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 }
 
 // tryConverge is the convergence certificate: called with a still-running
-// trial at a convStride boundary cycle cyc, it decides whether the trial's
+// trial at a cycle cyc that ends on an absolute convStride boundary, it
+// decides whether the trial's
 // entire remaining horizon is provably identical to the golden run's, and
 // if so resolves the remaining classification in closed form.
 //
@@ -927,19 +868,15 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, bool) {
 	g := w.g
 	m := w.m
-	ki := cyc/convStride - 1
-	if ki >= len(g.keyframes) {
+	kf := g.keyframe(g.start + uint64(cyc))
+	if kf == nil {
 		return trial, false
 	}
-	kf := &g.keyframes[ki]
 	c := uint64(cyc)
-	if kf.cyc != c {
-		return trial, false
-	}
 	if m.Mem.Digest() != kf.memDigest {
 		return trial, false
 	}
-	if w.mon.outOfTrace || w.mon.idx != int(g.evCount[cyc-1]) {
+	if w.mon.outOfTrace || w.mon.idx != g.evCount(cyc) {
 		return trial, false
 	}
 	if g.excAt != 0 && g.excAt <= c {
@@ -950,7 +887,7 @@ func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, 
 	// base in the worker's scratch snapshot. Certificates over a wide delta
 	// essentially never hold (many differing entries imply live state), so
 	// a hard cap bounds the collection.
-	kf.delta.PatchInto(&w.kfSnap, &g.base)
+	kf.delta.PatchInto(&w.kfSnap, g.base)
 	const maxDelta = 128
 	var dbuf [maxDelta]uint64
 	nd := 0

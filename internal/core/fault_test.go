@@ -155,14 +155,12 @@ func TestRestrictToModel(t *testing.T) {
 		}
 
 		en.cfg.Prove, en.model = cfg.Prove, resolveModel(cfg.Model)
-		snap := en.m.Snapshot()
-		mark := en.m.Mem.Mark()
-		g := en.goldenContinuation()
-		en.m.Restore(snap)
-		en.m.Mem.RollbackTo(mark)
-		if want := en.cfg.Horizon / convStride; !g.traced || !g.conv || len(g.keyframes) != want {
+		g := sweepGolden(en)
+		en.g = g
+		start := en.m.Cycle
+		if want := int((start+uint64(en.cfg.Horizon))/convStride - start/convStride); !g.traced || !g.conv || g.nKf != want {
 			t.Errorf("%v golden run: traced=%v conv=%v keyframes=%d; want traced, conv and %d keyframes",
-				model, g.traced, g.conv, len(g.keyframes), want)
+				model, g.traced, g.conv, g.nKf, want)
 		}
 
 		// A bit the liveness trace proves dead resolves without stepping

@@ -151,7 +151,7 @@ func TestProveCrossCheckOracle(t *testing.T) {
 func TestCrossCheckCatchesUnsoundHint(t *testing.T) {
 	en, g := newTestEngine(t, workload.Tiny, 600)
 	h := en.cfg.Horizon
-	if n := len(g.digests); h > n {
+	if n := g.n; h > n {
 		h = n
 	}
 	for _, elem := range []string{"rob.head", "rob.tail", "rob.count", "fe.pc", "lq.head", "sq.head"} {

@@ -55,9 +55,9 @@ func resumedGoldenCampaign(t *testing.T, workers int) *Result {
 // undo-journal rewind and the campaign engine: at 1, 4 and 8 workers, and
 // after an interrupted run is resumed from its journal, the campaign must
 // produce byte-identical exports (JSON and CSV) matching the checked-in
-// golden files — which predate both the journal rewind and the image
-// pilot, so the goldens pin that none of these mechanisms changed the
-// simulator's observable behavior.
+// golden files — which predate the journal rewind, the image pilot and
+// the golden sweep, so the goldens pin that none of these mechanisms
+// changed the simulator's observable behavior.
 func TestRewindEquivalence(t *testing.T) {
 	type run struct {
 		name string

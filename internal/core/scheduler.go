@@ -110,7 +110,7 @@ func (s *campaignSetup) schedule() (meas, warm *uarch.Machine, cycles []uint64, 
 
 // walkTo steps m until it reaches cycle cyc or halts, and reports whether
 // it is still running. Every walk over a checkpoint schedule — the
-// campaign pilot, SurveyProofs, the warm-up of the measurement pass — goes
+// golden sweep, the warm-up of the measurement pass — goes
 // through it.
 func walkTo(m *uarch.Machine, cyc uint64) bool {
 	for m.Cycle < cyc && !m.Halted() {
@@ -196,7 +196,7 @@ func selectCheckpoints(cfg *Config, total, span uint64) ([]uint64, error) {
 // the internal entry point below cycle selection, so tests can drive the
 // engine with synthetic checkpoint schedules (e.g. cycles past the
 // architectural halt). warm is the measurement pass's warm-up clone, or
-// nil; the pilot starts from it when walkStart allows. It owns the
+// nil; the sweep starts from it when walkStart allows. It owns the
 // campaign journal: opened (or, on resume, replayed then reopened for
 // append) here, written by the engine's aggregation loop, closed on the
 // way out.
@@ -240,7 +240,7 @@ type engineGuard struct {
 
 // capture is deferred directly inside worker goroutines; after runs when
 // a panic was recovered (the engine passes its context cancel so the
-// pilot and sibling workers drain instead of waiting forever).
+// sweep and sibling workers drain instead of waiting forever).
 func (g *engineGuard) capture(what string, after func()) {
 	r := recover()
 	if r == nil {

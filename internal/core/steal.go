@@ -12,17 +12,17 @@ import (
 
 // The campaign engine. One checkpoint is one unit of work.
 //
-// Pilot: a single machine advances through the workload once, capturing
-// at each checkpoint a portable image (bit-store snapshot + copy-on-write
-// memory image) and sending it on a channel of capacity Workers+1. At
-// most 2*Workers+2 images are resident — one per busy worker, a full
-// channel, and the one the pilot waits to send — so campaign memory stays
-// flat no matter how many checkpoints the campaign has.
+// Sweep: a single machine steps the fault-free run once (see sweep.go).
+// At each checkpoint it captures a portable image (bit-store snapshot +
+// copy-on-write memory image) and opens the checkpoint's window; when the
+// window's horizon ends it hands the checkpoint, image and golden run, to
+// a worker over an unbuffered channel. The sweep waits for a free worker,
+// so at most Workers+1 closed windows are resident besides the open ones.
 //
 // Workers: each worker ranges over the channel, restores the image onto
-// its private machine, and runs the checkpoint whole — golden
-// continuation, proof, cross-check oracle, then every trial in flat order
-// from the one checkpointSeed(Seed, ck) stream — and reports one message.
+// its private machine, and runs the checkpoint whole — proof, cross-check
+// oracle, then every trial in flat order from the one
+// checkpointSeed(Seed, ck) stream — and reports one message.
 //
 // Determinism: a checkpoint's trials depend only on (Seed, checkpoint
 // index), and aggregation folds in checkpoint order, so the Result is
@@ -31,17 +31,10 @@ import (
 // Robustness: per-trial panics and watchdog expiries are contained inside
 // runTrialContained (see engine.go). A cross-check failure, an engine
 // panic or the caller's cancellation cancels the campaign context: the
-// pilot stops capturing and workers skip queued images, while checkpoints
+// sweep stops and workers skip queued checkpoints, while checkpoints
 // already running finish and report. A campaign journal, when configured,
-// lets Resume skip journal-complete checkpoints: the pilot steps through
-// them without capturing an image.
-
-// ckImage is one checkpoint's portable image, immutable after capture.
-type ckImage struct {
-	ck   int
-	snap *uarch.Snapshot
-	mem  *mem.Image
-}
+// lets Resume skip journal-complete checkpoints: the sweep opens no window
+// for them.
 
 // ckMsg carries one checkpoint's results to the aggregator: its
 // golden-run validInsns, proven strata (nil under ProveOff) and flat trial
@@ -54,70 +47,30 @@ type ckMsg struct {
 	err        error
 }
 
-// runPilot is the reachability pass: one machine steps through the
-// workload once, capturing a portable image at every checkpoint cycle. m
-// starts at or before the first checkpoint (see walkStart). A machine that
-// architecturally halts early stops sending; the unreached checkpoints
-// produce no results. Journal-complete checkpoints (skip) are stepped
-// through but not captured; a cancelled context stops the pilot at the
-// next checkpoint or while it waits to send.
-func runPilot(ctx context.Context, m *uarch.Machine, cycles []uint64, skip []bool, out chan<- *ckImage) {
-	m.Mem.BeginImaging()
-	defer m.Mem.EndImaging()
-	for ck, cyc := range cycles {
-		if ctx.Err() != nil {
-			return
-		}
-		if !walkTo(m, cyc) {
-			return
-		}
-		if skip[ck] {
-			continue
-		}
-		select {
-		case out <- &ckImage{ck: ck, snap: m.Snapshot(), mem: m.Mem.CaptureImage()}:
-		case <-ctx.Done():
-			return
+// validInsns counts the in-flight instructions at checkpoint state that
+// the golden run retires. Retirement is in order and a refetched
+// instruction gets a fresh, larger seqno, so g.events ascends by Seq.
+func (w *worker) validInsns() int {
+	g := w.g
+	n := 0
+	for _, s := range w.m.InFlightSeqs() {
+		i := sort.Search(g.nEv, func(i int) bool { return g.event(i).seq >= s })
+		if i < g.nEv && g.event(i).seq == s {
+			n++
 		}
 	}
-}
-
-// golden runs the checkpoint's fault-free continuation on the worker's
-// machine and rewinds.
-func (w *worker) golden() (*goldenRun, int) {
-	m := w.m
-	m.BeginJournal()
-	m.Mark(&w.ckMark)
-	m.Mem.BeginUndo()
-
-	g := w.goldenContinuation()
-	m.RollbackTo(&w.ckMark)
-	m.CommitJournal()
-	m.Mem.Rollback()
-
-	// An in-flight instruction is valid if the golden run retires it.
-	// Retirement is in order and a refetched instruction gets a fresh,
-	// larger seqno, so g.events ascends by Seq.
-	validInsns := 0
-	for _, s := range m.InFlightSeqs() {
-		i := sort.Search(len(g.events), func(i int) bool { return g.events[i].seq >= s })
-		if i < len(g.events) && g.events[i].seq == s {
-			validInsns++
-		}
-	}
-	return g, validInsns
+	return n
 }
 
 // runCheckpoint runs one checkpoint whole on the worker's machine, which
-// must sit at the checkpoint's state: golden run, proof, cross-check,
-// then every trial. popOf maps flat trial index to population index; the
-// trials draw their bits from the checkpoint's one RNG stream in flat
-// order. Each trial runs inside the containment boundary (see
+// must sit at the checkpoint's state with w.g its golden run: proof,
+// cross-check, then every trial. popOf maps flat trial index to population
+// index; the trials draw their bits from the checkpoint's one RNG stream
+// in flat order. Each trial runs inside the containment boundary (see
 // runTrialContained), and the machine ends back at checkpoint state.
 func (w *worker) runCheckpoint(ck int, popOf []int) ckMsg {
-	g, validInsns := w.golden()
-	proof := w.computeProof(g)
-	msg := ckMsg{ck: ck, validInsns: validInsns, proven: provenStrata(proof, ck, w.cfg.Populations)}
+	proof := w.computeProof(w.g)
+	msg := ckMsg{ck: ck, validInsns: w.validInsns(), proven: provenStrata(proof, ck, w.cfg.Populations)}
 	if msg.err = w.crossCheck(ck, proof); msg.err != nil {
 		return msg
 	}
@@ -136,28 +89,33 @@ func (w *worker) runCheckpoint(ck int, popOf []int) ckMsg {
 	return msg
 }
 
-// runWorker is one worker's life: restore each image it receives and run
-// its checkpoint, until the pilot closes the channel. After cancellation
-// it drains queued images without running them. Between checkpoints the
-// machine sits exactly at the last image's state (every golden run and
-// trial is rolled back), so that image is a valid RestoreCheckpoint prev.
-func runWorker(ctx context.Context, w *worker, popOf []int, in <-chan *ckImage, out chan<- ckMsg) {
+// runWorker is one worker's life: restore each checkpoint it receives and
+// run it, until the sweep closes the channel. After cancellation it drains
+// queued checkpoints without running them. Between checkpoints the
+// machine sits exactly at the last image's state (every trial is rolled
+// back), so that image is a valid RestoreCheckpoint prev. A finished
+// checkpoint's window goes back to the sweep on returned.
+func runWorker(ctx context.Context, w *worker, popOf []int, in <-chan *ckWindow, returned chan<- *ckWindow, out chan<- ckMsg) {
 	var cur *mem.Image
-	for img := range in {
+	for win := range in {
 		if ctx.Err() != nil {
 			continue
 		}
-		w.m.RestoreCheckpoint(img.snap, img.mem, cur)
-		cur = img.mem
-		out <- w.runCheckpoint(img.ck, popOf)
+		w.m.RestoreCheckpoint(&win.snap, win.mem, cur)
+		cur = win.mem
+		w.g = &win.g
+		msg := w.runCheckpoint(win.ck, popOf)
+		w.g = nil
+		returned <- win
+		out <- msg
 	}
 }
 
-// runPool runs the pilot on machine pilot and the worker pool on fresh
-// machines, and aggregates their results into res. The pilot goroutine
-// holds the only reference to pilot, so it is dropped once the pilot
-// finishes.
-func runPool(parent context.Context, cfg Config, newMachine func() *uarch.Machine, pilot *uarch.Machine, cycles []uint64, res *Result, prior *priorUnits, jw *campaignJournal) (*Result, error) {
+// runPool runs the golden sweep on machine sweepM and the worker pool on
+// fresh machines, and aggregates their results into res. The sweep
+// goroutine holds the only reference to sweepM, so it is dropped once the
+// sweep finishes.
+func runPool(parent context.Context, cfg Config, newMachine func() *uarch.Machine, sweepM *uarch.Machine, cycles []uint64, res *Result, prior *priorUnits, jw *campaignJournal) (*Result, error) {
 	// Flat trial layout: index i of a checkpoint's trial sequence belongs
 	// to population popOf[i]. Shared, read-only.
 	var popOf []int
@@ -180,15 +138,18 @@ func runPool(parent context.Context, cfg Config, newMachine func() *uarch.Machin
 	if nw < 1 {
 		nw = 1
 	}
+	cfg.Workers = nw // sizes the sweep's rings
 
 	// ctx is cancelled by the caller, a cross-check failure or an engine
-	// panic; every path stops the pilot and lets queued images drain.
+	// panic; every path stops the sweep and lets queued checkpoints drain.
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	guard := &engineGuard{}
-	// Workers+1 queued images keep every worker fed while the pilot steps
-	// to the next checkpoint, and bound residency at 2*Workers+2 images.
-	imgCh := make(chan *ckImage, nw+1)
+	// Unbuffered: the sweep runs ahead of the workers by the windows it
+	// keeps open, not by a queue of closed ones.
+	winCh := make(chan *ckWindow)
+	// Windows workers have finished with; never blocks a worker.
+	returned := make(chan *ckWindow, len(cycles))
 	// One slot per worker: a finished checkpoint never waits on a slow
 	// aggregation step (journal write, OnProgress callback).
 	msgCh := make(chan ckMsg, nw)
@@ -199,13 +160,20 @@ func runPool(parent context.Context, cfg Config, newMachine func() *uarch.Machin
 		go func() {
 			defer wg.Done()
 			defer guard.capture("campaign worker", cancel)
-			runWorker(ctx, newWorker(cfg, newMachine()), popOf, imgCh, msgCh)
+			runWorker(ctx, newWorker(cfg, newMachine()), popOf, winCh, returned, msgCh)
 		}()
 	}
 	go func() {
-		defer close(imgCh)
-		defer guard.capture("checkpoint pilot", cancel)
-		runPilot(ctx, pilot, cycles, skip, imgCh)
+		defer close(winCh)
+		defer guard.capture("golden sweep", cancel)
+		runSweep(ctx, cfg, sweepM, cycles, skip, returned, func(win *ckWindow) bool {
+			select {
+			case winCh <- win:
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		})
 	}()
 	go func() {
 		wg.Wait()

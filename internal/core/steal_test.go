@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,10 +43,10 @@ func resultsEqual(t *testing.T, name string, a, b *Result) {
 	}
 }
 
-// TestMaxImagesBound: with more checkpoints than the 2*Workers+2 images a
-// single worker's campaign keeps resident, the pilot must block on the
-// image channel until the worker catches up — and the campaign must still
-// complete and match a four-worker run.
+// TestMaxImagesBound: with more checkpoints than a single worker can hold,
+// the golden sweep must block on the hand-off channel until the worker
+// catches up — and the campaign must still complete and match a
+// four-worker run.
 func TestMaxImagesBound(t *testing.T) {
 	cfg := stealTestConfig()
 	cfg.Checkpoints = 8
@@ -217,125 +218,150 @@ func TestOnProgress(t *testing.T) {
 	}
 }
 
-// TestGoldenReuse: a worker records every golden run into the previous
-// one's storage. After runs at checkpoints A, B and A again, the second A
-// must equal a fresh worker's A field by field — digests, events,
-// retire/illegal bits, monitor replay, every trace record and every
-// keyframe patched onto the base — so no trace record, bit array or
-// keyframe slot survives stale from the run in between.
+// TestGoldenReuse: a checkpoint's golden run read out of a shared sweep —
+// overlapping windows, a duplicate checkpoint, buffers resliced and grown
+// past earlier windows, a window running past the halt — equals the
+// golden run of a one-checkpoint sweep from the same checkpoint.
 func TestGoldenReuse(t *testing.T) {
 	cfg := stealTestConfig()
-	cfg.Horizon = 1500 // two keyframes
+	cfg.Horizon = 1500 // two or three keyframes per window
 	newMachine, _, total := campaignFixture(t, &cfg)
-
-	// Capture portable images at A and B the way the pilot does. The
-	// workload halts 200 cycles into B's golden run, so B's trace holds
-	// stamps A's run never writes.
-	pilot := newMachine()
-	pilot.Mem.BeginImaging()
-	var imgs []*ckImage
-	for ck, cyc := range []uint64{total / 3, total - 200} {
-		walkTo(pilot, cyc)
-		imgs = append(imgs, &ckImage{ck: ck, snap: pilot.Snapshot(), mem: pilot.Mem.CaptureImage()})
+	// The workload halts 200 cycles into the last window, so its trace
+	// holds stamps no earlier window's does.
+	c := total / 3
+	cycles := []uint64{c, c + 300, c + 300, c + 900, total - 200}
+	if !slices.IsSorted(cycles) {
+		t.Fatalf("fixture schedule %v is not sorted", cycles)
 	}
-	pilot.Mem.EndImaging()
-
-	goldenAt := func(w *worker, cur *mem.Image, img *ckImage) *goldenRun {
-		w.m.RestoreCheckpoint(img.snap, img.mem, cur)
-		g, _ := w.golden()
-		return g
+	wins := sweepWindows(cfg, newMachine(), cycles, nil)
+	if len(wins) != len(cycles) {
+		t.Fatalf("sweep handed %d windows for %d checkpoints", len(wins), len(cycles))
 	}
-	reused := newWorker(cfg, newMachine())
-	a, b := imgs[0], imgs[1]
-	goldenAt(reused, nil, a)
-	goldenAt(reused, a.mem, b)
-	got := goldenAt(reused, b.mem, a)
-	want := goldenAt(newWorker(cfg, newMachine()), nil, a)
-
-	if !got.traced || !got.conv || len(want.keyframes) != cfg.Horizon/convStride {
+	g := &wins[0].g
+	if !g.traced || !g.conv || g.nKf < 2 {
 		t.Fatalf("fixture needs a traced golden run with keyframes: traced=%v conv=%v keyframes=%d",
-			got.traced, got.conv, len(want.keyframes))
+			g.traced, g.conv, g.nKf)
+	}
+	for i, w := range wins {
+		m := newMachine()
+		walkTo(m, cycles[i])
+		ref := sweepWindows(cfg, m, cycles[i:i+1], nil)[0]
+		goldenRunsEqual(t, fmt.Sprintf("checkpoint %d", i), &w.g, &ref.g)
+	}
+}
+
+// sweepWindows runs the golden sweep from m over cycles and returns every
+// window it hands out, in order.
+func sweepWindows(cfg Config, m *uarch.Machine, cycles []uint64, skip []bool) []*ckWindow {
+	var wins []*ckWindow
+	runSweep(context.Background(), cfg, m, cycles, skip, nil, func(w *ckWindow) bool {
+		wins = append(wins, w)
+		return true
+	})
+	return wins
+}
+
+// goldenRunsEqual fails unless got and want are the same golden run in
+// everything a trial or the prover reads: per-cycle digests, flags and
+// retirement counts, the events, the monitor replays, every touch-trace
+// record, and the state and memory digest at every keyframe.
+func goldenRunsEqual(t *testing.T, name string, got, want *goldenRun) {
+	t.Helper()
+	if got.start != want.start || got.n != want.n || got.traced != want.traced || got.conv != want.conv {
+		t.Fatalf("%s: start %d, %d cycles, traced %v, conv %v; want %d, %d, %v, %v", name,
+			got.start, got.n, got.traced, got.conv, want.start, want.n, want.traced, want.conv)
+	}
+	for c := 1; c <= want.n; c++ {
+		if got.digest(c) != want.digest(c) || got.cycle(c).flags != want.cycle(c).flags || got.evCount(c) != want.evCount(c) {
+			t.Fatalf("%s: cycle %d differs", name, c)
+		}
+	}
+	if got.nEv != want.nEv {
+		t.Fatalf("%s: %d events, want %d", name, got.nEv, want.nEv)
+	}
+	for i := 0; i < want.nEv; i++ {
+		if *got.event(i) != *want.event(i) {
+			t.Fatalf("%s: event %d differs", name, i)
+		}
 	}
 	for _, f := range []struct {
 		name      string
 		got, want any
 	}{
-		{"digests", got.digests, want.digests},
-		{"events", got.events, want.events},
-		{"evCount", got.evCount, want.evCount},
-		{"retireBits", got.retireBits, want.retireBits},
-		{"illegalBits", got.illegalBits, want.illegalBits},
 		{"excAt", got.excAt, want.excAt},
 		{"excMode", got.excMode, want.excMode},
 		{"failAt", got.failAt, want.failAt},
 		{"failMode", got.failMode, want.failMode},
-		{"base", got.base, want.base},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
-			t.Errorf("reused golden run's %s differs from a fresh worker's", f.name)
+			t.Errorf("%s: %s differs", name, f.name)
 		}
 	}
-	if got.trace.Len() != want.trace.Len() {
-		t.Fatalf("trace covers %d entries, want %d", got.trace.Len(), want.trace.Len())
-	}
-	for k := uint64(0); k < uint64(want.trace.Len()); k++ {
-		for _, get := range []func(*state.TouchTrace, uint64) uint64{
-			(*state.TouchTrace).FirstRead, (*state.TouchTrace).FirstSet,
-			(*state.TouchTrace).LastRead, (*state.TouchTrace).LastSet,
-			(*state.TouchTrace).LastCopy, (*state.TouchTrace).CopyDst,
-			(*state.TouchTrace).ObsPre,
-		} {
-			if get(got.trace, k) != get(want.trace, k) {
-				t.Fatalf("trace record %d differs from a fresh worker's", k)
+	if got.traced {
+		if got.trace.Len() != want.trace.Len() {
+			t.Fatalf("%s: trace covers %d entries, want %d", name, got.trace.Len(), want.trace.Len())
+		}
+		for k := uint64(0); k < uint64(want.trace.Len()); k++ {
+			for _, get := range []func(*state.WindowTrace, uint64) uint64{
+				(*state.WindowTrace).FirstRead, (*state.WindowTrace).FirstSet,
+				(*state.WindowTrace).LastRead, (*state.WindowTrace).LastSet,
+				(*state.WindowTrace).LastCopy, (*state.WindowTrace).CopyDst,
+				(*state.WindowTrace).ObsPre,
+			} {
+				if get(got.trace, k) != get(want.trace, k) {
+					t.Fatalf("%s: trace record %d differs", name, k)
+				}
 			}
 		}
 	}
-	if len(got.keyframes) != len(want.keyframes) {
-		t.Fatalf("%d keyframes, want %d", len(got.keyframes), len(want.keyframes))
+	if got.nKf != want.nKf {
+		t.Fatalf("%s: %d keyframes, want %d", name, got.nKf, want.nKf)
 	}
 	var gs, ws state.Snapshot
-	for i := range want.keyframes {
-		gk, wk := &got.keyframes[i], &want.keyframes[i]
-		gk.delta.PatchInto(&gs, &got.base)
-		wk.delta.PatchInto(&ws, &want.base)
-		if gk.cyc != wk.cyc || gk.memDigest != wk.memDigest || !reflect.DeepEqual(gs, ws) {
-			t.Errorf("keyframe %d (cycle %d) differs from a fresh worker's", i, wk.cyc)
+	for a := want.start + 1; a <= want.start+uint64(want.n); a++ {
+		gk, wk := got.keyframe(a), want.keyframe(a)
+		if (gk == nil) != (wk == nil) || (a%convStride == 0) != (wk != nil) {
+			t.Fatalf("%s: keyframe presence at cycle %d differs", name, a)
+		}
+		if wk == nil {
+			continue
+		}
+		gk.delta.PatchInto(&gs, got.base)
+		wk.delta.PatchInto(&ws, want.base)
+		if gk.cyc != a || wk.cyc != a || gk.memDigest != wk.memDigest || !reflect.DeepEqual(gs, ws) {
+			t.Errorf("%s: keyframe at cycle %d differs", name, a)
 		}
 	}
 }
 
-// pilotImages runs the pilot from m over cycles and returns the image it
-// captures at every checkpoint.
-func pilotImages(t *testing.T, m *uarch.Machine, cycles []uint64) []*ckImage {
+// sweepImages runs the golden sweep from m over cycles and returns every
+// window, failing unless each checkpoint got one.
+func sweepImages(t *testing.T, cfg Config, m *uarch.Machine, cycles []uint64) []*ckWindow {
 	t.Helper()
-	out := make(chan *ckImage, len(cycles))
-	runPilot(context.Background(), m, cycles, make([]bool, len(cycles)), out)
-	close(out)
-	var imgs []*ckImage
-	for img := range out {
-		imgs = append(imgs, img)
+	wins := sweepWindows(cfg, m, cycles, nil)
+	if len(wins) != len(cycles) {
+		t.Fatalf("sweep captured %d images for %d checkpoints", len(wins), len(cycles))
 	}
-	if len(imgs) != len(cycles) {
-		t.Fatalf("pilot captured %d images for %d checkpoints", len(imgs), len(cycles))
-	}
-	return imgs
+	return wins
 }
 
 // imagesEqual fails unless got and want are the same checkpoint images:
 // the state-file snapshot and its digest, Cycle, Retired, nextSeq and
 // every seq shadow, and the memory image's digest and pages.
-func imagesEqual(t *testing.T, name string, newMachine func() *uarch.Machine, got, want []*ckImage) {
+func imagesEqual(t *testing.T, name string, newMachine func() *uarch.Machine, got, want []*ckWindow) {
 	t.Helper()
 	gm, wm := newMachine(), newMachine()
 	for i := range want {
 		g, w := got[i], want[i]
-		gm.RestoreCheckpoint(g.snap, g.mem, nil)
-		wm.RestoreCheckpoint(w.snap, w.mem, nil)
+		gm.RestoreCheckpoint(&g.snap, g.mem, nil)
+		wm.RestoreCheckpoint(&w.snap, w.mem, nil)
 		if gm.Cycle != wm.Cycle || gm.Retired != wm.Retired || gm.Digest() != wm.Digest() {
 			t.Errorf("%s checkpoint %d: cycle %d retired %d digest %#x, want %d %d %#x",
 				name, i, gm.Cycle, gm.Retired, gm.Digest(), wm.Cycle, wm.Retired, wm.Digest())
 		}
-		if !reflect.DeepEqual(g.snap, w.snap) {
+		// The images hold the state file as deltas against different bases;
+		// whole snapshots of the restored machines compare it directly.
+		if !reflect.DeepEqual(gm.Snapshot(), wm.Snapshot()) {
 			t.Errorf("%s checkpoint %d: snapshot (state file or seq shadows) differs", name, i)
 		}
 		if g.mem.Digest() != w.mem.Digest() || !reflect.DeepEqual(g.mem, w.mem) {
@@ -344,9 +370,9 @@ func imagesEqual(t *testing.T, name string, newMachine func() *uarch.Machine, go
 	}
 }
 
-// TestPilotWarmStartMatchesReset: the pilot starts from the measurement
-// pass's clone at the warm-up instead of walking from reset, and must
-// capture exactly the images a walk from reset captures. A schedule that
+// TestPilotWarmStartMatchesReset: the golden sweep starts from the
+// measurement pass's clone at the warm-up instead of walking from reset,
+// and must capture exactly the images a walk from reset captures. A schedule that
 // opens before the warm-up falls back to reset, and a workload that halts
 // before the warm-up takes no clone and still runs.
 func TestPilotWarmStartMatchesReset(t *testing.T) {
@@ -365,18 +391,18 @@ func TestPilotWarmStartMatchesReset(t *testing.T) {
 		// The fallback schedule opens before the warm-up; the reset walk
 		// over it and the campaign schedule is the reference.
 		early := []uint64{warm.Cycle - 1000}
-		want := pilotImages(t, s.newMachine(), append(early, cycles...))
+		want := sweepImages(t, s.cfg, s.newMachine(), append(early, cycles...))
 
 		fallback := walkStart(warm, s.newMachine, early)
 		if fallback == warm || fallback.Cycle != 0 {
 			t.Fatalf("schedule opening at %d started at cycle %d, want reset", early[0], fallback.Cycle)
 		}
-		pilot := walkStart(warm, s.newMachine, cycles)
-		if pilot != warm {
-			t.Fatal("pilot did not start from the warm-up clone")
+		sweepM := walkStart(warm, s.newMachine, cycles)
+		if sweepM != warm {
+			t.Fatal("sweep did not start from the warm-up clone")
 		}
-		imagesEqual(t, "fallback", s.newMachine, pilotImages(t, fallback, early), want[:1])
-		imagesEqual(t, "warm", s.newMachine, pilotImages(t, pilot, cycles), want[1:])
+		imagesEqual(t, "fallback", s.newMachine, sweepImages(t, s.cfg, fallback, early), want[:1])
+		imagesEqual(t, "warm", s.newMachine, sweepImages(t, s.cfg, sweepM, cycles), want[1:])
 	})
 
 	t.Run("halt-before-warmup", func(t *testing.T) {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+
+	"pipefault/internal/mem"
 	"pipefault/internal/prove"
 	"pipefault/internal/state"
 )
@@ -31,33 +34,33 @@ func SurveyProofs(cfg Config) ([]ProofCoverage, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The prover always runs — a ProveOff survey would be empty.
-	s.cfg.Prove = ProveOn
+	// The prover always runs — a ProveOff survey would be empty — on one
+	// survey worker.
+	s.cfg.Prove, s.cfg.Workers = ProveOn, 1
 
-	// One machine walks the sorted schedule monotonically from the same
-	// start as the campaign's reachability pilot; at each checkpoint the
-	// worker records the golden continuation and the prover partitions the
-	// population.
-	m := walkStart(warm, s.newMachine, cycles)
-	w := newWorker(s.cfg, m)
-	f := m.F
+	// The golden sweep the campaign runs hands each checkpoint to one
+	// worker machine, where the prover partitions the population.
+	w := newWorker(s.cfg, s.newMachine())
+	f := w.m.F
 	out := make([]ProofCoverage, 0, len(cycles))
-	for ck, cycle := range cycles {
-		if !walkTo(m, cycle) {
-			break
-		}
-		g, _ := w.golden()
-		proof := w.computeProof(g)
+	returned := make(chan *ckWindow, len(cycles))
+	var cur *mem.Image
+	runSweep(context.Background(), s.cfg, walkStart(warm, s.newMachine, cycles), cycles, nil, returned, func(win *ckWindow) bool {
+		w.m.RestoreCheckpoint(&win.snap, win.mem, cur)
+		cur = win.mem
+		proof := w.computeProof(&win.g)
 		out = append(out, ProofCoverage{
-			Checkpoint: ck,
-			Cycle:      cycle,
+			Checkpoint: win.ck,
+			Cycle:      cycles[win.ck],
 			Rows:       proof.Coverage(),
 			Proven:     proof.ProvenBits(false),
 			Total:      f.InjectableBits(false),
 			ProvenL:    proof.ProvenBits(true),
 			TotalL:     f.InjectableBits(true),
 		})
-	}
+		returned <- win
+		return true
+	})
 	return out, nil
 }
 

@@ -154,12 +154,20 @@ type population struct {
 	mustSim uint64
 }
 
+// Trace is the golden continuation's touch trace as the prover reads it:
+// a state.TouchTrace, or a state.WindowTrace a golden sweep closed.
+type Trace interface {
+	FirstSet(key uint64) uint64
+	ObsPre(key uint64) uint64
+	ProvenDead(key, h uint64) (matchAt uint64, dead bool)
+}
+
 // Compute partitions the injectable population of f. The file must be
 // positioned at the checkpoint state (the idleness rule reads gate values
 // from it), trace must be the golden continuation's touch trace, failAt the
 // first cycle any of its failure monitors fires (0 = never), and h the trial
 // horizon in cycles. Only the rules present in the rules mask are applied.
-func Compute(f *state.File, trace *state.TouchTrace, failAt, h uint64, hints Hints, rules Rule) *Proof {
+func Compute(f *state.File, trace Trace, failAt, h uint64, hints Hints, rules Rule) *Proof {
 	p := &Proof{
 		rules:  rules,
 		h:      h,
@@ -202,7 +210,7 @@ func (ep *elemProof) provenBits() uint64 {
 
 // analyze applies the rule set to one element, producing its partition and
 // folding per-(category, rule) coverage into the proof record.
-func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.TouchTrace, failAt uint64, hints Hints) *elemProof {
+func (p *Proof) analyze(e *state.Elem, f *state.File, trace Trace, failAt uint64, hints Hints) *elemProof {
 	width := e.Width()
 	mask := ^uint64(0)
 	if width < 64 {
@@ -285,7 +293,7 @@ func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.TouchTrace, f
 // provably stays 0 through cycle matchAt: the golden run's first write to
 // it (which is also the first cycle it could become nonzero) lands strictly
 // after the payload's overwrite, or never happens.
-func idleThrough(trace *state.TouchTrace, gateKey, matchAt uint64) bool {
+func idleThrough(trace Trace, gateKey, matchAt uint64) bool {
 	gw := trace.FirstSet(gateKey)
 	return gw == 0 || gw > matchAt
 }

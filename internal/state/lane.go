@@ -85,10 +85,14 @@ func (l BitLane) stamp(w int, mask uint64, set bool) {
 	base := l.e.entryBase + uint64(w)<<6
 	for m := mask; m != 0; m &= m - 1 {
 		g := base + uint64(bits.TrailingZeros64(m))
-		if set {
+		// tracer.read spelled out, as in getSlow.
+		switch {
+		case set:
 			t.set(g)
-		} else {
-			t.read(g)
+		case t.sw == nil:
+			t.tt.read(g)
+		case !t.sw.read(g):
+			t.sw.observe(g, ^uint64(0), true)
 		}
 	}
 }

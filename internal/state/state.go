@@ -113,10 +113,10 @@ type Elem struct {
 	// and strSh is the largest in-word shift at which a row still fits in a
 	// single word (64 - width) — a row straddles two words iff its shift
 	// exceeds strSh, so widths that divide 64 never take the two-word path.
-	// trace is nil except while a golden-run touch trace is active, keeping
+	// trace is nil except while a touch trace or sweep is attached, keeping
 	// the common case a single predictable branch.
 	words    []uint64
-	trace    *TouchTrace
+	trace    *tracer
 	bitBase  uint64 // global bit offset of entry 0 (digest keying)
 	wordBase uint64 // bitBase >> 6 (elements are word-aligned at Freeze)
 	mask     uint64
@@ -195,8 +195,14 @@ func (e *Elem) Get(i int) uint64 {
 // trace is attached (slow path iff the row straddles) and 0 while one is
 // (every shift reaches it, so every read stamps the trace).
 func (e *Elem) getSlow(i int) uint64 {
-	if e.trace != nil {
-		e.trace.read(e.entryBase + uint64(i))
+	if t := e.trace; t != nil {
+		// tracer.read, spelled out so both recorders' common paths inline
+		// into this hot site: a traced read costs no call.
+		if g := e.entryBase + uint64(i); t.sw == nil {
+			t.tt.read(g)
+		} else if !t.sw.read(g) {
+			t.sw.observe(g, ^uint64(0), true)
+		}
 	}
 	bit := e.bitBase + uint64(i)*e.stride
 	sh := bit & 63
@@ -396,7 +402,12 @@ type File struct {
 
 	zeroDigest uint64
 
-	trace *TouchTrace // active golden-run touch trace, nil when off
+	// tr is the attached recorder (a TouchTrace or a Sweep); every element's
+	// trace points at it while one is attached.
+	tr tracer
+
+	// patch is RestoreDelta's scratch snapshot.
+	patch Snapshot
 
 	injElems   []*Elem  // injectable elements, in registration order
 	injBits    uint64   // total injectable bits (latches + RAMs)
@@ -842,8 +853,12 @@ func (t *TouchTrace) Clear() {
 // (worker.resolveDead) and the static prover's liveness rule, so the two
 // paths cannot drift.
 func (t *TouchTrace) ProvenDead(key, h uint64) (matchAt uint64, dead bool) {
-	r := t.FirstRead(key)
-	cw := t.FirstSet(key)
+	return provenDead(t.FirstRead(key), t.FirstSet(key), h)
+}
+
+// provenDead is ProvenDead over one entry's first read r and first write
+// cw, shared by TouchTrace and WindowTrace.
+func provenDead(r, cw, h uint64) (matchAt uint64, dead bool) {
 	if cw != 0 && cw <= h {
 		matchAt = cw
 	}
@@ -873,36 +888,84 @@ func (f *File) NewTouchTrace() *TouchTrace {
 // injectable population. Call TraceCycle with a cycle number >= 1 before
 // stepping (cycle 0 means "never touched").
 func (f *File) StartTrace(t *TouchTrace) {
+	f.attach(tracer{tt: t})
+}
+
+// attach points every element at the recorder r.
+func (f *File) attach(r tracer) {
 	if !f.frozen {
 		panic("state: StartTrace before Freeze")
 	}
+	f.tr = r
 	for _, e := range f.elems {
-		e.trace = t
+		e.trace = &f.tr
 		e.fastLim = 0
 	}
-	f.trace = t
 }
 
 // TraceCycle sets the cycle number stamped on touches until the next call.
 // Cycle numbers must be >= 1 and fit the trace's uint32 stamps.
 func (f *File) TraceCycle(c uint64) {
-	if f.trace == nil {
+	if f.tr.tt == nil && f.tr.sw == nil {
 		panic("state: TraceCycle without StartTrace")
 	}
 	if c > math.MaxUint32 {
 		panic(fmt.Sprintf("state: TraceCycle %d overflows the trace's uint32 cycle stamps", c))
 	}
-	f.trace.cycle = uint32(c)
+	if f.tr.sw != nil {
+		f.tr.sw.setCycle(uint32(c))
+	} else {
+		f.tr.tt.cycle = uint32(c)
+	}
 }
 
-// StopTrace detaches the active trace, restoring the zero-cost Get/Set
-// paths.
+// StopTrace detaches the active trace or sweep, restoring the zero-cost
+// Get/Set paths.
 func (f *File) StopTrace() {
 	for _, e := range f.elems {
 		e.trace = nil
 		e.fastLim = e.strSh + 1
 	}
-	f.trace = nil
+	f.tr = tracer{}
+}
+
+// tracer is the recorder the element hooks stamp: a single-run TouchTrace
+// or a multi-window Sweep, exactly one non-nil while attached.
+type tracer struct {
+	tt *TouchTrace
+	sw *Sweep
+}
+
+func (r *tracer) read(g uint64) {
+	if sw := r.sw; sw == nil {
+		r.tt.read(g)
+	} else if !sw.read(g) {
+		sw.observe(g, ^uint64(0), true)
+	}
+}
+
+func (r *tracer) readObs(g, mask uint64) {
+	if r.sw != nil {
+		r.sw.observe(g, mask, false)
+		return
+	}
+	r.tt.readObs(g, mask)
+}
+
+func (r *tracer) set(g uint64) {
+	if sw := r.sw; sw != nil {
+		sw.set(g)
+		return
+	}
+	r.tt.set(g)
+}
+
+func (r *tracer) copy(src, dst uint64) {
+	if r.sw != nil {
+		r.sw.copy(src, dst)
+		return
+	}
+	r.tt.copy(src, dst)
 }
 
 // RecomputeDigest folds the digest from scratch over current contents: the
@@ -1036,6 +1099,14 @@ func (f *File) Restore(s *Snapshot) {
 	}
 	copy(f.words, s.words)
 	f.digest = s.digest
+}
+
+// RestoreDelta overwrites the file contents with base patched by d: the
+// contents d was recorded from. Like Restore, it must not run while a
+// journal is active.
+func (f *File) RestoreDelta(d *Delta, base *Snapshot) {
+	d.PatchInto(&f.patch, base)
+	f.Restore(&f.patch)
 }
 
 // Reset zeroes all state.

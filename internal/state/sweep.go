@@ -1,0 +1,365 @@
+package state
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sort"
+)
+
+// A Sweep records the touch traces of many overlapping windows of one
+// fault-free run in a single pass. A window opens at cycle start, before
+// the cycle start+1 is stepped, and closes after its last cycle; its view
+// (a WindowTrace) holds exactly what a TouchTrace attached for the window
+// alone would hold, with stamps relative to start. Every cycle is stepped,
+// and every access stamped, once, however many windows cover it.
+//
+// Last touches need no per-window state: one record per entry keeps the
+// absolute cycles of its last read, write, copy-in and whole-row read, and
+// a window reads them when it closes (a stamp after start lies inside
+// it). The copy edge is exact the same way: a copy source's last copy-out,
+// its destination, and its last copy-out to a different destination tell
+// whether the window's copies went to one destination or to several.
+//
+// First touches differ per window. An access can be some open window's
+// first only if the entry's previous access of that kind precedes the
+// newest open window's start; otherwise every open window has seen one
+// already. That epoch test is the whole common path. The rare access that
+// passes it goes into a log of first-touch candidates, which a closing
+// window scans from the position at which it opened. The observation mask
+// (ObsPre) takes the same route: a read while the entry still holds its
+// pre-window value is logged unless a whole-row read since the newest
+// window start already observed every bit. The log keeps only what the
+// open windows can still see: one word per access, and one word per cycle
+// marking where the cycle's accesses begin.
+type Sweep struct {
+	recs   []sweepTouch
+	copies map[uint32]*copyEdge // copy sources' edges, by key
+	cycle  uint32
+	newest uint32     // start of the newest open window
+	wins   []sweepWin // open windows, oldest first
+	log    []uint32   // first-touch candidates: key | kind bits
+	logPos int        // log position of log[0]
+	marks  []uint32   // log position at which each cycle from markCyc begins
+	markCy uint32
+	slot   []uint32 // CloseWindow scratch: key -> index+1 in the view
+	n      int      // entries (the trace key space)
+}
+
+// sweepTouch is one entry's absolute last-touch record.
+type sweepTouch struct {
+	lastRead, lastSet, lastCopy uint32 // behavioral read, behavioral write, copy-in
+	// lastFull is the last read observing the whole row: a plain read or
+	// a copy-out. With lastRead it dates the last read of any kind.
+	lastFull uint32
+}
+
+// copyEdge is a copy source's edge record.
+type copyEdge struct {
+	lastOut  uint32 // last copy-out
+	lastDiff uint32 // last copy-out to a destination other than dst
+	dst      uint32 // destination key of the last copy-out
+}
+
+// sweepWin is an open window: its start cycle and the log position at
+// which it opened.
+type sweepWin struct {
+	start uint32
+	pos   int
+}
+
+// Log word kinds. A partial observation is followed by two words holding
+// its mask.
+const (
+	evRead = 1 << 28 // a read or copy-out: a first-read candidate
+	evSet  = 2 << 28 // a write or copy-in: a first-write candidate
+	evFull = 4 << 28 // a whole-row observation of the pre-window value
+	evMask = 8 << 28 // a partial observation
+	evKey  = 1<<28 - 1
+)
+
+// NewSweep allocates a sweep over the file's full entry population.
+func (f *File) NewSweep() *Sweep {
+	if !f.frozen {
+		panic("state: NewSweep before Freeze")
+	}
+	if f.allEntries > evKey {
+		panic(fmt.Sprintf("state: %d entries overflow the sweep's log keys", f.allEntries))
+	}
+	n := int(f.allEntries)
+	return &Sweep{recs: make([]sweepTouch, n), copies: make(map[uint32]*copyEdge), slot: make([]uint32, n), n: n}
+}
+
+// StartSweep attaches s to every element, like StartTrace. TraceCycle sets
+// the absolute cycle the sweep stamps; while windows are open it must
+// advance one cycle at a time.
+func (f *File) StartSweep(s *Sweep) {
+	f.attach(tracer{sw: s})
+}
+
+// setCycle is TraceCycle for the sweep: it marks where cycle c's log
+// entries begin.
+func (s *Sweep) setCycle(c uint32) {
+	if len(s.wins) > 0 {
+		if len(s.marks) == 0 {
+			s.markCy = c
+		} else if c != s.markCy+uint32(len(s.marks)) {
+			panic(fmt.Sprintf("state: sweep cycle %d does not follow %d", c, s.markCy+uint32(len(s.marks))-1))
+		}
+		s.marks = append(s.marks, uint32(s.logPos+len(s.log)))
+	}
+	s.cycle = c
+}
+
+// OpenWindow opens a window at cycle start: the next stamped cycle is its
+// first. Windows open in non-decreasing start order, at or after the last
+// stamped cycle.
+func (s *Sweep) OpenWindow(start uint64) {
+	if start > math.MaxUint32 || uint32(start) < s.newest || uint32(start) < s.cycle {
+		panic(fmt.Sprintf("state: OpenWindow(%d) out of order (newest %d, cycle %d)", start, s.newest, s.cycle))
+	}
+	if len(s.wins) == 0 {
+		s.log, s.logPos, s.marks = s.log[:0], 0, s.marks[:0]
+	}
+	s.wins = append(s.wins, sweepWin{start: uint32(start), pos: s.logPos + len(s.log)})
+	s.newest = uint32(start)
+}
+
+// Open returns the number of open windows.
+func (s *Sweep) Open() int { return len(s.wins) }
+
+// CloseWindow closes the oldest open window and writes its view into dst,
+// reusing dst's storage. The window's last cycle must be the last stamped
+// one.
+func (s *Sweep) CloseWindow(dst *WindowTrace) {
+	w := s.wins[0]
+	s.wins = append(s.wins[:0], s.wins[1:]...)
+	c := w.start
+	dst.n = s.n
+	dst.keys, dst.recs = dst.keys[:0], dst.recs[:0]
+	log := s.log[w.pos-s.logPos:]
+	mi := int(c + 1 - s.markCy) // the window's first cycle
+	for i := 0; i < len(log); i++ {
+		for p := uint32(w.pos + i); mi+1 < len(s.marks) && s.marks[mi+1] <= p; {
+			mi++
+		}
+		e := log[i]
+		k := e & evKey
+		sl := s.slot[k]
+		if sl == 0 {
+			dst.keys = append(dst.keys, k)
+			dst.recs = append(dst.recs, touch{})
+			sl = uint32(len(dst.recs))
+			s.slot[k] = sl
+		}
+		r := &dst.recs[sl-1]
+		rel := s.markCy + uint32(mi) - c
+		if e&evRead != 0 && r.firstRead == 0 {
+			r.firstRead = rel
+		}
+		if e&evSet != 0 && r.firstSet == 0 {
+			r.firstSet = rel
+		}
+		if e&evFull != 0 && r.firstSet == 0 {
+			r.obsPre = ^uint64(0)
+		}
+		if e&evMask != 0 {
+			if r.firstSet == 0 {
+				r.obsPre |= uint64(log[i+1]) | uint64(log[i+2])<<32
+			}
+			i += 2
+		}
+	}
+	rel := func(a uint32) uint32 {
+		if a > c {
+			return a - c
+		}
+		return 0
+	}
+	for i, k := range dst.keys {
+		s.slot[k] = 0
+		a, r := &s.recs[k], &dst.recs[i]
+		r.lastRead, r.lastSet, r.lastCopy = rel(a.lastRead), rel(a.lastSet), rel(a.lastCopy)
+		if ce := s.copies[k]; ce != nil {
+			switch {
+			case ce.lastOut <= c:
+			case ce.lastDiff > c:
+				r.copyDst = poisonedDst
+			default:
+				r.copyDst = ce.dst + 1
+			}
+		}
+	}
+	sort.Sort(byKey{dst})
+
+	// Drop the log and marks no open window can see.
+	if len(s.wins) == 0 {
+		s.log, s.logPos, s.marks = s.log[:0], 0, s.marks[:0]
+		return
+	}
+	if drop := s.wins[0].pos - s.logPos; drop > 0 {
+		s.log = s.log[:copy(s.log, s.log[drop:])]
+		s.logPos += drop
+	}
+	if drop := int(s.wins[0].start + 1 - s.markCy); drop > 0 && drop <= len(s.marks) {
+		s.marks = s.marks[:copy(s.marks, s.marks[drop:])]
+		s.markCy += uint32(drop)
+	}
+}
+
+// byKey sorts a view's records by key.
+type byKey struct{ t *WindowTrace }
+
+func (b byKey) Len() int           { return len(b.t.keys) }
+func (b byKey) Less(i, j int) bool { return b.t.keys[i] < b.t.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.t.keys[i], b.t.keys[j] = b.t.keys[j], b.t.keys[i]
+	b.t.recs[i], b.t.recs[j] = b.t.recs[j], b.t.recs[i]
+}
+
+// LogLen returns the number of log words held (for tests and
+// instrumentation).
+func (s *Sweep) LogLen() int { return len(s.log) }
+
+// read stamps a plain read of entry g. An entry read whole since the
+// newest window start is no open window's first read and adds nothing to
+// any open window's observation mask: that one compare is the common path.
+// It reports false, stamping nothing, when the read needs the full
+// observe.
+func (s *Sweep) read(g uint64) bool {
+	r := &s.recs[g]
+	if r.lastFull <= s.newest {
+		return false
+	}
+	r.lastRead, r.lastFull = s.cycle, s.cycle
+	return true
+}
+
+// observe stamps a read of entry g observing mask (full: the whole row, a
+// plain read).
+func (s *Sweep) observe(g, mask uint64, full bool) {
+	r := &s.recs[g]
+	t, nw := s.cycle, s.newest
+	var kind uint32
+	if max(r.lastRead, r.lastFull) <= nw {
+		kind = evRead
+	}
+	if max(r.lastSet, r.lastCopy) <= nw && r.lastFull <= nw {
+		if full {
+			kind |= evFull
+		} else if mask != 0 {
+			kind |= evMask
+		}
+	}
+	r.lastRead = t
+	if full {
+		r.lastFull = t
+	}
+	if kind != 0 {
+		s.log = append(s.log, uint32(g)|kind)
+		if kind&evMask != 0 {
+			s.log = append(s.log, uint32(mask), uint32(mask>>32))
+		}
+	}
+}
+
+// set stamps a behavioral write of entry g; an entry written since the
+// newest window start is no open window's first write.
+func (s *Sweep) set(g uint64) {
+	r := &s.recs[g]
+	if r.lastSet <= s.newest && r.lastCopy <= s.newest {
+		s.log = append(s.log, uint32(g)|evSet)
+	}
+	r.lastSet = s.cycle
+}
+
+// copy stamps CopyEntry data movement: a whole-row copy-out of src (not a
+// behavioral read) and a copy-in to dst (not a behavioral write), in the
+// order TouchTrace.copy stamps them.
+func (s *Sweep) copy(src, dst uint64) {
+	r := &s.recs[src]
+	t, nw := s.cycle, s.newest
+	var kind uint32
+	if max(r.lastRead, r.lastFull) <= nw {
+		kind = evRead
+	}
+	if max(r.lastSet, r.lastCopy) <= nw && r.lastFull <= nw {
+		kind |= evFull
+	}
+	if kind != 0 {
+		s.log = append(s.log, uint32(src)|kind)
+	}
+	r.lastFull = t
+	ce := s.copies[uint32(src)]
+	if ce == nil {
+		ce = &copyEdge{dst: uint32(dst)}
+		s.copies[uint32(src)] = ce
+	}
+	if uint32(dst) != ce.dst {
+		ce.lastDiff, ce.dst = ce.lastOut, uint32(dst)
+	}
+	ce.lastOut = t
+	d := &s.recs[dst]
+	if max(d.lastSet, d.lastCopy) <= nw {
+		s.log = append(s.log, uint32(dst)|evSet)
+	}
+	d.lastCopy = t
+}
+
+// A WindowTrace is one window's touch trace as a Sweep closed it: the same
+// accessors as TouchTrace, with stamps relative to the window's start,
+// held only for the entries the window touched (sorted by key).
+type WindowTrace struct {
+	keys []uint32
+	recs []touch
+	n    int
+}
+
+// Len returns the number of entries the trace covers (the file's trace key
+// space).
+func (t *WindowTrace) Len() int { return t.n }
+
+// at returns entry key's record, or a zero record when the window never
+// touched it.
+func (t *WindowTrace) at(key uint64) *touch {
+	if i, ok := slices.BinarySearch(t.keys, uint32(key)); ok {
+		return &t.recs[i]
+	}
+	return &untouched
+}
+
+// untouched is the record of an entry a window never touched.
+var untouched touch
+
+// FirstRead is TouchTrace.FirstRead for the window.
+func (t *WindowTrace) FirstRead(key uint64) uint64 { return uint64(t.at(key).firstRead) }
+
+// FirstSet is TouchTrace.FirstSet for the window.
+func (t *WindowTrace) FirstSet(key uint64) uint64 { return uint64(t.at(key).firstSet) }
+
+// LastRead is TouchTrace.LastRead for the window.
+func (t *WindowTrace) LastRead(key uint64) uint64 { return uint64(t.at(key).lastRead) }
+
+// LastSet is TouchTrace.LastSet for the window.
+func (t *WindowTrace) LastSet(key uint64) uint64 { return uint64(t.at(key).lastSet) }
+
+// LastCopy is TouchTrace.LastCopy for the window.
+func (t *WindowTrace) LastCopy(key uint64) uint64 { return uint64(t.at(key).lastCopy) }
+
+// CopyDst is TouchTrace.CopyDst for the window.
+func (t *WindowTrace) CopyDst(key uint64) uint64 {
+	d := t.at(key).copyDst
+	if d == poisonedDst {
+		return Poisoned
+	}
+	return uint64(d)
+}
+
+// ObsPre is TouchTrace.ObsPre for the window.
+func (t *WindowTrace) ObsPre(key uint64) uint64 { return t.at(key).obsPre }
+
+// ProvenDead is TouchTrace.ProvenDead for the window.
+func (t *WindowTrace) ProvenDead(key, h uint64) (matchAt uint64, dead bool) {
+	r := t.at(key)
+	return provenDead(uint64(r.firstRead), uint64(r.firstSet), h)
+}

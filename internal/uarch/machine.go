@@ -193,9 +193,13 @@ func (m *Machine) Run(maxCycles uint64) uint64 {
 }
 
 // Snapshot captures the machine (state file + instrumentation shadows).
-// Memory is NOT captured; callers manage memory via undo logs.
+// Memory is NOT captured; callers manage memory via undo logs. The state
+// file is held whole (st), or as a delta against a base snapshot that
+// several snapshots share (SnapshotDeltaInto).
 type Snapshot struct {
 	st      *state.Snapshot
+	delta   state.Delta
+	base    *state.Snapshot
 	cycle   uint64
 	nextSeq uint64
 	retired uint64
@@ -219,10 +223,30 @@ func (m *Machine) Snapshot() *Snapshot {
 	}
 }
 
+// SnapshotDeltaInto captures the machine into s, reusing its storage, with
+// the state file as a delta against base. base must stay unchanged while
+// s is in use: a snapshot of a nearby state differs from it in a small
+// fraction of the file.
+func (m *Machine) SnapshotDeltaInto(s *Snapshot, base *state.Snapshot) {
+	m.F.DeltaInto(&s.delta, base)
+	s.st, s.base = nil, base
+	s.cycle = m.Cycle
+	s.nextSeq = m.nextSeq
+	s.retired = m.Retired
+	s.seqFQ = m.seqFQ
+	s.seqDE = m.seqDE
+	s.seqRN = m.seqRN
+	s.seqROB = m.seqROB
+}
+
 // Restore rewinds the machine to a snapshot (memory must be restored
 // separately by the caller).
 func (m *Machine) Restore(s *Snapshot) {
-	m.F.Restore(s.st)
+	if s.base != nil {
+		m.F.RestoreDelta(&s.delta, s.base)
+	} else {
+		m.F.Restore(s.st)
+	}
 	m.Cycle = s.cycle
 	m.nextSeq = s.nextSeq
 	m.Retired = s.retired
