@@ -414,26 +414,33 @@ func TestStuckAtUndoJournal(t *testing.T) {
 	f.CommitJournal()
 }
 
-// TestStuckAtTouchTrace: an imposition under an attached touch trace stamps
-// a set touch like a scalar Set (no panic, no digest skew) — the golden
-// run's tracer must never be able to distinguish a reassert from a
+// TestStuckAtTouchTrace: an imposition under an attached sweep stamps a
+// set touch like a scalar Set (no panic, no digest skew) — the golden
+// run's trace must never be able to distinguish a reassert from a
 // behavioral write.
 func TestStuckAtTouchTrace(t *testing.T) {
 	f := state.New()
 	d := f.RAM("d", state.CatData, 4, 16)
 	f.Freeze()
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
+	sw := f.NewSweep()
+	f.StartTrace(sw)
+	sw.OpenWindow(0)
 	f.TraceCycle(1)
 
 	armed := StuckAt{Polarity: 1, Duration: 10}.Arm(state.BitRef{Elem: d, Entry: 1, Bit: 0}, nil)
 	f.TraceCycle(2)
 	d.Set(1, 0)
 	armed.Reassert(f, 2)
+	tr := &state.WindowTrace{}
+	sw.CloseWindow(tr)
 	f.StopTrace()
 
 	if !d.GetBit(1, 0) {
 		t.Error("traced reassert did not impose the bit")
+	}
+	// Arm imposes at cycle 1 and the reassert writes last, at cycle 2.
+	if k := d.EntryIndex(1); tr.FirstSet(k) != 1 || tr.LastSet(k) != 2 {
+		t.Errorf("FirstSet/LastSet = %d/%d, want 1/2", tr.FirstSet(k), tr.LastSet(k))
 	}
 	checkDigest(t, f, "after traced imposition")
 }

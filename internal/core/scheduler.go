@@ -14,14 +14,16 @@ import (
 
 // Run executes a microarchitectural fault-injection campaign.
 //
-// A single reachability pass advances one machine through the workload
-// once, capturing a portable checkpoint image (bit-store snapshot + memory
-// image) at every checkpoint onto a bounded channel, while Config.Workers
-// goroutines each take one image at a time and run that checkpoint whole:
-// golden run, proof, cross-check and every trial. A checkpoint's trials
-// depend only on (Seed, checkpoint index) and aggregation folds in
-// checkpoint order, so the assembled Result is bit-identical for any
-// worker count.
+// The measurement pass runs the workload fault-free to its halt, and the
+// checkpoint cycles are drawn from its length. The golden sweep then steps
+// the fault-free run once over the union of the checkpoint windows,
+// capturing each checkpoint's portable image (bit-store snapshot + memory
+// image) and recording its golden run. When a window closes it hands the
+// checkpoint to one of Config.Workers goroutines over an unbuffered
+// channel, and the worker runs it whole: proof, cross-check and every
+// trial. A checkpoint's trials depend only on (Seed, checkpoint index) and
+// aggregation folds in checkpoint order, so the assembled Result is
+// bit-identical for any worker count.
 func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
@@ -132,8 +134,9 @@ func walkStart(warm *uarch.Machine, newMachine func() *uarch.Machine, cycles []u
 	return newMachine()
 }
 
-// start validates, measures the golden run, selects checkpoint cycles and
-// hands off to the engines. It is shared by RunContext and Resume.
+// start validates, runs the measurement pass, selects checkpoint cycles
+// and hands off to the campaign engine (runCampaign). It is shared by
+// RunContext and Resume.
 func start(ctx context.Context, cfg Config, resume bool) (*Result, error) {
 	s, err := setupCampaign(cfg)
 	if err != nil {

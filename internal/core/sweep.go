@@ -226,7 +226,7 @@ func (s *sweeper) openWindow(ck int) {
 			s.kfs = make([]keyframe, n/convStride+2)
 		}
 		if s.traced {
-			m.F.StartSweep(s.tr)
+			m.F.StartTrace(s.tr)
 		}
 		// A fresh base: outstanding windows may still read the previous one.
 		s.base = m.F.Snapshot()

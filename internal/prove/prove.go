@@ -1,8 +1,9 @@
 // Package prove implements the static benign-injection prover: a
 // per-checkpoint analysis over the frozen state.File registry, the
-// machine's state at the checkpoint, and the golden run's TouchTrace that
-// partitions the injectable (element, entry, bit) population into
-// proven-benign and must-simulate classes before any trial runs.
+// machine's state at the checkpoint, and the golden run's touch trace (a
+// state.WindowTrace the golden sweep closed) that partitions the injectable
+// (element, entry, bit) population into proven-benign and must-simulate
+// classes before any trial runs.
 //
 // A bit is proven benign only when the analysis shows a flip of it leads to
 // a µArch Match — the trial's state provably re-converges with the golden
@@ -16,7 +17,7 @@
 // Four rules, independently toggleable and named in the proof record:
 //
 //   - liveness: the golden trace shows the entry is overwritten before any
-//     read (state.TouchTrace.ProvenDead — the exact predicate the trial
+//     read (state.WindowTrace.ProvenDead — the exact predicate the trial
 //     engine's closed-form classifier uses).
 //   - idleness: the entry is gated by a declared valid bit that is 0 in the
 //     checkpoint state and stays unwritten past the entry's overwrite
@@ -25,7 +26,7 @@
 //   - masking: the flipped bit is outside the element's declared
 //     consumed-bit mask, so no consumer ever observes it.
 //   - constprop: the entry IS read before its in-horizon overwrite, but the
-//     golden trace's value-aware observation set (state.TouchTrace.ObsPre,
+//     golden trace's value-aware observation set (state.WindowTrace.ObsPre,
 //     fed by GetObs masks at audited predicate-only read sites) shows no
 //     pre-overwrite read can notice the flipped bit, so the trial tracks
 //     the golden run until the overwrite erases the corruption.
@@ -154,20 +155,12 @@ type population struct {
 	mustSim uint64
 }
 
-// Trace is the golden continuation's touch trace as the prover reads it:
-// a state.TouchTrace, or a state.WindowTrace a golden sweep closed.
-type Trace interface {
-	FirstSet(key uint64) uint64
-	ObsPre(key uint64) uint64
-	ProvenDead(key, h uint64) (matchAt uint64, dead bool)
-}
-
 // Compute partitions the injectable population of f. The file must be
 // positioned at the checkpoint state (the idleness rule reads gate values
 // from it), trace must be the golden continuation's touch trace, failAt the
 // first cycle any of its failure monitors fires (0 = never), and h the trial
 // horizon in cycles. Only the rules present in the rules mask are applied.
-func Compute(f *state.File, trace Trace, failAt, h uint64, hints Hints, rules Rule) *Proof {
+func Compute(f *state.File, trace *state.WindowTrace, failAt, h uint64, hints Hints, rules Rule) *Proof {
 	p := &Proof{
 		rules:  rules,
 		h:      h,
@@ -210,7 +203,7 @@ func (ep *elemProof) provenBits() uint64 {
 
 // analyze applies the rule set to one element, producing its partition and
 // folding per-(category, rule) coverage into the proof record.
-func (p *Proof) analyze(e *state.Elem, f *state.File, trace Trace, failAt uint64, hints Hints) *elemProof {
+func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.WindowTrace, failAt uint64, hints Hints) *elemProof {
 	width := e.Width()
 	mask := ^uint64(0)
 	if width < 64 {
@@ -293,7 +286,7 @@ func (p *Proof) analyze(e *state.Elem, f *state.File, trace Trace, failAt uint64
 // provably stays 0 through cycle matchAt: the golden run's first write to
 // it (which is also the first cycle it could become nonzero) lands strictly
 // after the payload's overwrite, or never happens.
-func idleThrough(trace Trace, gateKey, matchAt uint64) bool {
+func idleThrough(trace *state.WindowTrace, gateKey, matchAt uint64) bool {
 	gw := trace.FirstSet(gateKey)
 	return gw == 0 || gw > matchAt
 }

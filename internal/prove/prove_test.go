@@ -23,15 +23,25 @@ func testFile() (*state.File, map[string]*state.Elem) {
 	return f, elems
 }
 
-// record runs fn under an active trace bracketed by checkpoint-state
-// save/restore, exactly as the engine computes proofs: the golden run's
-// touches are traced, then the file is rewound so Compute reads gate
-// values as of the checkpoint.
-func record(f *state.File, fn func(cycle func(uint64))) *state.TouchTrace {
+// record runs fn as one window of a sweep opened at cycle 0, bracketed by
+// checkpoint-state save/restore, exactly as the engine computes proofs:
+// the golden run's touches are traced, then the file is rewound so Compute
+// reads gate values as of the checkpoint. fn's cycle(c) stamps every cycle
+// after the last one through c, in order, as the sweep requires.
+func record(f *state.File, fn func(cycle func(uint64))) *state.WindowTrace {
 	snap := f.Snapshot()
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
-	fn(f.TraceCycle)
+	sw := f.NewSweep()
+	f.StartTrace(sw)
+	sw.OpenWindow(0)
+	var last uint64
+	fn(func(c uint64) {
+		for last < c {
+			last++
+			f.TraceCycle(last)
+		}
+	})
+	tr := &state.WindowTrace{}
+	sw.CloseWindow(tr)
 	f.StopTrace()
 	f.Restore(snap)
 	return tr

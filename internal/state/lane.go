@@ -81,18 +81,14 @@ func (l BitLane) stampWord(w int) {
 // is attached.
 func (l BitLane) stamp(w int, mask uint64, set bool) {
 	l.maskCheck(w, mask)
-	t := l.e.trace
+	s := l.e.trace
 	base := l.e.entryBase + uint64(w)<<6
 	for m := mask; m != 0; m &= m - 1 {
-		g := base + uint64(bits.TrailingZeros64(m))
-		// tracer.read spelled out, as in getSlow.
-		switch {
+		switch g := base + uint64(bits.TrailingZeros64(m)); {
 		case set:
-			t.set(g)
-		case t.sw == nil:
-			t.tt.read(g)
-		case !t.sw.read(g):
-			t.sw.observe(g, ^uint64(0), true)
+			s.set(g)
+		case !s.read(g):
+			s.observe(g, ^uint64(0), true)
 		}
 	}
 }
@@ -208,9 +204,11 @@ func (l BitLane) AnySet(lo, hi int) bool {
 func (l BitLane) CountRange(lo, hi int) int {
 	l.rangeCheck(lo, hi)
 	e := l.e
-	if t := e.trace; t != nil {
+	if s := e.trace; s != nil {
 		for i := lo; i < hi; i++ {
-			t.read(e.entryBase + uint64(i))
+			if g := e.entryBase + uint64(i); !s.read(g) {
+				s.observe(g, ^uint64(0), true)
+			}
 		}
 	}
 	if lo >= hi {

@@ -103,14 +103,12 @@ func TestLaneDifferentialFuzz(t *testing.T) {
 				ma, mb := fa.Mark(), fb.Mark()
 				preDigest := fa.Digest()
 
-				var ta, tb *TouchTrace
+				var wa, wb *window
 				cyc := uint64(1)
 				if traced.on {
-					ta, tb = fa.NewTouchTrace(), fb.NewTouchTrace()
-					fa.StartTrace(ta)
-					fb.StartTrace(tb)
-					fa.TraceCycle(cyc)
-					fb.TraceCycle(cyc)
+					wa, wb = openWindow(fa), openWindow(fb)
+					wa.at(cyc)
+					wb.at(cyc)
 				}
 
 				randRange := func() (int, int) {
@@ -186,8 +184,8 @@ func TestLaneDifferentialFuzz(t *testing.T) {
 					case 9:
 						if traced.on {
 							cyc++
-							fa.TraceCycle(cyc)
-							fb.TraceCycle(cyc)
+							wa.at(cyc)
+							wb.at(cyc)
 						}
 					}
 					if fa.Digest() != fb.Digest() {
@@ -199,19 +197,18 @@ func TestLaneDifferentialFuzz(t *testing.T) {
 				}
 
 				if traced.on {
-					fa.StopTrace()
-					fb.StopTrace()
+					ta, tb := wa.close(), wb.close()
 					likeFields := []struct {
 						name string
-						get  func(*TouchTrace, uint64) uint64
+						get  func(*WindowTrace, uint64) uint64
 					}{
-						{"FirstRead", (*TouchTrace).FirstRead},
-						{"FirstSet", (*TouchTrace).FirstSet},
-						{"LastRead", (*TouchTrace).LastRead},
-						{"LastSet", (*TouchTrace).LastSet},
-						{"CopyDst", (*TouchTrace).CopyDst},
-						{"LastCopy", (*TouchTrace).LastCopy},
-						{"ObsPre", (*TouchTrace).ObsPre},
+						{"FirstRead", (*WindowTrace).FirstRead},
+						{"FirstSet", (*WindowTrace).FirstSet},
+						{"LastRead", (*WindowTrace).LastRead},
+						{"LastSet", (*WindowTrace).LastSet},
+						{"CopyDst", (*WindowTrace).CopyDst},
+						{"LastCopy", (*WindowTrace).LastCopy},
+						{"ObsPre", (*WindowTrace).ObsPre},
 					}
 					for _, fl := range likeFields {
 						for i := uint64(0); i < uint64(ta.Len()); i++ {
@@ -253,10 +250,10 @@ func TestLaneTracedMatchesUntraced(t *testing.T) {
 		f, e := laneTestFile()
 		l := e.Lane()
 		f.BeginJournal()
+		var w *window
 		if traced {
-			tr := f.NewTouchTrace()
-			f.StartTrace(tr)
-			f.TraceCycle(1)
+			w = openWindow(f)
+			w.at(1)
 		}
 		rng := rand.New(rand.NewSource(99))
 		for k := 0; k < 400; k++ {
@@ -272,7 +269,7 @@ func TestLaneTracedMatchesUntraced(t *testing.T) {
 			}
 		}
 		if traced {
-			f.StopTrace()
+			w.close()
 		}
 		return f, f.JournalLen()
 	}
@@ -329,7 +326,7 @@ func TestLaneLifecyclePanics(t *testing.T) {
 	})
 	mustPanicWith("traced WordOf past element end", "mask past element end", func() {
 		f, e := laneTestFile()
-		f.StartTrace(f.NewTouchTrace())
+		f.StartTrace(f.NewSweep())
 		e.Lane().WordOf(2, 1<<(150-128))
 	})
 }

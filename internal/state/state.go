@@ -113,10 +113,10 @@ type Elem struct {
 	// and strSh is the largest in-word shift at which a row still fits in a
 	// single word (64 - width) — a row straddles two words iff its shift
 	// exceeds strSh, so widths that divide 64 never take the two-word path.
-	// trace is nil except while a touch trace or sweep is attached, keeping
-	// the common case a single predictable branch.
+	// trace is nil except while a sweep is attached, keeping the common
+	// case a single predictable branch.
 	words    []uint64
-	trace    *tracer
+	trace    *Sweep
 	bitBase  uint64 // global bit offset of entry 0 (digest keying)
 	wordBase uint64 // bitBase >> 6 (elements are word-aligned at Freeze)
 	mask     uint64
@@ -178,9 +178,10 @@ func (e *Elem) Injectable() bool { return e.injectable }
 func (e *Elem) EntryIndex(i int) uint64 { return e.entryBase + uint64(i) }
 
 // Get reads entry i. The untraced non-straddling read — every
-// Freeze-specialized shape and every in-word generic row — stays under the
-// compiler's inline budget, so hot-loop callers pay a shift-and-mask, not
-// a call; traced reads and straddling rows take the outlined slow path.
+// Freeze-specialized shape and every in-word generic row — is one compare
+// and a shift-and-mask; traced reads and straddling rows take the outlined
+// slow path. Get itself exceeds the compiler's inline budget (see DESIGN.md
+// "Width-specialized row accessors").
 func (e *Elem) Get(i int) uint64 {
 	bit := e.bitBase + uint64(i)*e.stride
 	if bit&63 >= e.fastLim {
@@ -192,16 +193,12 @@ func (e *Elem) Get(i int) uint64 {
 // getSlow is Get's outlined cold path: touch-trace stamping and the
 // two-word read for rows that cross a word boundary. fastLim folds both
 // triggers into the one unsigned compare in Get: it holds strSh+1 while no
-// trace is attached (slow path iff the row straddles) and 0 while one is
-// (every shift reaches it, so every read stamps the trace).
+// sweep is attached (slow path iff the row straddles) and 0 while one is
+// (every shift reaches it, so every read stamps the sweep).
 func (e *Elem) getSlow(i int) uint64 {
-	if t := e.trace; t != nil {
-		// tracer.read, spelled out so both recorders' common paths inline
-		// into this hot site: a traced read costs no call.
-		if g := e.entryBase + uint64(i); t.sw == nil {
-			t.tt.read(g)
-		} else if !t.sw.read(g) {
-			t.sw.observe(g, ^uint64(0), true)
+	if s := e.trace; s != nil {
+		if g := e.entryBase + uint64(i); !s.read(g) {
+			s.observe(g, ^uint64(0), true)
 		}
 	}
 	bit := e.bitBase + uint64(i)*e.stride
@@ -213,13 +210,13 @@ func (e *Elem) getSlow(i int) uint64 {
 	return v & e.mask
 }
 
-// GetObs reads entry i exactly like Get, but narrows what an active touch
-// trace records the read as having observed. obs receives the row's value
+// GetObs reads entry i exactly like Get, but narrows what an attached sweep
+// records the read as having observed. obs receives the row's value
 // and must return the mask of bits whose individual flip could change the
 // caller's use of that value (e.g. an equality compare observes every bit
 // when it matches, but only the single differing bit when it misses by
-// one). While no trace is attached the closure is never invoked and GetObs
-// is bit-identical to Get; under a trace the read stamps FirstRead/LastRead
+// one). While no sweep is attached the closure is never invoked and GetObs
+// is bit-identical to Get; under a sweep the read stamps FirstRead/LastRead
 // exactly like Get and accumulates the observation mask into the trace's
 // pre-overwrite observation set (ObsPre) instead of marking the whole row
 // observed. Callers are part of the prover's trusted base: obs must be
@@ -234,7 +231,7 @@ func (e *Elem) GetObs(i int, obs func(uint64) uint64) uint64 {
 	}
 	v &= e.mask
 	if e.trace != nil {
-		e.trace.readObs(e.entryBase+uint64(i), obs(v)&e.mask)
+		e.trace.observe(e.entryBase+uint64(i), obs(v)&e.mask, false)
 	}
 	return v
 }
@@ -243,7 +240,7 @@ func (e *Elem) GetObs(i int, obs func(uint64) uint64) uint64 {
 // file digest, and — while a journal is active — logs the first touch of
 // each dirtied word so RollbackTo can rewind in O(words touched).
 func (e *Elem) Set(i int, v uint64) {
-	// A touch trace records the set BEFORE the no-op check: a golden write
+	// A sweep records the set BEFORE the no-op check: a golden write
 	// of an unchanged value is still a write the trial performs over its
 	// (possibly corrupted) copy, so it clears the corruption all the same.
 	if e.trace != nil {
@@ -358,7 +355,7 @@ func (e *Elem) Flip(i, bit int) {
 
 // CopyEntry copies entry si of src into entry di of dst as pure data
 // movement. The transfer updates the file digest and undo journal exactly
-// like Get followed by Set, but an active touch trace records it as a copy
+// like Get followed by Set, but an attached sweep records it as a copy
 // instead of a behavioral read-write pair: first touches land on both ends
 // (a copy propagates src corruption and overwrites dst corruption, so
 // dead-on-arrival and taint reasoning see a read and a write at the same
@@ -402,9 +399,9 @@ type File struct {
 
 	zeroDigest uint64
 
-	// tr is the attached recorder (a TouchTrace or a Sweep); every element's
-	// trace points at it while one is attached.
-	tr tracer
+	// tr is the attached sweep; every element's trace points at it while
+	// one is attached.
+	tr *Sweep
 
 	// patch is RestoreDelta's scratch snapshot.
 	patch Snapshot
@@ -687,285 +684,49 @@ func (f *File) CommitJournal() {
 // tests and instrumentation).
 func (f *File) JournalLen() int { return len(f.jLog) }
 
-// TouchTrace records, per entry of every element, the first and last cycle
-// at which a golden run reads the entry and the first and last at which it
-// writes it (0 = never). Entries are keyed by Elem.EntryIndex. The trial
-// engine uses the first-touch half to decide, in closed form, whether a
-// flipped bit can ever be observed (an entry overwritten before its first
-// read is dead on arrival) and the last-touch half for the convergence
-// certificate: an entry the golden run never touches again cannot cancel or
-// propagate a frozen trial-vs-golden delta.
-//
-// CopyEntry data movement is traced separately from behavioral touches:
-// a copy stamps first touches on both ends but not last touches, and
-// instead records the src→dst copy edge (CopyDst, single destination or
-// Poisoned) and the destination's last copy-in cycle (LastCopy). The
-// certificate follows the edges to reason about recovery drains that
-// rewrite state without observing it.
-//
-// Each entry's stamps live in one 32-byte record, so a traced access
-// touches one cache line. Cycle stamps are uint32: TraceCycle rejects a
-// cycle number they cannot hold. Consumers read the trace through the
-// accessor methods; a trace is reused across golden runs by Clear.
-type TouchTrace struct {
-	recs  []touch
-	cycle uint32
-}
-
-// touch is one entry's trace record.
-type touch struct {
-	firstRead, firstSet, lastRead, lastSet uint32
-	lastCopy                               uint32 // cycle of the last copy into the entry
-	copyDst                                uint32 // 0 = none, dst key+1, or poisonedDst
-
-	// obsPre is the mask of bits the golden run behaviorally observes while
-	// the entry still holds its checkpoint value (see ObsPre).
-	obsPre uint64
-}
-
-// Poisoned is CopyDst's value for an entry copied to more than one
-// distinct destination; the convergence certificate treats the entry's
-// copy flow as untrackable.
-const Poisoned = ^uint64(0)
-
-// poisonedDst is Poisoned in a record's uint32 copyDst slot.
-const poisonedDst = ^uint32(0)
-
-func (t *TouchTrace) read(g uint64) {
-	r := &t.recs[g]
-	if r.firstRead == 0 {
-		r.firstRead = t.cycle
-	}
-	r.lastRead = t.cycle
-	if r.firstSet == 0 {
-		r.obsPre = ^uint64(0) // a plain read observes the whole row
-	}
-}
-
-// readObs is read with a caller-supplied observation mask: the stamps are
-// identical, but only mask's bits join the pre-overwrite observation set.
-// Trace calls happen in execution order within a cycle, so a read issued
-// after the entry's first overwrite (FirstSet already stamped) correctly
-// contributes nothing — it observes the rewritten value.
-func (t *TouchTrace) readObs(g, mask uint64) {
-	r := &t.recs[g]
-	if r.firstRead == 0 {
-		r.firstRead = t.cycle
-	}
-	r.lastRead = t.cycle
-	if r.firstSet == 0 {
-		r.obsPre |= mask
-	}
-}
-
-func (t *TouchTrace) set(g uint64) {
-	r := &t.recs[g]
-	if r.firstSet == 0 {
-		r.firstSet = t.cycle
-	}
-	r.lastSet = t.cycle
-}
-
-func (t *TouchTrace) copy(src, dst uint64) {
-	s, d := &t.recs[src], &t.recs[dst]
-	if s.firstRead == 0 {
-		s.firstRead = t.cycle
-	}
-	if s.firstSet == 0 {
-		s.obsPre = ^uint64(0) // the copy propagates every src bit
-	}
-	if d.firstSet == 0 {
-		d.firstSet = t.cycle
-	}
-	d.lastCopy = t.cycle
-	if cur := s.copyDst; cur != uint32(dst)+1 {
-		if cur == 0 {
-			s.copyDst = uint32(dst) + 1
-		} else {
-			s.copyDst = poisonedDst
-		}
-	}
-}
-
-// Len returns the number of entries the trace covers (the file's trace key
-// space).
-func (t *TouchTrace) Len() int { return len(t.recs) }
-
-// FirstRead returns the first cycle the golden run read entry key, or 0.
-func (t *TouchTrace) FirstRead(key uint64) uint64 { return uint64(t.recs[key].firstRead) }
-
-// FirstSet returns the first cycle the golden run wrote entry key (a
-// behavioral write or a copy into it), or 0.
-func (t *TouchTrace) FirstSet(key uint64) uint64 { return uint64(t.recs[key].firstSet) }
-
-// LastRead returns the last cycle the golden run behaviorally read entry
-// key, or 0. Copies out of the entry do not count.
-func (t *TouchTrace) LastRead(key uint64) uint64 { return uint64(t.recs[key].lastRead) }
-
-// LastSet returns the last cycle the golden run behaviorally wrote entry
-// key, or 0. Copies into the entry do not count.
-func (t *TouchTrace) LastSet(key uint64) uint64 { return uint64(t.recs[key].lastSet) }
-
-// LastCopy returns the last cycle the golden run copied into entry key, or
-// 0.
-func (t *TouchTrace) LastCopy(key uint64) uint64 { return uint64(t.recs[key].lastCopy) }
-
-// CopyDst returns entry key's copy edge: 0 when the golden run never
-// copied it, the destination's key+1 when it copied it to one destination,
-// or Poisoned when it copied it to more than one.
-func (t *TouchTrace) CopyDst(key uint64) uint64 {
-	d := t.recs[key].copyDst
-	if d == poisonedDst {
-		return Poisoned
-	}
-	return uint64(d)
-}
-
-// ObsPre is, per entry, the mask of bits the golden run behaviorally
-// observes while the entry still holds its checkpoint value — i.e. before
-// the entry's first overwrite. A plain Get observes every bit; a GetObs
-// read contributes only its observation mask; a CopyEntry observes every
-// bit of its source (the copy propagates the full row). Once FirstSet is
-// stamped the pre-overwrite value is gone and later reads stop
-// accumulating: they observe the recomputed value, which a flip of an
-// unobserved bit provably cannot have changed. The constprop proof rule
-// flips only bits outside ObsPre of entries that are overwritten (and
-// converge) inside the horizon.
-func (t *TouchTrace) ObsPre(key uint64) uint64 { return t.recs[key].obsPre }
-
-// Clear zeroes every record, readying the trace for another golden run
-// without reallocating it.
-func (t *TouchTrace) Clear() {
-	clear(t.recs)
-	t.cycle = 0
-}
-
-// ProvenDead reports whether a flip of any bit of the entry with trace key
-// key is provably unobservable within a horizon of h cycles: the golden run
-// overwrites the entry (clearing any corruption) strictly before its first
-// read, or never reads it at all. matchAt is the cycle of that clearing
-// write when it falls inside the horizon (0 otherwise) — the earliest cycle
-// at which a corrupted trial can re-converge with the golden run. A read at
-// the overwrite cycle itself counts as observation (the reader may consume
-// the corrupted value in the same cycle), so the comparison is read <=
-// write, conservatively ineligible. This predicate is the single shared
-// implementation behind both the trial engine's closed-form classifier
-// (worker.resolveDead) and the static prover's liveness rule, so the two
-// paths cannot drift.
-func (t *TouchTrace) ProvenDead(key, h uint64) (matchAt uint64, dead bool) {
-	return provenDead(t.FirstRead(key), t.FirstSet(key), h)
-}
-
-// provenDead is ProvenDead over one entry's first read r and first write
-// cw, shared by TouchTrace and WindowTrace.
-func provenDead(r, cw, h uint64) (matchAt uint64, dead bool) {
-	if cw != 0 && cw <= h {
-		matchAt = cw
-	}
-	readBound := h
-	if matchAt != 0 {
-		readBound = matchAt
-	}
-	return matchAt, r == 0 || r > readBound
-}
-
-// NewTouchTrace allocates a trace sized to the file's full entry
-// population (every element, injectable or not).
-func (f *File) NewTouchTrace() *TouchTrace {
-	if !f.frozen {
-		panic("state: NewTouchTrace before Freeze")
-	}
-	if f.allEntries >= uint64(poisonedDst) {
-		panic(fmt.Sprintf("state: %d entries overflow the trace's uint32 copy edges", f.allEntries))
-	}
-	return &TouchTrace{recs: make([]touch, f.allEntries)}
-}
-
-// StartTrace attaches t to every element so subsequent Get/Set calls record
-// touch cycles. Non-injectable elements (caches, predictors) are traced
+// StartTrace attaches s to every element so subsequent Get/Set calls stamp
+// touches into it. Non-injectable elements (caches, predictors) are traced
 // too: the convergence certificate must know the golden run's future
 // touches of *any* state an injected trial could differ in, not just the
 // injectable population. Call TraceCycle with a cycle number >= 1 before
-// stepping (cycle 0 means "never touched").
-func (f *File) StartTrace(t *TouchTrace) {
-	f.attach(tracer{tt: t})
-}
-
-// attach points every element at the recorder r.
-func (f *File) attach(r tracer) {
+// stepping (cycle 0 means "never touched"); while windows are open it must
+// advance one cycle at a time.
+func (f *File) StartTrace(s *Sweep) {
 	if !f.frozen {
 		panic("state: StartTrace before Freeze")
 	}
-	f.tr = r
+	f.tr = s
 	for _, e := range f.elems {
-		e.trace = &f.tr
+		e.trace = s
 		e.fastLim = 0
 	}
 }
 
+// NewTouchTrace is NewSweep under the name the bench's traced-step probe
+// (bench/layers.go) calls; the bench change that replaces that probe with a
+// sweep over the schedule (ROADMAP item 2(a)) deletes it.
+func (f *File) NewTouchTrace() *Sweep { return f.NewSweep() }
+
 // TraceCycle sets the cycle number stamped on touches until the next call.
-// Cycle numbers must be >= 1 and fit the trace's uint32 stamps.
+// Cycle numbers must be >= 1 and fit the sweep's uint32 stamps.
 func (f *File) TraceCycle(c uint64) {
-	if f.tr.tt == nil && f.tr.sw == nil {
+	if f.tr == nil {
 		panic("state: TraceCycle without StartTrace")
 	}
 	if c > math.MaxUint32 {
 		panic(fmt.Sprintf("state: TraceCycle %d overflows the trace's uint32 cycle stamps", c))
 	}
-	if f.tr.sw != nil {
-		f.tr.sw.setCycle(uint32(c))
-	} else {
-		f.tr.tt.cycle = uint32(c)
-	}
+	f.tr.setCycle(uint32(c))
 }
 
-// StopTrace detaches the active trace or sweep, restoring the zero-cost
-// Get/Set paths.
+// StopTrace detaches the attached sweep, restoring the zero-cost Get/Set
+// paths.
 func (f *File) StopTrace() {
 	for _, e := range f.elems {
 		e.trace = nil
 		e.fastLim = e.strSh + 1
 	}
-	f.tr = tracer{}
-}
-
-// tracer is the recorder the element hooks stamp: a single-run TouchTrace
-// or a multi-window Sweep, exactly one non-nil while attached.
-type tracer struct {
-	tt *TouchTrace
-	sw *Sweep
-}
-
-func (r *tracer) read(g uint64) {
-	if sw := r.sw; sw == nil {
-		r.tt.read(g)
-	} else if !sw.read(g) {
-		sw.observe(g, ^uint64(0), true)
-	}
-}
-
-func (r *tracer) readObs(g, mask uint64) {
-	if r.sw != nil {
-		r.sw.observe(g, mask, false)
-		return
-	}
-	r.tt.readObs(g, mask)
-}
-
-func (r *tracer) set(g uint64) {
-	if sw := r.sw; sw != nil {
-		sw.set(g)
-		return
-	}
-	r.tt.set(g)
-}
-
-func (r *tracer) copy(src, dst uint64) {
-	if r.sw != nil {
-		r.sw.copy(src, dst)
-		return
-	}
-	r.tt.copy(src, dst)
+	f.tr = nil
 }
 
 // RecomputeDigest folds the digest from scratch over current contents: the

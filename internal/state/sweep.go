@@ -8,11 +8,13 @@ import (
 )
 
 // A Sweep records the touch traces of many overlapping windows of one
-// fault-free run in a single pass. A window opens at cycle start, before
-// the cycle start+1 is stepped, and closes after its last cycle; its view
-// (a WindowTrace) holds exactly what a TouchTrace attached for the window
-// alone would hold, with stamps relative to start. Every cycle is stepped,
-// and every access stamped, once, however many windows cover it.
+// fault-free run in a single pass; it is the only recorder an element
+// carries (File.StartTrace). A window opens at cycle start, before the
+// cycle start+1 is stepped, and closes after its last cycle; its view (a
+// WindowTrace) holds the window's touch trace, with stamps relative to
+// start, exactly as if the window's cycles were the whole run. Every cycle
+// is stepped, and every access stamped, once, however many windows cover
+// it.
 //
 // Last touches need no per-window state: one record per entry keeps the
 // absolute cycles of its last read, write, copy-in and whole-row read, and
@@ -88,13 +90,6 @@ func (f *File) NewSweep() *Sweep {
 	}
 	n := int(f.allEntries)
 	return &Sweep{recs: make([]sweepTouch, n), copies: make(map[uint32]*copyEdge), slot: make([]uint32, n), n: n}
-}
-
-// StartSweep attaches s to every element, like StartTrace. TraceCycle sets
-// the absolute cycle the sweep stamps; while windows are open it must
-// advance one cycle at a time.
-func (f *File) StartSweep(s *Sweep) {
-	f.attach(tracer{sw: s})
 }
 
 // setCycle is TraceCycle for the sweep: it marks where cycle c's log
@@ -223,9 +218,9 @@ func (s *Sweep) LogLen() int { return len(s.log) }
 
 // read stamps a plain read of entry g. An entry read whole since the
 // newest window start is no open window's first read and adds nothing to
-// any open window's observation mask: that one compare is the common path.
-// It reports false, stamping nothing, when the read needs the full
-// observe.
+// any open window's observation mask: that one compare is the common path,
+// small enough to inline into the traced accessors. It reports false,
+// stamping nothing, when the read needs the full observe.
 func (s *Sweep) read(g uint64) bool {
 	r := &s.recs[g]
 	if r.lastFull <= s.newest {
@@ -274,8 +269,7 @@ func (s *Sweep) set(g uint64) {
 }
 
 // copy stamps CopyEntry data movement: a whole-row copy-out of src (not a
-// behavioral read) and a copy-in to dst (not a behavioral write), in the
-// order TouchTrace.copy stamps them.
+// behavioral read), then a copy-in to dst (not a behavioral write).
 func (s *Sweep) copy(src, dst uint64) {
 	r := &s.recs[src]
 	t, nw := s.cycle, s.newest
@@ -306,14 +300,49 @@ func (s *Sweep) copy(src, dst uint64) {
 	d.lastCopy = t
 }
 
-// A WindowTrace is one window's touch trace as a Sweep closed it: the same
-// accessors as TouchTrace, with stamps relative to the window's start,
-// held only for the entries the window touched (sorted by key).
+// A WindowTrace is one window's touch trace as a Sweep closed it. It
+// records, per entry of every element, the first and last cycle at which
+// the golden run reads the entry and the first and last at which it writes
+// it (0 = never), relative to the window's start. Entries are keyed by
+// Elem.EntryIndex. The trial engine uses the first-touch half to decide,
+// in closed form, whether a flipped bit can ever be observed (an entry
+// overwritten before its first read is dead on arrival) and the last-touch
+// half for the convergence certificate: an entry the golden run never
+// touches again cannot cancel or propagate a frozen trial-vs-golden delta.
+//
+// CopyEntry data movement is traced separately from behavioral touches:
+// a copy stamps first touches on both ends but not last touches, and
+// instead records the src→dst copy edge (CopyDst, single destination or
+// Poisoned) and the destination's last copy-in cycle (LastCopy). The
+// certificate follows the edges to reason about recovery drains that
+// rewrite state without observing it.
+//
+// Records are held only for the entries the window touched, sorted by
+// key, in 32-byte records; consumers read them through the accessors.
 type WindowTrace struct {
 	keys []uint32
 	recs []touch
 	n    int
 }
+
+// touch is one entry's record in a window.
+type touch struct {
+	firstRead, firstSet, lastRead, lastSet uint32
+	lastCopy                               uint32 // cycle of the last copy into the entry
+	copyDst                                uint32 // 0 = none, dst key+1, or poisonedDst
+
+	// obsPre is the mask of bits the golden run behaviorally observes while
+	// the entry still holds its checkpoint value (see ObsPre).
+	obsPre uint64
+}
+
+// Poisoned is CopyDst's value for an entry copied to more than one
+// distinct destination; the convergence certificate treats the entry's
+// copy flow as untrackable.
+const Poisoned = ^uint64(0)
+
+// poisonedDst is Poisoned in a record's uint32 copyDst slot.
+const poisonedDst = ^uint32(0)
 
 // Len returns the number of entries the trace covers (the file's trace key
 // space).
@@ -331,22 +360,28 @@ func (t *WindowTrace) at(key uint64) *touch {
 // untouched is the record of an entry a window never touched.
 var untouched touch
 
-// FirstRead is TouchTrace.FirstRead for the window.
+// FirstRead returns the first cycle the golden run read entry key, or 0.
 func (t *WindowTrace) FirstRead(key uint64) uint64 { return uint64(t.at(key).firstRead) }
 
-// FirstSet is TouchTrace.FirstSet for the window.
+// FirstSet returns the first cycle the golden run wrote entry key (a
+// behavioral write or a copy into it), or 0.
 func (t *WindowTrace) FirstSet(key uint64) uint64 { return uint64(t.at(key).firstSet) }
 
-// LastRead is TouchTrace.LastRead for the window.
+// LastRead returns the last cycle the golden run behaviorally read entry
+// key, or 0. Copies out of the entry do not count.
 func (t *WindowTrace) LastRead(key uint64) uint64 { return uint64(t.at(key).lastRead) }
 
-// LastSet is TouchTrace.LastSet for the window.
+// LastSet returns the last cycle the golden run behaviorally wrote entry
+// key, or 0. Copies into the entry do not count.
 func (t *WindowTrace) LastSet(key uint64) uint64 { return uint64(t.at(key).lastSet) }
 
-// LastCopy is TouchTrace.LastCopy for the window.
+// LastCopy returns the last cycle the golden run copied into entry key, or
+// 0.
 func (t *WindowTrace) LastCopy(key uint64) uint64 { return uint64(t.at(key).lastCopy) }
 
-// CopyDst is TouchTrace.CopyDst for the window.
+// CopyDst returns entry key's copy edge: 0 when the golden run never
+// copied it, the destination's key+1 when it copied it to one destination,
+// or Poisoned when it copied it to more than one.
 func (t *WindowTrace) CopyDst(key uint64) uint64 {
 	d := t.at(key).copyDst
 	if d == poisonedDst {
@@ -355,11 +390,39 @@ func (t *WindowTrace) CopyDst(key uint64) uint64 {
 	return uint64(d)
 }
 
-// ObsPre is TouchTrace.ObsPre for the window.
+// ObsPre is, per entry, the mask of bits the golden run behaviorally
+// observes while the entry still holds its checkpoint value — i.e. before
+// the entry's first overwrite. A plain Get observes every bit; a GetObs
+// read contributes only its observation mask; a CopyEntry observes every
+// bit of its source (the copy propagates the full row). Once FirstSet is
+// stamped the pre-overwrite value is gone and later reads stop
+// accumulating: they observe the recomputed value, which a flip of an
+// unobserved bit provably cannot have changed. Accesses within a cycle
+// count in execution order. The constprop proof rule flips only bits
+// outside ObsPre of entries that are overwritten (and converge) inside the
+// horizon.
 func (t *WindowTrace) ObsPre(key uint64) uint64 { return t.at(key).obsPre }
 
-// ProvenDead is TouchTrace.ProvenDead for the window.
+// ProvenDead reports whether a flip of any bit of the entry with trace key
+// key is provably unobservable within a horizon of h cycles: the golden run
+// overwrites the entry (clearing any corruption) strictly before its first
+// read, or never reads it at all. matchAt is the cycle of that clearing
+// write when it falls inside the horizon (0 otherwise) — the earliest cycle
+// at which a corrupted trial can re-converge with the golden run. A read at
+// the overwrite cycle itself counts as observation (the reader may consume
+// the corrupted value in the same cycle), so the comparison is read <=
+// write, conservatively ineligible. This predicate is the single shared
+// implementation behind both the trial engine's closed-form classifier
+// (worker.resolveDead) and the static prover's liveness rule, so the two
+// paths cannot drift.
 func (t *WindowTrace) ProvenDead(key, h uint64) (matchAt uint64, dead bool) {
 	r := t.at(key)
-	return provenDead(uint64(r.firstRead), uint64(r.firstSet), h)
+	if cw := uint64(r.firstSet); cw != 0 && cw <= h {
+		matchAt = cw
+	}
+	readBound := h
+	if matchAt != 0 {
+		readBound = matchAt
+	}
+	return matchAt, r.firstRead == 0 || uint64(r.firstRead) > readBound
 }

@@ -15,11 +15,78 @@ type sweepOp struct {
 	obs, val uint64
 }
 
+// naiveTouch is one entry's record in naiveWindow's reference trace.
+type naiveTouch struct {
+	firstRead, firstSet, lastRead, lastSet, lastCopy uint64
+	copyDst, obsPre                                  uint64
+}
+
+// naiveWindow is the touch trace of the window [start, start+h] of a
+// scripted run, computed from the script alone: it replays the window's
+// ops in order against per-entry records, with stamps relative to start.
+// It shares no code with Sweep, so it is an independent reference for
+// every view a sweep closes.
+func naiveWindow(elems []*Elem, script [][]sweepOp, start, h int) map[uint64]*naiveTouch {
+	recs := make(map[uint64]*naiveTouch)
+	rec := func(e, i int) (*naiveTouch, uint64) {
+		k := elems[e].EntryIndex(i)
+		if recs[k] == nil {
+			recs[k] = &naiveTouch{}
+		}
+		return recs[k], k
+	}
+	for a := start + 1; a <= start+h; a++ {
+		t := uint64(a - start)
+		for _, op := range script[a] {
+			r, k := rec(op.e, op.i)
+			switch op.kind {
+			case 0, 1: // a read observes the whole row, or GetObs's mask
+				if r.firstRead == 0 {
+					r.firstRead = t
+				}
+				r.lastRead = t
+				if r.firstSet == 0 {
+					if op.kind == 0 {
+						r.obsPre = ^uint64(0)
+					} else {
+						r.obsPre |= op.obs & (1<<elems[op.e].Width() - 1)
+					}
+				}
+			case 2:
+				if r.firstSet == 0 {
+					r.firstSet = t
+				}
+				r.lastSet = t
+			case 3: // a copy: a first read of the source, a first write of dst
+				src, _ := rec(op.se, op.si)
+				if src.firstRead == 0 {
+					src.firstRead = t
+				}
+				if src.firstSet == 0 {
+					src.obsPre = ^uint64(0)
+				}
+				switch src.copyDst {
+				case 0:
+					src.copyDst = k + 1
+				case k + 1:
+				default:
+					src.copyDst = Poisoned
+				}
+				if r.firstSet == 0 {
+					r.firstSet = t
+				}
+				r.lastCopy = t
+			}
+		}
+	}
+	return recs
+}
+
 // TestSweepMatchesWindowTraces is the Sweep's differential oracle: over
 // random access scripts and random window schedules (duplicate starts,
 // dense overlaps, gaps with no window open), every window's view must
-// equal, entry for entry and accessor for accessor, the TouchTrace of a
-// run that replays only that window's cycles with window-relative stamps.
+// equal, entry for entry and accessor for accessor, the naive reference
+// trace of that window computed from the script (naiveWindow).
 func TestSweepMatchesWindowTraces(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -70,7 +137,7 @@ func TestSweepMatchesWindowTraces(t *testing.T) {
 			for a := 1; a <= cycles; a++ {
 				for next < len(starts) && starts[next] < a {
 					if sw.Open() == 0 {
-						f.StartSweep(sw)
+						f.StartTrace(sw)
 					}
 					sw.OpenWindow(uint64(starts[next]))
 					next++
@@ -89,35 +156,36 @@ func TestSweepMatchesWindowTraces(t *testing.T) {
 				}
 			}
 
+			total := 0
+			for _, e := range elems {
+				total += e.Entries()
+			}
 			for w, s := range starts {
-				rf, relems := newTestFile()
-				tr := rf.NewTouchTrace()
-				rf.StartTrace(tr)
-				for a := s + 1; a <= s+h; a++ {
-					rf.TraceCycle(uint64(a - s))
-					run(relems, script[a])
-				}
-				rf.StopTrace()
+				want := naiveWindow(elems, script, s, h)
 				v := views[w]
-				if v.Len() != tr.Len() {
-					t.Fatalf("window %d at %d: view covers %d entries, want %d", w, s, v.Len(), tr.Len())
+				if v.Len() != total {
+					t.Fatalf("window %d at %d: view covers %d entries, want %d", w, s, v.Len(), total)
 				}
-				for k := uint64(0); k < uint64(tr.Len()); k++ {
+				for k := uint64(0); k < uint64(total); k++ {
+					r := want[k]
+					if r == nil {
+						r = &naiveTouch{}
+					}
 					for _, acc := range []struct {
 						name string
 						got  func(*WindowTrace, uint64) uint64
-						want func(*TouchTrace, uint64) uint64
+						want uint64
 					}{
-						{"FirstRead", (*WindowTrace).FirstRead, (*TouchTrace).FirstRead},
-						{"FirstSet", (*WindowTrace).FirstSet, (*TouchTrace).FirstSet},
-						{"LastRead", (*WindowTrace).LastRead, (*TouchTrace).LastRead},
-						{"LastSet", (*WindowTrace).LastSet, (*TouchTrace).LastSet},
-						{"LastCopy", (*WindowTrace).LastCopy, (*TouchTrace).LastCopy},
-						{"CopyDst", (*WindowTrace).CopyDst, (*TouchTrace).CopyDst},
-						{"ObsPre", (*WindowTrace).ObsPre, (*TouchTrace).ObsPre},
+						{"FirstRead", (*WindowTrace).FirstRead, r.firstRead},
+						{"FirstSet", (*WindowTrace).FirstSet, r.firstSet},
+						{"LastRead", (*WindowTrace).LastRead, r.lastRead},
+						{"LastSet", (*WindowTrace).LastSet, r.lastSet},
+						{"LastCopy", (*WindowTrace).LastCopy, r.lastCopy},
+						{"CopyDst", (*WindowTrace).CopyDst, r.copyDst},
+						{"ObsPre", (*WindowTrace).ObsPre, r.obsPre},
 					} {
-						if g, want := acc.got(v, k), acc.want(tr, k); g != want {
-							t.Fatalf("window %d at %d (h %d): %s(%d) = %d, want %d", w, s, h, acc.name, k, g, want)
+						if g := acc.got(v, k); g != acc.want {
+							t.Fatalf("window %d at %d (h %d): %s(%d) = %d, want %d", w, s, h, acc.name, k, g, acc.want)
 						}
 					}
 				}

@@ -6,24 +6,58 @@ import (
 	"testing"
 )
 
+// window is the one-window recorder the trace tests read through: a fresh
+// sweep attached to f with one window open at cycle 0, so the view's
+// stamps are the cycles the test names.
+type window struct {
+	f   *File
+	sw  *Sweep
+	cyc uint64
+}
+
+func openWindow(f *File) *window {
+	w := &window{f: f, sw: f.NewSweep()}
+	f.StartTrace(w.sw)
+	w.sw.OpenWindow(0)
+	return w
+}
+
+// at stamps every cycle after the last one through c, in order, as the
+// sweep requires while a window is open; the accesses that follow land at
+// cycle c.
+func (w *window) at(c uint64) {
+	for w.cyc < c {
+		w.cyc++
+		w.f.TraceCycle(w.cyc)
+	}
+}
+
+// close closes the window after its last stamped cycle, detaches the
+// sweep and returns the window's view.
+func (w *window) close() *WindowTrace {
+	v := &WindowTrace{}
+	w.sw.CloseWindow(v)
+	w.f.StopTrace()
+	return v
+}
+
 // TestTouchTraceFirstTouch: the trace records the FIRST read and FIRST set
 // cycle of each injectable entry and never overwrites them.
 func TestTouchTraceFirstTouch(t *testing.T) {
 	f, elems := newTestFile()
 	ctrl := elems[4] // "ctrl", injectable latch, 5 entries
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
+	w := openWindow(f)
 
-	f.TraceCycle(1)
+	w.at(1)
 	ctrl.Set(2, 7) // first set of ctrl[2] at cycle 1
-	f.TraceCycle(2)
+	w.at(2)
 	ctrl.Get(2)    // first read at cycle 2
 	ctrl.Set(2, 9) // repeat set: must not move FirstSet
-	f.TraceCycle(3)
+	w.at(3)
 	ctrl.Get(2) // repeat read: must not move FirstRead
 	ctrl.Get(4) // first read of a never-set entry
 
-	f.StopTrace()
+	tr := w.close()
 
 	k2 := ctrl.EntryIndex(2)
 	if tr.FirstSet(k2) != 1 || tr.FirstRead(k2) != 2 {
@@ -38,10 +72,12 @@ func TestTouchTraceFirstTouch(t *testing.T) {
 		t.Errorf("untouched ctrl[0] recorded: FirstSet=%d FirstRead=%d", tr.FirstSet(k0), tr.FirstRead(k0))
 	}
 
-	// Touches after StopTrace must not record.
-	ctrl.Set(0, 1)
-	if tr.FirstSet(k0) != 0 {
-		t.Error("Set after StopTrace recorded into the trace")
+	// After StopTrace no element carries the sweep: later touches take
+	// the untraced paths and record nothing.
+	for _, e := range elems {
+		if e.trace != nil || e.fastLim != e.strSh+1 {
+			t.Errorf("%s still traced after StopTrace", e.Name())
+		}
 	}
 }
 
@@ -52,11 +88,10 @@ func TestTouchTraceRecordsNoOpSets(t *testing.T) {
 	f, elems := newTestFile()
 	ctrl := elems[4]
 	ctrl.Set(1, 5) // pre-trace contents
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
-	f.TraceCycle(4)
+	w := openWindow(f)
+	w.at(4)
 	ctrl.Set(1, 5) // no-op: value unchanged
-	f.StopTrace()
+	tr := w.close()
 	if got := tr.FirstSet(ctrl.EntryIndex(1)); got != 4 {
 		t.Errorf("no-op Set not traced: FirstSet=%d, want 4", got)
 	}
@@ -70,12 +105,11 @@ func TestTouchTraceRecordsNoOpSets(t *testing.T) {
 func TestTouchTraceCoversNonInjectable(t *testing.T) {
 	f, elems := newTestFile()
 	ic := elems[5] // "icache", NotInjectable
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
-	f.TraceCycle(7)
+	w := openWindow(f)
+	w.at(7)
 	ic.Set(3, 42)
 	ic.Get(3)
-	f.StopTrace()
+	tr := w.close()
 	k := ic.EntryIndex(3)
 	if tr.FirstSet(k) != 7 || tr.FirstRead(k) != 7 {
 		t.Errorf("icache[3]: FirstSet=%d FirstRead=%d, want 7/7", tr.FirstSet(k), tr.FirstRead(k))
@@ -90,16 +124,15 @@ func TestTouchTraceCoversNonInjectable(t *testing.T) {
 func TestTouchTraceLastTouch(t *testing.T) {
 	f, elems := newTestFile()
 	ctrl := elems[4]
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
-	f.TraceCycle(2)
+	w := openWindow(f)
+	w.at(2)
 	ctrl.Set(1, 5)
 	ctrl.Get(1)
-	f.TraceCycle(6)
+	w.at(6)
 	ctrl.Get(1)
-	f.TraceCycle(9)
+	w.at(9)
 	ctrl.Set(1, 8)
-	f.StopTrace()
+	tr := w.close()
 	k := ctrl.EntryIndex(1)
 	if tr.FirstSet(k) != 2 || tr.FirstRead(k) != 2 {
 		t.Errorf("ctrl[1]: FirstSet=%d FirstRead=%d, want 2/2", tr.FirstSet(k), tr.FirstRead(k))
@@ -117,13 +150,12 @@ func TestCopyEntryTrace(t *testing.T) {
 	f, elems := newTestFile()
 	ctrl := elems[4]
 	ctrl.Set(0, 21)
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
-	f.TraceCycle(3)
+	w := openWindow(f)
+	w.at(3)
 	CopyEntry(ctrl, 2, ctrl, 0)
-	f.TraceCycle(8)
+	w.at(8)
 	CopyEntry(ctrl, 2, ctrl, 0)
-	f.StopTrace()
+	tr := w.close()
 	if got := ctrl.Get(2); got != 21 {
 		t.Fatalf("CopyEntry moved %d, want 21", got)
 	}
@@ -138,10 +170,12 @@ func TestCopyEntryTrace(t *testing.T) {
 	if tr.CopyDst(src) != dst+1 || tr.LastCopy(dst) != 8 {
 		t.Errorf("CopyDst=%d LastCopy=%d, want %d/8", tr.CopyDst(src), tr.LastCopy(dst), dst+1)
 	}
-	f.StartTrace(tr)
-	f.TraceCycle(9)
+	w = openWindow(f)
+	w.at(3)
+	CopyEntry(ctrl, 2, ctrl, 0)
+	w.at(9)
 	CopyEntry(ctrl, 3, ctrl, 0) // second distinct destination
-	f.StopTrace()
+	tr = w.close()
 	if tr.CopyDst(src) != Poisoned {
 		t.Errorf("multi-destination source not poisoned: CopyDst=%d", tr.CopyDst(src))
 	}
@@ -200,7 +234,7 @@ func TestEntryIndexDisjoint(t *testing.T) {
 			total++
 		}
 	}
-	tr := f.NewTouchTrace()
+	tr := openWindow(f).close()
 	if tr.Len() != total {
 		t.Fatalf("trace sized %d, want %d", tr.Len(), total)
 	}
@@ -238,12 +272,11 @@ func TestProvenDeadTable(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			f, elems := newTestFile()
 			ctrl := elems[4]
-			tr := f.NewTouchTrace()
-			f.StartTrace(tr)
+			w := openWindow(f)
 			// Plant the first touches in cycle order; duplicate later touches
 			// must not matter, so sprinkle one of each afterwards.
 			for cyc := uint64(1); cyc <= 14; cyc++ {
-				f.TraceCycle(cyc)
+				w.at(cyc)
 				if cyc == c.write {
 					ctrl.Set(1, cyc)
 				}
@@ -251,10 +284,10 @@ func TestProvenDeadTable(t *testing.T) {
 					ctrl.Get(1)
 				}
 			}
-			f.TraceCycle(15)
+			w.at(15)
 			ctrl.Set(1, 99)
 			ctrl.Get(1)
-			f.StopTrace()
+			tr := w.close()
 
 			matchAt, dead := tr.ProvenDead(ctrl.EntryIndex(1), c.h)
 			if matchAt != c.wantMatch || dead != c.wantDead {
@@ -281,10 +314,9 @@ func TestProvenDeadProperty(t *testing.T) {
 			read  bool
 		}
 		events := make([][]ev, ctrl.Entries())
-		tr := f.NewTouchTrace()
-		f.StartTrace(tr)
+		w := openWindow(f)
 		for cyc := uint64(1); cyc <= maxCycle; cyc++ {
-			f.TraceCycle(cyc)
+			w.at(cyc)
 			for i := 0; i < ctrl.Entries(); i++ {
 				if rng.Intn(8) == 0 {
 					ctrl.Set(i, rng.Uint64())
@@ -296,7 +328,7 @@ func TestProvenDeadProperty(t *testing.T) {
 				}
 			}
 		}
-		f.StopTrace()
+		tr := w.close()
 
 		h := uint64(1 + rng.Intn(maxCycle+2))
 		for i := 0; i < ctrl.Entries(); i++ {
@@ -334,38 +366,44 @@ func TestObsPreAccumulation(t *testing.T) {
 	f, elems := newTestFile()
 	ctrl := elems[4] // width 9
 	ctrl.Set(1, 0x55)
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
-	f.TraceCycle(1)
-	k := ctrl.EntryIndex(1)
-	if v := ctrl.GetObs(1, func(v uint64) uint64 { return 0x3 }); v != 0x55 {
+	obs := func(m uint64) func(uint64) uint64 { return func(uint64) uint64 { return m } }
+	w := openWindow(f)
+	w.at(1)
+	if v := ctrl.GetObs(1, obs(0x3)); v != 0x55 {
 		t.Fatalf("GetObs = %#x, want 0x55", v)
 	}
-	if tr.ObsPre(k) != 0x3 || tr.FirstRead(k) != 1 || tr.LastRead(k) != 1 {
-		t.Fatalf("after first GetObs: ObsPre=%#x FirstRead=%d LastRead=%d",
-			tr.ObsPre(k), tr.FirstRead(k), tr.LastRead(k))
-	}
-	f.TraceCycle(2)
-	ctrl.GetObs(1, func(uint64) uint64 { return 0x8 })
-	if tr.ObsPre(k) != 0xB || tr.FirstRead(k) != 1 || tr.LastRead(k) != 2 {
-		t.Fatalf("after second GetObs: ObsPre=%#x FirstRead=%d LastRead=%d",
-			tr.ObsPre(k), tr.FirstRead(k), tr.LastRead(k))
-	}
+	ctrl.GetObs(2, obs(0x3))
+	ctrl.GetObs(3, obs(0x3))
+	w.at(2)
+	ctrl.GetObs(1, obs(0x8))
+	ctrl.GetObs(3, obs(0x8))
 	// The obs mask is truncated to the element width.
-	ctrl.GetObs(1, func(uint64) uint64 { return 1 << 60 })
-	if tr.ObsPre(k) != 0xB {
-		t.Fatalf("out-of-width obs bits recorded: ObsPre=%#x", tr.ObsPre(k))
-	}
+	ctrl.GetObs(1, obs(1<<60))
+	ctrl.GetObs(4, obs(1<<60))
 	// After the entry's first overwrite, reads observe the recomputed value
 	// and must stop accumulating — plain Get included.
-	f.TraceCycle(3)
+	w.at(3)
 	ctrl.Set(1, 0x66)
 	ctrl.Get(1)
-	ctrl.GetObs(1, func(uint64) uint64 { return 0x100 })
-	if tr.ObsPre(k) != 0xB {
-		t.Fatalf("post-overwrite read accumulated: ObsPre=%#x", tr.ObsPre(k))
+	ctrl.GetObs(1, obs(0x100))
+	tr := w.close()
+
+	for _, c := range []struct {
+		name                     string
+		entry                    int
+		obsPre, first, last, set uint64
+	}{
+		{"one GetObs", 2, 0x3, 1, 1, 0},
+		{"two GetObs", 3, 0xB, 1, 2, 0},
+		{"out-of-width mask", 4, 0, 2, 2, 0},
+		{"reads after the overwrite", 1, 0xB, 1, 3, 3},
+	} {
+		k := ctrl.EntryIndex(c.entry)
+		if tr.ObsPre(k) != c.obsPre || tr.FirstRead(k) != c.first || tr.LastRead(k) != c.last || tr.FirstSet(k) != c.set {
+			t.Errorf("%s: ObsPre=%#x FirstRead=%d LastRead=%d FirstSet=%d, want %#x/%d/%d/%d", c.name,
+				tr.ObsPre(k), tr.FirstRead(k), tr.LastRead(k), tr.FirstSet(k), c.obsPre, c.first, c.last, c.set)
+		}
 	}
-	f.StopTrace()
 }
 
 // TestObsPrePlainReadObservesAll: a plain pre-overwrite Get observes the
@@ -374,24 +412,23 @@ func TestObsPreAccumulation(t *testing.T) {
 func TestObsPrePlainReadObservesAll(t *testing.T) {
 	f, elems := newTestFile()
 	ctrl := elems[4]
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
-	f.TraceCycle(1)
+	w := openWindow(f)
+	w.at(1)
 	ctrl.Get(2)
-	if got := tr.ObsPre(ctrl.EntryIndex(2)); got != ^uint64(0) {
-		t.Fatalf("plain Get: ObsPre=%#x, want all-ones", got)
-	}
 	CopyEntry(ctrl, 3, ctrl, 4)
-	if got := tr.ObsPre(ctrl.EntryIndex(4)); got != ^uint64(0) {
-		t.Fatalf("copy src: ObsPre=%#x, want all-ones", got)
-	}
 	// A copy-in (or any overwrite) seals the destination before later reads.
-	f.TraceCycle(2)
+	w.at(2)
 	ctrl.Get(3)
-	if got := tr.ObsPre(ctrl.EntryIndex(3)); got != 0 {
-		t.Fatalf("copy dst read post-overwrite: ObsPre=%#x, want 0", got)
+	tr := w.close()
+	if got := tr.ObsPre(ctrl.EntryIndex(2)); got != ^uint64(0) {
+		t.Errorf("plain Get: ObsPre=%#x, want all-ones", got)
 	}
-	f.StopTrace()
+	if got := tr.ObsPre(ctrl.EntryIndex(4)); got != ^uint64(0) {
+		t.Errorf("copy src: ObsPre=%#x, want all-ones", got)
+	}
+	if got := tr.ObsPre(ctrl.EntryIndex(3)); got != 0 {
+		t.Errorf("copy dst read post-overwrite: ObsPre=%#x, want 0", got)
+	}
 }
 
 // TestGetObsUntraced: with no trace attached, GetObs is Get — the closure
@@ -415,16 +452,15 @@ func TestGetObsStraddle(t *testing.T) {
 	for i := 0; i < rat.Entries(); i++ {
 		rat.Set(i, uint64(3*i+1))
 	}
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
-	f.TraceCycle(1)
+	w := openWindow(f)
+	w.at(1)
 	for i := 0; i < rat.Entries(); i++ {
 		want := rat.Get(i)
 		if got := rat.GetObs(i, func(uint64) uint64 { return 1 }); got != want {
 			t.Fatalf("GetObs(%d) = %#x, want %#x", i, got, want)
 		}
 	}
-	f.StopTrace()
+	w.close()
 }
 
 // TestIncrementalDigestMatchesRecompute: after an arbitrary mix of Sets,
@@ -471,18 +507,23 @@ func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 
 // TestTraceCycleOverflow: cycle stamps are uint32, so a cycle number they
 // cannot hold must panic rather than wrap into a stamp that reads as an
-// earlier cycle (or as "never touched").
+// earlier cycle (or as "never touched"); a window at the top of the range
+// still reads its stamps.
 func TestTraceCycleOverflow(t *testing.T) {
 	f := New()
 	ctrl := f.Latch("ctrl", CatCtrl, 2, 8)
 	f.Freeze()
-	tr := f.NewTouchTrace()
-	f.StartTrace(tr)
+	sw := f.NewSweep()
+	f.StartTrace(sw)
 	defer f.StopTrace()
+	f.TraceCycle(math.MaxUint32 - 1) // no window open yet: cycles may jump
+	sw.OpenWindow(math.MaxUint32 - 1)
 	f.TraceCycle(math.MaxUint32)
 	ctrl.Get(0)
-	if got := tr.FirstRead(ctrl.EntryIndex(0)); got != math.MaxUint32 {
-		t.Fatalf("FirstRead = %d, want %d", got, uint64(math.MaxUint32))
+	tr := &WindowTrace{}
+	sw.CloseWindow(tr)
+	if k := ctrl.EntryIndex(0); tr.FirstRead(k) != 1 || tr.LastRead(k) != 1 {
+		t.Fatalf("FirstRead/LastRead = %d/%d, want 1/1", tr.FirstRead(k), tr.LastRead(k))
 	}
 	defer func() {
 		if recover() == nil {
