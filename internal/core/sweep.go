@@ -225,6 +225,8 @@ func (s *sweeper) openWindow(ck int) {
 			s.events = make([]goldenEvent, n*m.Retired/max(m.Cycle, 1)*9/8+uarch.RetireWidth)
 			s.kfs = make([]keyframe, n/convStride+2)
 		}
+		// Every traced cycle records the digest, touch trace or not.
+		m.F.HoldDigest()
 		if s.traced {
 			m.F.StartTrace(s.tr)
 		}
@@ -407,12 +409,13 @@ func (s *sweeper) closeWindow() *ckWindow {
 	return w
 }
 
-// detach ends a run of overlapping windows: the trace and callbacks come
-// off the machine, which walks untraced to the next window.
+// detach ends a run of overlapping windows: the trace, the digest hold and
+// the callbacks come off the machine, which walks plain to the next window.
 func (s *sweeper) detach() {
 	m := s.m
 	if s.traced {
 		m.F.StopTrace()
 	}
+	m.F.ReleaseDigest()
 	m.OnRetire, m.OnExc = nil, nil
 }

@@ -390,6 +390,40 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestPlainCloneDigestMatchesJournaled: a machine stepped plain (Set
+// stores raw, no digest kept) and cloned at cycle N, then journaled, must
+// hold the words and the digest of a machine journaled from reset to N:
+// the clone's image carries the exact digest and BeginJournal re-seeds it.
+func TestPlainCloneDigestMatchesJournaled(t *testing.T) {
+	const n = 20_000
+	newMachine := gzipMachines(t)
+	plain, hashed := newMachine(), newMachine()
+	hashed.BeginJournal()
+	for plain.Cycle < n {
+		plain.Step()
+		hashed.Step()
+	}
+	c := plain.Clone()
+	c.BeginJournal()
+	if !c.F.Equal(hashed.F) {
+		t.Fatal("plain stepping left different words than journaled stepping")
+	}
+	if c.Digest() != hashed.Digest() {
+		t.Fatalf("journaled clone digest %#x != journaled-from-reset %#x", c.Digest(), hashed.Digest())
+	}
+	if d := hashed.F.RecomputeDigest(); hashed.Digest() != d {
+		t.Fatalf("journaled-from-reset digest %#x != recomputed %#x", hashed.Digest(), d)
+	}
+	// Both now step hashed, in lockstep.
+	for i := 0; i < 500; i++ {
+		c.Step()
+		hashed.Step()
+		if c.Digest() != hashed.Digest() {
+			t.Fatalf("lockstep divergence at cycle %d", c.Cycle)
+		}
+	}
+}
+
 // TestCloneRunsToCompletion: a clone taken mid-run finishes the program
 // with the same architectural result trace as the original.
 func TestCloneRunsToCompletion(t *testing.T) {
