@@ -216,18 +216,23 @@ func TestRestrictToModel(t *testing.T) {
 
 // faultTestFile builds a small frozen file with the width shapes the
 // MultiBit clamping rules care about: a full word, an odd narrow width, and
-// a 1-bit element long enough to span two backing words.
+// a 1-bit element long enough to span two backing words. The digest is
+// held, so checkDigest has an incremental digest to check.
 func faultTestFile() (f *state.File, wide, narrow, valid *state.Elem) {
 	f = state.New()
 	wide = f.RAM("wide", state.CatData, 3, 64)
 	narrow = f.RAM("narrow", state.CatAddr, 4, 7)
 	valid = f.Latch("valid", state.CatValid, 70, 1)
 	f.Freeze()
+	f.HoldDigest()
 	return f, wide, narrow, valid
 }
 
 // checkDigest asserts the incrementally maintained digest still equals the
 // from-scratch fold — the invariant every model write path must preserve.
+// The file must have held its digest (HoldDigest, or a journal or sweep)
+// since the writes being checked: on a plain file Digest is the
+// from-scratch fold, and the check would compare it with itself.
 func checkDigest(t *testing.T, f *state.File, when string) {
 	t.Helper()
 	if f.Digest() != f.RecomputeDigest() {
@@ -317,6 +322,7 @@ func TestStuckAtReassert(t *testing.T) {
 	f := state.New()
 	d := f.RAM("d", state.CatData, 4, 16)
 	f.Freeze()
+	f.HoldDigest()
 	bit := state.BitRef{Elem: d, Entry: 2, Bit: 3}
 
 	armed := StuckAt{Polarity: 1, Duration: 5}.Arm(bit, nil)
@@ -392,6 +398,7 @@ func TestStuckAtUndoJournal(t *testing.T) {
 	f := state.New()
 	d := f.RAM("d", state.CatData, 4, 16)
 	f.Freeze()
+	f.HoldDigest()
 	d.Set(0, 0xABCD)
 	f.BeginJournal()
 	mark := f.Mark()
@@ -422,6 +429,7 @@ func TestStuckAtTouchTrace(t *testing.T) {
 	f := state.New()
 	d := f.RAM("d", state.CatData, 4, 16)
 	f.Freeze()
+	f.HoldDigest()
 	sw := f.NewSweep()
 	f.StartTrace(sw)
 	sw.OpenWindow(0)
@@ -453,6 +461,7 @@ func TestStuckAtBitLaneWriters(t *testing.T) {
 	f := state.New()
 	v := f.Latch("valid", state.CatValid, 70, 1)
 	f.Freeze()
+	f.HoldDigest()
 	lane := v.Lane()
 
 	armed := StuckAt{Polarity: 1, Duration: 50}.Arm(state.BitRef{Elem: v, Entry: 5, Bit: 0}, nil)
