@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pipefault/internal/mem"
 	"pipefault/internal/uarch"
 	"pipefault/internal/workload"
 )
@@ -169,14 +170,25 @@ func TestConvergeTrialStopsAtReconvergence(t *testing.T) {
 }
 
 // TestConvergeCertificateSkipsTail: the re-convergence certificate resolves
-// a diverged-but-frozen trial at an absolute stride boundary — fewer simulated steps
-// than the reported Cycles (the tail is replayed closed-form from the
-// golden monitors) — and the full-horizon loop agrees on every field.
+// a diverged-but-frozen trial in step with the golden run (keyframe cycle
+// equal to the trial cycle) at an absolute stride boundary — fewer
+// simulated steps than the reported Cycles (the tail is replayed
+// closed-form from the golden monitors) — and the full-horizon loop agrees
+// on every field.
 func TestConvergeCertificateSkipsTail(t *testing.T) {
 	en, g := newTestEngine(t, workload.Tiny, 600)
+	var held [2]int // trial and keyframe cycle of the last certificate that held
+	testConvergeHook = func(cyc, gcyc int, why convBail) {
+		if why == convHeld {
+			held = [2]int{cyc, gcyc}
+		}
+	}
+	defer func() { testConvergeHook = nil }()
 	tr, elem, entry, bit := convergeSearch(t, en, g,
 		func(tr Trial, kind ResolveKind, steps int) bool {
-			return kind == ResolveConverge && steps > 0 && steps < int(tr.Cycles)
+			aligned := held == [2]int{steps, steps}
+			held = [2]int{}
+			return kind == ResolveConverge && aligned && steps > 0 && steps < int(tr.Cycles)
 		})
 	var steps int
 	en.cfg.OnTrialResolved = func(k ResolveKind, s int) { steps = s }
@@ -193,6 +205,160 @@ func TestConvergeCertificateSkipsTail(t *testing.T) {
 	if fast != tr {
 		t.Errorf("certificate trial not reproducible: %+v then %+v", tr, fast)
 	}
+}
+
+// TestConvergeShiftedEquivalence is the equivalence oracle for
+// certificates against an earlier golden keyframe: an intermittent Vpr
+// campaign in which some trials resolve while lagging the golden run must
+// be identical, trial for trial and scatter point for scatter point, to the
+// same campaign stepped full-horizon. The configuration is one where such
+// resolutions occur; the test fails if none does.
+func TestConvergeShiftedEquivalence(t *testing.T) {
+	var shifted atomic.Int64
+	testConvergeHook = func(cyc, gcyc int, why convBail) {
+		if why == convHeld && gcyc < cyc {
+			shifted.Add(1)
+		}
+	}
+	defer func() { testConvergeHook = nil }()
+	model, err := ParseFaultModel("intermittent", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	convergeEquivalence(t, Config{
+		Workload:    workload.Vpr,
+		Model:       model,
+		Checkpoints: 3,
+		Horizon:     4000,
+		Populations: []Population{{Name: "l+r", Trials: 40}},
+		Seed:        2,
+	})
+	if shifted.Load() == 0 {
+		t.Fatal("no trial resolved against an earlier golden keyframe")
+	}
+	t.Logf("%d shifted certificates", shifted.Load())
+}
+
+// TestConvergeLaggingTwin: a trial that is the golden run itself, started
+// d cycles earlier across a stretch in which nothing retires, lags the
+// golden run by exactly d cycles with an empty delta set. The certificate
+// must resolve it at the window's first keyframe, d cycles late, and
+// replay the rest: Tiny halts inside the horizon, after which the golden
+// digests repeat, and the full loop's digest compare matches once the
+// lagging trial halts too. Both modes must agree on every field.
+func TestConvergeLaggingTwin(t *testing.T) {
+	// Find a stretch of at least 4 cycles without a retirement.
+	var x, d uint64
+	probe, _ := newTestEngine(t, workload.Tiny, 20)
+	for m := probe.m; d < 4; {
+		r := m.Retired
+		m.Step()
+		switch {
+		case m.Retired != r:
+			d = 0
+		case d == 0:
+			x, d = m.Cycle-1, 1
+		default:
+			d++
+		}
+		if m.Halted() {
+			t.Fatal("no stretch without a retirement before the halt")
+		}
+	}
+	en, _ := newTestEngine(t, workload.Tiny, x)
+	twin := en.m.Clone()
+	for twin.Cycle < x+d {
+		twin.Step()
+	}
+	var g *goldenRun
+	runSweep(context.Background(), en.cfg, twin, []uint64{twin.Cycle}, nil, nil, func(win *ckWindow) bool {
+		g = &win.g
+		return true
+	})
+	en.g = g
+	// A stuck-at that drives ms.halted to the 0 it already holds for one
+	// cycle leaves the machine untouched, and, not being transient, keeps
+	// dead-entry resolution out of the way.
+	en.model = StuckAt{Polarity: 0, Duration: 1}
+
+	var held []int
+	testConvergeHook = func(cyc, gcyc int, why convBail) {
+		if why == convHeld {
+			held = append(held, cyc, gcyc)
+		}
+	}
+	defer func() { testConvergeHook = nil }()
+	var steps int
+	en.cfg.OnTrialResolved = func(_ ResolveKind, s int) { steps = s }
+	fast := runTargeted(t, en, g, "ms.halted", 0, 0)
+	en.cfg.OnTrialResolved = nil
+	if want := []int{g.kfCycle(0) + int(d), g.kfCycle(0)}; !reflect.DeepEqual(held, want) {
+		t.Fatalf("certificates held at (trial, keyframe) cycles %v, want %v", held, want)
+	}
+	t.Logf("trial from cycle %d, %d cycles behind the golden run: certificate after %d steps", x, d, steps)
+	en.cfg.EarlyStop = EarlyStopOff
+	slow := runTargeted(t, en, g, "ms.halted", 0, 0)
+	if fast != slow {
+		t.Errorf("lagging twin: certificate %+v != full horizon %+v", fast, slow)
+	}
+	if slow.Outcome != OutMatch || steps >= int(slow.Cycles) {
+		t.Errorf("lagging twin: %v at cycle %d after %d steps, want a Match the certificate reached early", slow.Outcome, slow.Cycles, steps)
+	}
+}
+
+// TestConvergeCertificateConditions drives tryConverge directly on a
+// machine that stepped the fault-free run to the window's first keyframe:
+// it equals the keyframe, so the certificate holds with an empty delta set.
+// One byte of memory changed fails condition (a), a golden exception at the
+// keyframe fails (c), and one retirement too many moves the cursor past the
+// keyframe without an attempt — a state match alone does not align the
+// event streams.
+func TestConvergeCertificateConditions(t *testing.T) {
+	en, g := newTestEngine(t, workload.Tiny, 600)
+	m := en.m
+	en.mon.reset(g)
+	m.OnRetire = en.onRetire
+	gc := g.kfCycle(0)
+	for m.Cycle < g.start+uint64(gc) {
+		m.Step()
+	}
+	m.OnRetire = nil
+	var whys []convBail
+	testConvergeHook = func(cyc, gcyc int, why convBail) {
+		if cyc != gc || gcyc != gc {
+			t.Errorf("decision at trial cycle %d, keyframe %d, want both %d", cyc, gcyc, gc)
+		}
+		whys = append(whys, why)
+	}
+	defer func() { testConvergeHook = nil }()
+	try := func(name string, want convBail) {
+		t.Helper()
+		whys = nil
+		var kc kfCursor
+		kc.seek(g, 0)
+		if en.mon.idx < kc.ev {
+			t.Fatalf("%s: trial retired %d events, keyframe %d", name, en.mon.idx, kc.ev)
+		}
+		_, ok := en.tryConverge(Trial{}, gc, en.cfg.Horizon, streaks{}, &kc)
+		if ok != (want == convHeld) || len(whys) != 1 || whys[0] != want {
+			t.Errorf("%s: held %v, decisions %v, want [%d]", name, ok, whys, want)
+		}
+	}
+	try("fault-free", convHeld)
+
+	addr := m.Mem.Pages()[0] << mem.PageShift
+	b := m.Mem.LoadByte(addr)
+	m.Mem.StoreByte(addr, b^1)
+	try("memory differs", bailMemDigest)
+	m.Mem.StoreByte(addr, b)
+
+	exc := g.excAt
+	g.excAt = uint64(gc)
+	try("golden exception at the keyframe", bailAlign)
+	g.excAt = exc
+
+	en.mon.idx++
+	try("one retirement too many", bailAhead)
 }
 
 // TestConvergeCopyClosureDrain: the full-flush recovery drain

@@ -168,16 +168,17 @@ func syntheticGolden(h uint64, retired, illegal func(c uint64) bool) *goldenRun 
 }
 
 // TestFirstFailure pins the monitor replay the closed-form classifiers
-// share: the trial loop's same-cycle order (exception, locked, iTLB), the
-// carried streak state, the horizon and the starting cycle.
+// share (goldenRun.replay with no lag and no digest compare): the trial
+// loop's same-cycle order (exception, locked, iTLB), the carried streak
+// state, the horizon and the starting cycle.
 func TestFirstFailure(t *testing.T) {
 	always := func(uint64) bool { return true }
 	never := func(uint64) bool { return false }
 	const h = 1000
 	check := func(name string, g *goldenRun, from uint64, st streaks, wantAt uint64, wantMode FailureMode) {
 		t.Helper()
-		if at, mode := g.firstFailure(from, st, h); at != wantAt || mode != wantMode {
-			t.Errorf("%s: firstFailure = (%d, %v), want (%d, %v)", name, at, mode, wantAt, wantMode)
+		if at, mode := g.replay(from, st, h, 0, false); at != wantAt || mode != wantMode {
+			t.Errorf("%s: replay = (%d, %v), want (%d, %v)", name, at, mode, wantAt, wantMode)
 		}
 	}
 
@@ -201,8 +202,8 @@ func TestFirstFailure(t *testing.T) {
 
 	// Nothing fires by h.
 	check("healthy", syntheticGolden(h, always, never), 0, streaks{}, 0, FailNone)
-	if at, mode := stalled.firstFailure(0, streaks{}, lockedCycles-1); at != 0 || mode != FailNone {
-		t.Errorf("locked past h: firstFailure = (%d, %v), want (0, none)", at, mode)
+	if at, mode := stalled.replay(0, streaks{}, lockedCycles-1, 0, false); at != 0 || mode != FailNone {
+		t.Errorf("locked past h: replay = (%d, %v), want (0, none)", at, mode)
 	}
 
 	// from excludes earlier cycles: an exception at or before it is gone.
@@ -210,6 +211,62 @@ func TestFirstFailure(t *testing.T) {
 	exc.excAt, exc.excMode = 10, FailExcept
 	check("exception after from", exc, 9, streaks{}, 10, FailExcept)
 	check("exception at from", exc, 10, streaks{}, 0, FailNone)
+}
+
+// TestFirstFailureShifted pins the replay of a trial that runs lag cycles
+// behind the golden run: golden cycle c is trial cycle c+lag for the
+// exception and the counting monitors, nothing past trial cycle h fires,
+// and with an empty delta set the digest compare pairs the golden digest
+// at c with the golden digest at c+lag, after the monitors of that cycle —
+// the loop's order. Each expected cycle is the one the trial loop reaches
+// stepping a machine that repeats the golden run lag cycles late.
+func TestFirstFailureShifted(t *testing.T) {
+	always := func(uint64) bool { return true }
+	never := func(uint64) bool { return false }
+	const h = 1000
+	check := func(name string, g *goldenRun, from uint64, st streaks, lag uint64, same bool, wantAt uint64, wantMode FailureMode) {
+		t.Helper()
+		if at, mode := g.replay(from, st, h, lag, same); at != wantAt || mode != wantMode {
+			t.Errorf("%s: replay = (%d, %v), want (%d, %v)", name, at, mode, wantAt, wantMode)
+		}
+	}
+
+	// The exception and both monitors land lag cycles late.
+	exc := syntheticGolden(h, always, never)
+	exc.excAt, exc.excMode = 300, FailDTLB
+	check("exception", exc, 200, streaks{}, 25, false, 325, FailDTLB)
+	check("exception past h", exc, 200, streaks{}, h-299, false, 0, FailNone)
+	stalled := syntheticGolden(h, never, never)
+	check("locked", stalled, 100, streaks{}, 30, false, 100+lockedCycles+30, FailLocked)
+	check("locked, carried streak", stalled, 100, streaks{noRetire: lockedCycles - 5}, 30, false, 135, FailLocked)
+	check("locked past h", stalled, 100, streaks{}, h-lockedCycles-100, false, h, FailLocked)
+	check("locked one past h", stalled, 100, streaks{}, h-lockedCycles-99, false, 0, FailNone)
+	illegal := syntheticGolden(h, always, always)
+	check("iTLB, carried streak", illegal, 100, streaks{illegal: itlbStreak - 3}, 7, false, 110, FailITLB)
+
+	// An empty delta set over repeating golden digests: every golden digest
+	// is distinct except that cycle 520 repeats cycle 500's, so a trial 20
+	// cycles late matches at trial cycle 520 (golden 500 against golden
+	// 520), and at no other lag.
+	repeating := func(g *goldenRun) *goldenRun {
+		for c := 1; c <= h; c++ {
+			g.cycles[c-1].digest = splitmix64(uint64(c))
+		}
+		g.cycles[519].digest = g.digest(500)
+		return g
+	}
+	rep := repeating(syntheticGolden(h, always, never))
+	check("repeat", rep, 300, streaks{}, 20, true, 520, FailNone)
+	check("repeat, delta set not empty", rep, 300, streaks{}, 20, false, 0, FailNone)
+	check("repeat, other lag", rep, 300, streaks{}, 19, true, 0, FailNone)
+	check("repeat, earlier keyframe", rep, 100, streaks{}, 20, true, 520, FailNone)
+	check("repeat already passed", rep, 500, streaks{}, 20, true, 0, FailNone)
+	// The monitors of a cycle come before its digest compare.
+	rep.excAt, rep.excMode = 500, FailExcept
+	check("exception on the match cycle", rep, 300, streaks{}, 20, true, 520, FailExcept)
+	rep.excAt = 499
+	check("exception before the match", rep, 300, streaks{}, 20, true, 519, FailExcept)
+	check("locked on the match cycle", repeating(syntheticGolden(h, never, never)), 300, streaks{}, 20, true, 520, FailLocked)
 }
 
 // TestEarlyStopModeStrings pins the flag-facing names and the parser,

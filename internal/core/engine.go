@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"time"
@@ -29,13 +30,16 @@ func wallClock() int64 {
 }
 
 // convStride is the cycle spacing of convergence keyframes along the
-// golden sweep (power of two; the trial loop's boundary test is a masked
-// compare). Keyframes sit at absolute multiples of convStride, so every
-// window that covers a boundary shares its keyframe. Smaller strides prove
+// golden sweep (a power of two). Keyframes sit at absolute multiples of
+// convStride, so every window that covers a boundary shares its keyframe.
+// A trial meets keyframe g when it has retired exactly as many events as
+// the golden run had by g, at a trial cycle c ≥ g (see tryConverge), so
+// the stride bounds how far past its convergence point a provable trial
+// steps: to the next keyframe, plus its lag. Smaller strides prove
 // frozen-delta trials earlier but cost one state-file delta each; 512
 // keeps a 10k-cycle horizon at 19-20 keyframes (~6 KB each on gzip) while
-// bounding the wasted stepping of a provable trial to under half a
-// keyframe interval on average.
+// bounding that wasted stepping to under half a keyframe interval on
+// average.
 const convStride = 512
 
 // keyframe is one golden trajectory keyframe: the state-file contents after
@@ -71,13 +75,13 @@ type goldenRun struct {
 	// illegal-fetch flags. A trial whose flipped entry is overwritten
 	// before the golden run ever reads it behaves bit-identically to the
 	// golden run, so its outcome is a pure function of these fields (see
-	// (*worker).resolveDead); firstFailure replays the monitors over them.
+	// (*worker).resolveDead); replay runs the monitors over them.
 	// traced gates the fast path: a sweep without tracing (EarlyStopOff with
 	// ProveOff) leaves it false and every trial takes the full loop.
 	trace    *state.WindowTrace
 	excAt    uint64 // first cycle an exception reaches retirement
 	excMode  FailureMode
-	failAt   uint64 // firstFailure(0, streaks{}, Horizon)
+	failAt   uint64 // replay(0, streaks{}, Horizon, 0, false)
 	failMode FailureMode
 	traced   bool
 
@@ -115,18 +119,15 @@ func (g *goldenRun) retired(c uint64) bool { return g.cycle(int(c)).flags&cycRet
 // cycle c.
 func (g *goldenRun) illegal(c uint64) bool { return g.cycle(int(c)).flags&cycIllegal != 0 }
 
-// keyframe returns the keyframe after absolute cycle a, or nil when the
-// window holds none there.
-func (g *goldenRun) keyframe(a uint64) *keyframe {
-	first := (g.start/convStride + 1) * convStride
-	if a < first || (a-first)%convStride != 0 {
-		return nil
-	}
-	ki := (a - first) / convStride
-	if ki >= uint64(g.nKf) {
-		return nil
-	}
-	return &g.keyframes[(g.kf0+ki)%uint64(len(g.keyframes))]
+// kf returns the window's i-th keyframe (0-based).
+func (g *goldenRun) kf(i int) *keyframe {
+	return &g.keyframes[(g.kf0+uint64(i))%uint64(len(g.keyframes))]
+}
+
+// kfCycle returns the window cycle of the window's i-th keyframe: the
+// absolute convStride boundaries after the checkpoint.
+func (g *goldenRun) kfCycle(i int) int {
+	return int((g.start/convStride+1)*convStride-g.start) + i*convStride
 }
 
 // A goldenEvent is one retirement of a golden run, reduced to the fields
@@ -201,8 +202,8 @@ const itlbStreak = 30
 
 // streaks is the state of the two counting monitors of Section 2.2: cycles
 // since the last retirement and consecutive illegal-fetch stalls. The live
-// trial loop and every closed-form replay (firstFailure) advance it through
-// step, so the thresholds and their same-cycle order exist once.
+// trial loop and every closed-form replay (goldenRun.replay) advance it
+// through step, so the thresholds and their same-cycle order exist once.
 type streaks struct {
 	noRetire, illegal int
 }
@@ -231,18 +232,28 @@ func (s *streaks) step(retired, illegal bool) FailureMode {
 	return FailNone
 }
 
-// firstFailure replays the trial loop's failure monitors over the traced
-// golden run's cycles (from, h], starting from streak state st: on each
-// cycle a retiring exception wins, then st.step runs on the recorded retire
-// and illegal-fetch bits. It returns the first cycle a monitor fires and its
-// mode, or 0 when none fires by h. h must not exceed the golden horizon.
-func (g *goldenRun) firstFailure(from uint64, st streaks, h uint64) (uint64, FailureMode) {
-	for c := from + 1; c <= h; c++ {
+// replay is the trial loop's closed form for a trial that runs the golden
+// run lag cycles late from golden cycle from on: golden cycle c is trial
+// cycle c+lag. Over golden cycles (from, h-lag] it runs the loop's checks
+// in the loop's order — a retiring exception, then st.step on the recorded
+// retire and illegal-fetch bits and, when same (the trial's state equals
+// the golden run's), the per-cycle digest compare: the trial's digest is
+// the golden digest at c, compared against the golden digest at c+lag as
+// the loop compares it. It returns the trial cycle the first check fires
+// and the failure mode, FailNone meaning the digests matched (µArch
+// Match), or 0 when nothing fires by trial cycle h. h must not exceed the
+// golden horizon. With lag 0 and same false it is the failure replay
+// resolveDead and the prover read (goldenRun.failAt).
+func (g *goldenRun) replay(from uint64, st streaks, h, lag uint64, same bool) (uint64, FailureMode) {
+	for c := from + 1; c+lag <= h; c++ {
 		if c == g.excAt {
-			return c, g.excMode
+			return c + lag, g.excMode
 		}
 		if fm := st.step(g.retired(c), g.illegal(c)); fm != FailNone {
-			return c, fm
+			return c + lag, fm
+		}
+		if same && g.digest(int(c)) == g.digest(int(c+lag)) {
+			return c + lag, FailNone
 		}
 	}
 	return 0, FailNone
@@ -531,10 +542,28 @@ func (e *CrossCheckError) Error() string {
 var testTrialHook func(ck, idx, attempt int)
 
 // testConvergeHook, when non-nil, observes every convergence-certificate
-// attempt: the trial cycle it ran at and whether the certificate held.
-// Test-only: the certificate tests count attempts per fault model. Installed
-// hooks must be safe for concurrent calls.
-var testConvergeHook func(cyc int, ok bool)
+// decision: the trial cycle it ran at, the window cycle of the golden
+// keyframe it was against, and why it failed (convHeld: it held). Besides
+// each attempt it reports every keyframe a trial retired past without an
+// attempt (bailAhead or bailAlign). Test-only: the certificate tests count
+// decisions per fault model and pick trials by them. Installed hooks must
+// be safe for concurrent calls.
+var testConvergeHook func(cyc, gcyc int, why convBail)
+
+// convBail is the outcome of one convergence-certificate decision: convHeld,
+// or the first condition of tryConverge that failed.
+type convBail uint8
+
+const (
+	convHeld      convBail = iota
+	bailMemDigest          // (a) the memory digests differ
+	bailAlign              // (b)/(c) the retirement streams cannot be aligned at the keyframe
+	bailAhead              // the trial had retired past the keyframe's count by the golden run's cycle
+	bailDeltaCap           // the delta set outgrew maxDelta
+	bailLaterRead          // (d) the golden run reads a delta entry, or a copy destination, later
+	bailPoisoned           // (d) a copy chain is multi-destination or too deep to follow
+	bailNoAnchor           // (e) every delta entry is rewritten later
+)
 
 // attemptTrial runs one trial attempt inside a recover boundary. A panic
 // anywhere in the injected machine's execution (bit-store, memory system,
@@ -631,7 +660,7 @@ func (w *worker) runTrialContained(bit state.BitRef, ck, idx int) Trial {
 // digest differs from golden by the flipped entry's contribution, which is
 // nonzero because mix(pos, ·) is injective), and the exception / locked /
 // iTLB monitors fire exactly when the golden run's own monitors would —
-// at g.failAt, the firstFailure replay from checkpoint state. The loop
+// at g.failAt, the monitor replay from checkpoint state. The loop
 // checks the monitors before the digest within a cycle, so the monitor
 // wins at failAt unless the overwrite comes strictly earlier. No event
 // within the horizon means Gray at the horizon, exactly like a
@@ -674,11 +703,14 @@ func (w *worker) resolveDead(bit state.BitRef, horizon int) (outcome Outcome, mo
 // machine never leaves checkpoint state. Second, the keyframe certificate
 // (tryConverge), armed when the golden run recorded keyframes (g.conv) and
 // no fault is armed — a windowed stuck-at qualifies from the cycle it
-// disarms: at every convStride boundary a still-running trial is
-// diffed against the golden keyframe, and if every differing entry is
-// provably untouched by the golden run for the rest of the horizon, the
-// trial's future is bit-identical to the golden run's and firstFailure
-// replays the remaining monitors over the golden bits. Both shortcuts
+// disarms. The trial walks the window's keyframes in order (kfCursor):
+// once it has retired exactly as many events as the golden run had by
+// keyframe g, at any trial cycle c ≥ g, it is diffed against that
+// keyframe, and if every differing entry is provably untouched by the
+// golden run for the rest of the horizon, the trial's future is the golden
+// run's from g, c − g cycles late, and replay classifies it over the
+// golden bits. A trial in step with the golden run meets each keyframe at
+// its own cycle; one that lags meets it later. Both shortcuts
 // stand down when a trial watchdog is armed (except a resolveDead that
 // cannot cross the first watchdog stride), so watchdog expiry behavior is
 // bit-identical to the full loop. A machine that stops writing state needs
@@ -748,7 +780,10 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		defer armed.Disarm()
 	}
 
-	conv := g.conv && w.cfg.EarlyStop == EarlyStopOn && deadline == 0
+	kc := kfCursor{cyc: math.MaxInt, ev: math.MaxInt}
+	if g.conv && w.cfg.EarlyStop == EarlyStopOn && deadline == 0 {
+		kc.seek(g, 0)
+	}
 	var st streaks
 	lastRetired := m.Retired
 	for cyc := 1; cyc <= horizon; cyc++ {
@@ -805,13 +840,11 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 		// The certificate, like the digest match, needs the fault gone: from
 		// the cycle a windowed stuck-at disarms, the trial is a plain state
 		// delta against the golden run — the certificate's premise. A
-		// permanent fault never disarms, so it never gets here.
-		if conv && armed == nil && (g.start+uint64(cyc))&(convStride-1) == 0 && cyc < horizon {
-			done, ok := w.tryConverge(trial, cyc, horizon, st)
-			if testConvergeHook != nil {
-				testConvergeHook(cyc, ok)
-			}
-			if ok {
+		// permanent fault never disarms, so it never gets here. The gate
+		// opens once the trial has reached the pending keyframe's cycle and
+		// retirement count.
+		if armed == nil && cyc >= kc.cyc && w.mon.idx >= kc.ev && cyc < horizon {
+			if done, ok := w.tryConverge(trial, cyc, horizon, st, &kc); ok {
 				kind = ResolveConverge
 				return done
 			}
@@ -822,72 +855,146 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	return trial
 }
 
-// tryConverge is the convergence certificate: called with a still-running
-// trial at a cycle cyc that ends on an absolute convStride boundary, it
-// decides whether the trial's
-// entire remaining horizon is provably identical to the golden run's, and
-// if so resolves the remaining classification in closed form.
+// kfCursor is a trial's place among its window's keyframes: the earliest
+// keyframe it has not retired past, by index, window cycle and the golden
+// retirement count there; whether the worker's scratch snapshot holds that
+// keyframe patched; and whether the certificate was tried against it. A
+// cursor past the last keyframe, or of a trial the certificate does not
+// apply to, holds math.MaxInt in cyc and ev, so the trial loop's gate
+// never opens.
+type kfCursor struct {
+	i, cyc, ev     int
+	patched, tried bool
+}
+
+// seek points the cursor at g's i-th keyframe, or past the last.
+func (k *kfCursor) seek(g *goldenRun, i int) {
+	*k = kfCursor{i: i, cyc: math.MaxInt, ev: math.MaxInt}
+	if i < g.nKf {
+		k.cyc = g.kfCycle(i)
+		k.ev = g.evCount(k.cyc)
+	}
+}
+
+// tryConverge is the convergence certificate. The trial loop calls it for
+// a still-running trial at cycle cyc once cyc has reached the cursor's
+// keyframe cycle g and the trial's retirement count has reached the golden
+// count at g. It first moves the cursor past every keyframe the trial has
+// retired beyond; then, if the trial has retired exactly the golden count
+// at g, it decides whether the trial's state at cyc is the golden state at
+// g up to a provably inert delta, and if so resolves the remaining
+// classification in closed form. The lag d = cyc − g is 0 for a trial in
+// step with the golden run; the certificate has no other special case.
 //
-// The certificate holds when (a) the trial's memory contents equal the
-// golden run's at cyc (memory digests match), (b) the trial's retirement
-// stream so far is cycle-for-cycle aligned with the golden run's (the
-// monitor never diverged, never ran out of trace, and has consumed exactly
-// as many events as the golden run had emitted by cyc), (c) the golden run
-// takes no exception at or before cyc (the trial demonstrably took none —
-// it is still running — so an earlier golden exception would mean the
-// streams already differ in a way the event trace cannot express), and
-// (d) no entry in the delta set D — every state-file entry whose value
-// differs from the golden keyframe — nor any entry the delta can flow into
-// over recovery-drain copy edges, is behaviorally read by the golden run
-// after cyc (the last-touch trace; CopyEntry data movement is excluded and
-// tracked as edges instead), and (e) at least one member of D is fully
-// frozen: never behaviorally written nor copy-rewritten after cyc.
+// The certificate holds when, at g, (a) the trial's memory contents equal
+// the golden run's (memory digests match), (b) the trial's retirement
+// stream is aligned with the golden run's (the monitor never diverged,
+// never ran out of trace, and has consumed exactly the events the golden
+// run had emitted by g), (c) the golden run takes no exception at or before
+// g (the trial demonstrably took none — it is still running — so an
+// earlier golden exception would mean the streams already differ in a way
+// the event trace cannot express), and either the delta set D — every
+// state-file entry whose value differs from the keyframe — is empty, or
+// (d) no entry in D, nor any entry the delta can flow into over
+// recovery-drain copy edges, is behaviorally read by the golden run after
+// g (the last-touch trace; CopyEntry data movement is excluded and tracked
+// as edges instead), and (e) at least one member of D is fully frozen:
+// never behaviorally written nor copy-rewritten after g.
 //
-// Under (a)–(e) the two machines' states agree everywhere outside the copy
+// Pipeline logic reads only the state file and memory, never the cycle
+// counter, so the trial's next cycle steps from the state the golden run's
+// cycle g+1 steps from, up to D. Under (a)–(e) the two machines' states at
+// trial cycle c+k and golden cycle g+k agree everywhere outside the copy
 // closure C of D (D plus its transitive active copy destinations): by
-// induction over cycles, each Step performs identical behavioral reads —
-// all outside C by (d) — so takes identical branches and performs
-// identical behavioral writes, and its data-movement copies write
-// identical values when the source is outside C while copies from inside C
-// land inside C (CopyDst is single-destination or the certificate bailed
-// on poison). Every future retire event, exception, retire/no-retire cycle
-// and fetch-stall flag is therefore the golden run's own, so firstFailure
-// replays the remaining trial-loop monitors over the golden run's recorded
-// bits, carrying the trial's streaks st.
+// induction over k, each Step performs identical behavioral reads — all
+// outside C by (d) — so takes identical branches and performs identical
+// behavioral writes, and its data-movement copies write identical values
+// when the source is outside C while copies from inside C land inside C
+// (CopyDst is single-destination or the certificate bailed on poison).
+// Every future retire event, exception, retire/no-retire cycle and
+// fetch-stall flag of trial cycle c+k is therefore the golden run's at
+// g+k, and the events line up by count from (b), so replay runs the
+// remaining trial-loop checks over golden cycles (g, H − d], carrying the
+// trial's streaks st and reporting trial cycles.
 //
-// The per-cycle digest match cannot fire either. When every member of C is
-// frozen the argument is exact: the composite digest differs from the
-// golden trajectory by D's constant contribution, witnessed nonzero at cyc
-// (the loop's own digest check ran first and missed). When copies keep
+// With D empty the trial is the golden run d cycles late, so its digest at
+// c+k is the golden digest at g+k and replay also runs the loop's digest
+// compare, against the golden digest at c+k. Otherwise the digest match
+// cannot fire. When every member of C is frozen the argument is exact: the
+// anchor of (e) holds at trial cycle c+k its value at c, and in the golden
+// run at c+k ≥ g its value at g, and those differ. When copies keep
 // rewriting closure members the delta's digest contribution varies, but
-// true state equality stays impossible — the anchor entry of (e) differs
-// forever — so a digest match would require an XOR collision between
-// differing states, the same 2⁻⁶⁴-class event the per-cycle match check
-// itself accepts. No event within the horizon means Gray at the horizon,
-// exactly like a full-horizon run.
-func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, bool) {
+// true state equality stays impossible — the anchor differs forever — so a
+// digest match would require an XOR collision between differing states,
+// the same 2⁻⁶⁴-class event the per-cycle match check itself accepts. No
+// event within the horizon means Gray at the horizon, exactly like a
+// full-horizon run.
+//
+// Only lagging trials qualify (d ≥ 0): a trial ahead of the golden run
+// would need golden cycles past the horizon, which the sweep does not
+// record.
+func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks, kc *kfCursor) (Trial, bool) {
+	g := w.g
+	for w.mon.idx > kc.ev {
+		if !kc.tried && testConvergeHook != nil {
+			why := bailAlign
+			if w.mon.idx > g.evCount(cyc) {
+				why = bailAhead
+			}
+			testConvergeHook(cyc, kc.cyc, why)
+		}
+		kc.seek(g, kc.i+1)
+		if cyc < kc.cyc || w.mon.idx < kc.ev {
+			return trial, false
+		}
+	}
+	kc.tried = true
+	why, same := w.certify(kc)
+	if testConvergeHook != nil {
+		testConvergeHook(cyc, kc.cyc, why)
+	}
+	if why != convHeld {
+		return trial, false
+	}
+	at, fm := g.replay(uint64(kc.cyc), st, uint64(horizon), uint64(cyc-kc.cyc), same)
+	switch {
+	case at == 0:
+		trial.Outcome, trial.Mode = OutGray, FailNone
+		trial.Cycles = int32(horizon)
+	case fm == FailNone:
+		trial.Outcome, trial.Mode = OutMatch, FailNone
+		trial.Cycles = int32(at)
+	default:
+		trial.Outcome, trial.Mode = fm.Outcome(), fm
+		trial.Cycles = int32(at)
+	}
+	return trial, true
+}
+
+// certify checks tryConverge's conditions (a)–(e) for the trial's current
+// state against the cursor's keyframe, whose retirement count the trial
+// has reached. It reports convHeld or the first failed condition, and
+// whether the delta set is empty.
+func (w *worker) certify(kc *kfCursor) (why convBail, same bool) {
 	g := w.g
 	m := w.m
-	kf := g.keyframe(g.start + uint64(cyc))
-	if kf == nil {
-		return trial, false
-	}
-	c := uint64(cyc)
+	kf := g.kf(kc.i)
 	if m.Mem.Digest() != kf.memDigest {
-		return trial, false
+		return bailMemDigest, false
 	}
-	if w.mon.outOfTrace || w.mon.idx != g.evCount(cyc) {
-		return trial, false
-	}
-	if g.excAt != 0 && g.excAt <= c {
-		return trial, false
+	c := uint64(kc.cyc)
+	if w.mon.outOfTrace || g.excAt != 0 && g.excAt <= c {
+		return bailAlign, false
 	}
 	tr := g.trace
 	// Collect the delta set D against the keyframe, patched onto the golden
-	// base in the worker's scratch snapshot. Certificates over a wide delta
-	// essentially never hold (many differing entries imply live state), so
-	// a hard cap bounds the collection.
-	kf.delta.PatchInto(&w.kfSnap, g.base)
+	// base in the worker's scratch snapshot once per keyframe. Certificates
+	// over a wide delta essentially never hold (many differing entries imply
+	// live state), so a hard cap bounds the collection.
+	if !kc.patched {
+		kf.delta.PatchInto(&w.kfSnap, g.base)
+		kc.patched = true
+	}
 	const maxDelta = 128
 	var dbuf [maxDelta]uint64
 	nd := 0
@@ -899,24 +1006,24 @@ func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, 
 		nd++
 		return true
 	}) {
-		return trial, false
+		return bailDeltaCap, false
 	}
 	// (d) no member of D, nor any entry D can flow into over copy edges,
-	// is behaviorally read after cyc; (e) at least one member is fully
+	// is behaviorally read after g; (e) at least one member is fully
 	// frozen, anchoring the two states apart through the horizon.
 	anchor := false
 	for _, k := range dbuf[:nd] {
 		if tr.LastRead(k) > c {
-			return trial, false
+			return bailLaterRead, false
 		}
 		if tr.LastSet(k) <= c && tr.LastCopy(k) <= c {
 			anchor = true
 		}
 		// Chase the copy-out chain: entries the golden run copies k — or
-		// k's transitive copy destinations — into after cyc receive
-		// possibly differing values, so they must not be behaviorally read
-		// after cyc either. Multi-destination sources (Poisoned) make the
-		// flow untrackable; a depth cap guards against edge cycles.
+		// k's transitive copy destinations — into after g receive possibly
+		// differing values, so they must not be behaviorally read after g
+		// either. Multi-destination sources (Poisoned) make the flow
+		// untrackable; a depth cap guards against edge cycles.
 		e := k
 		for depth := 0; ; depth++ {
 			d := tr.CopyDst(e)
@@ -924,30 +1031,19 @@ func (w *worker) tryConverge(trial Trial, cyc, horizon int, st streaks) (Trial, 
 				break
 			}
 			if d == state.Poisoned || depth == 8 {
-				return trial, false
+				return bailPoisoned, false
 			}
 			e = d - 1
-			if tr.LastCopy(e) <= c { // no copy-ins after cyc: edge is spent
+			if tr.LastCopy(e) <= c { // no copy-ins after g: edge is spent
 				break
 			}
 			if tr.LastRead(e) > c {
-				return trial, false
+				return bailLaterRead, false
 			}
 		}
 	}
-	if !anchor {
-		return trial, false
+	if nd > 0 && !anchor {
+		return bailNoAnchor, false
 	}
-
-	// Divergence cannot fire (the remaining event streams are identical and
-	// aligned) and the digest match cannot fire (see above).
-	at, fm := g.firstFailure(c, st, uint64(horizon))
-	if at == 0 {
-		trial.Outcome, trial.Mode = OutGray, FailNone
-		trial.Cycles = int32(horizon)
-		return trial, true
-	}
-	trial.Outcome, trial.Mode = fm.Outcome(), fm
-	trial.Cycles = int32(at)
-	return trial, true
+	return convHeld, nd == 0
 }

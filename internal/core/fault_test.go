@@ -742,9 +742,9 @@ func TestConvergeAfterDisarm(t *testing.T) {
 	const window = 600 // spans the first keyframe boundary
 	var attempts, held, early atomic.Int64
 	var fixed atomic.Bool // the running model asserts for exactly window cycles
-	testConvergeHook = func(cyc int, ok bool) {
+	testConvergeHook = func(cyc, _ int, why convBail) {
 		attempts.Add(1)
-		if ok {
+		if why == convHeld {
 			held.Add(1)
 		}
 		if fixed.Load() && cyc <= window {

@@ -190,3 +190,17 @@ func TestGoldenEventsFingerprint(t *testing.T) {
 		})
 	}
 }
+
+// keyframe returns g's keyframe after absolute cycle a, or nil when the
+// window holds none there.
+func (g *goldenRun) keyframe(a uint64) *keyframe {
+	first := g.start + uint64(g.kfCycle(0))
+	if a < first || (a-first)%convStride != 0 {
+		return nil
+	}
+	ki := (a - first) / convStride
+	if ki >= uint64(g.nKf) {
+		return nil
+	}
+	return g.kf(int(ki))
+}

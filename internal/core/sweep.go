@@ -401,7 +401,7 @@ func (s *sweeper) closeWindow() *ckWindow {
 			g.trace = &state.WindowTrace{}
 		}
 		s.tr.CloseWindow(g.trace)
-		g.failAt, g.failMode = g.firstFailure(0, streaks{}, s.h)
+		g.failAt, g.failMode = g.replay(0, streaks{}, s.h, 0, false)
 	}
 	if len(s.open) == 0 {
 		s.detach()

@@ -248,9 +248,9 @@ func (l BitLane) maskCheck(w int, mask uint64) {
 // SetMask sets every entry 64w+b for each bit b of mask. Scalar reference:
 // Set(64w+b, 1) over mask's bits ascending — so a traced SetMask stamps a
 // set touch on every masked entry (a golden no-op write still clears a
-// trial's corruption). The word path folds the digest delta with per-bit
-// mix terms, logs the word's first-touch pre-image, and early-outs when no
-// bit changes.
+// trial's corruption). The word path early-outs when no bit changes and,
+// while the file is hashed, folds the digest delta with per-bit mix terms
+// and logs the word's first-touch pre-image.
 func (l BitLane) SetMask(w int, mask uint64) {
 	if mask == 0 {
 		return
@@ -266,16 +266,19 @@ func (l BitLane) SetMask(w int, mask uint64) {
 	if changed == 0 {
 		return
 	}
-	f := e.file
-	base := e.bitBase + uint64(w)<<6
-	d := f.digest
-	for m := changed; m != 0; m &= m - 1 {
-		b := uint64(bits.TrailingZeros64(m))
-		d ^= mix(base+b, 0) ^ mix(base+b, 1)
-	}
-	f.digest = d
-	if f.jOn {
-		f.touch(wi)
+	// A plain file keeps no digest and no journal (a journal makes it
+	// hashed), so the fold and the touch run only while hashed.
+	if f := e.file; f.hashed {
+		base := e.bitBase + uint64(w)<<6
+		d := f.digest
+		for m := changed; m != 0; m &= m - 1 {
+			b := uint64(bits.TrailingZeros64(m))
+			d ^= mix(base+b, 0) ^ mix(base+b, 1)
+		}
+		f.digest = d
+		if f.jOn {
+			f.touch(wi)
+		}
 	}
 	e.words[wi] = cur | mask
 }
@@ -297,16 +300,19 @@ func (l BitLane) ClearMask(w int, mask uint64) {
 	if changed == 0 {
 		return
 	}
-	f := e.file
-	base := e.bitBase + uint64(w)<<6
-	d := f.digest
-	for m := changed; m != 0; m &= m - 1 {
-		b := uint64(bits.TrailingZeros64(m))
-		d ^= mix(base+b, 1) ^ mix(base+b, 0)
-	}
-	f.digest = d
-	if f.jOn {
-		f.touch(wi)
+	// A plain file keeps no digest and no journal (a journal makes it
+	// hashed), so the fold and the touch run only while hashed.
+	if f := e.file; f.hashed {
+		base := e.bitBase + uint64(w)<<6
+		d := f.digest
+		for m := changed; m != 0; m &= m - 1 {
+			b := uint64(bits.TrailingZeros64(m))
+			d ^= mix(base+b, 1) ^ mix(base+b, 0)
+		}
+		f.digest = d
+		if f.jOn {
+			f.touch(wi)
+		}
 	}
 	e.words[wi] = cur &^ mask
 }

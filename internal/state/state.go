@@ -313,7 +313,9 @@ func (e *Elem) put(bit, v uint64) {
 	e.setStraddle(bit, v)
 }
 
-// setStraddle is the two-word Set path for rows that cross a word boundary.
+// setStraddle is the two-word Set path for rows that cross a word
+// boundary. Set's plain fast path covers only rows that fit one word, so
+// straddling rows reach it plain too.
 func (e *Elem) setStraddle(bit, v uint64) {
 	w := bit >> 6
 	sh := bit & 63
@@ -323,11 +325,14 @@ func (e *Elem) setStraddle(bit, v uint64) {
 	if old == v {
 		return
 	}
-	f := e.file
-	f.digest ^= mix(bit, old) ^ mix(bit, v)
-	if f.jOn {
-		f.touch(w)
-		f.touch(w + 1)
+	// A plain file keeps no digest and no journal (a journal makes it
+	// hashed), so the fold and the touches run only while hashed.
+	if f := e.file; f.hashed {
+		f.digest ^= mix(bit, old) ^ mix(bit, v)
+		if f.jOn {
+			f.touch(w)
+			f.touch(w + 1)
+		}
 	}
 	words[w] = words[w]&^(e.mask<<sh) | v<<sh
 	words[w+1] = words[w+1]&^(e.mask>>rem) | v>>rem
@@ -373,16 +378,24 @@ func (e *Elem) Flip(i, bit int) {
 // trial-vs-golden delta can flow: a recovery drain that wholesale-copies
 // architectural state over speculative state rewrites entries without
 // observing them, and last-touch stamps from those rewrites would otherwise
-// block every certificate involving the drained elements. Both elements
-// must belong to the same file.
+// block every certificate involving the drained elements. While the file
+// is plain the copy is a plain Set. Both elements must belong to the same
+// file.
 func CopyEntry(dst *Elem, di int, src *Elem, si int) {
 	if dst.file != src.file {
 		panic("state: CopyEntry across files: " + src.name + " -> " + dst.name)
 	}
+	v := src.getFrom(src.words, si)
+	if !dst.file.hashed {
+		// A plain file has no digest, journal or sweep to keep (a sweep
+		// makes it hashed), so the copy is a plain Set.
+		dst.Set(di, v)
+		return
+	}
 	if dst.trace != nil {
 		dst.trace.copy(src.entryBase+uint64(si), dst.entryBase+uint64(di))
 	}
-	dst.put(dst.bitBase+uint64(di)*dst.stride, src.getFrom(src.words, si))
+	dst.put(dst.bitBase+uint64(di)*dst.stride, v)
 }
 
 // mix hashes a (position, value) pair; the file digest is the XOR of mix

@@ -565,7 +565,38 @@ func TestDigestPlainHashedTransitions(t *testing.T) {
 	f.StopTrace()
 	run("StopTrace", false)
 
+	// The plain write paths that bypass Set's one-word store: a straddling
+	// row, a CopyEntry onto one, and both lane masks. A hashed twin takes
+	// the same writes; after HoldDigest the plain file must hold the twin's
+	// words and digest, and keep folding like it.
+	twin, _ := newTestFile()
+	twin.Restore(f.Snapshot())
+	twin.HoldDigest()
+	rat := f.Elem("rat")
+	if bit := rat.bitBase + 9*rat.stride; bit&63 <= rat.strSh {
+		t.Fatal("rat[9] does not straddle a word boundary")
+	}
+	plainWrites := func(g *File) {
+		r, v := g.Elem("rat"), g.Elem("valid").Lane()
+		r.Set(9, r.Get(9)^0x55)
+		g.Elem("regfile").Set(3, 0xdeadbeefcafef00d)
+		CopyEntry(r, 18, g.Elem("regfile"), 3) // 18*7 = 126: straddles too
+		v.SetMask(0, 0x0a5a)
+		v.ClearMask(0, 0x1421)
+	}
+	plainWrites(f)
+	plainWrites(twin)
+	check("plain straddle, CopyEntry and lane masks", false)
 	f.HoldDigest()
+	check("HoldDigest", true)
+	if !f.Equal(twin) || f.Digest() != twin.Digest() {
+		t.Fatalf("plain writes: words equal %v, digest %#x, hashed twin %#x", f.Equal(twin), f.Digest(), twin.Digest())
+	}
+	plainWrites(f)
+	plainWrites(twin)
+	if f.Digest() != twin.Digest() || f.Digest() != f.RecomputeDigest() {
+		t.Fatalf("held writes: digest %#x, hashed twin %#x, recomputed %#x", f.Digest(), twin.Digest(), f.RecomputeDigest())
+	}
 	run("HoldDigest", true)
 	f.Restore(img)
 	check("Restore of a plain image", true)
