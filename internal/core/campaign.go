@@ -340,6 +340,11 @@ func (c *Config) Validate() error {
 	default:
 		return &ConfigError{Field: "Prove", Value: c.Prove, Reason: "unknown prove mode"}
 	}
+	switch c.Recovery {
+	case uarch.RecoveryArchCopy, uarch.RecoveryWalkback:
+	default:
+		return &ConfigError{Field: "Recovery", Value: c.Recovery, Reason: "unknown recovery style"}
+	}
 	if err := validateModel(c.Model); err != nil {
 		return err
 	}

@@ -98,9 +98,6 @@ func deadBit(t *testing.T, en *worker, g *goldenRun) (string, int) {
 // failure mode and cycle count the full-horizon loop produces.
 func TestEarlyStopDeadEntryFastPath(t *testing.T) {
 	en, g := newTestEngine(t, workload.Tiny, 600)
-	if !g.traced {
-		t.Fatal("golden continuation did not record a liveness trace")
-	}
 	elem, entry := deadBit(t, en, g)
 
 	var steps []int
@@ -151,11 +148,11 @@ func TestEarlyStopHaltingFlip(t *testing.T) {
 	}
 }
 
-// syntheticGolden builds a traced golden run of h cycles whose per-cycle
+// syntheticGolden builds a golden run of h cycles whose per-cycle
 // retire and illegal-fetch bits are set where the predicates say, with no
 // exception.
 func syntheticGolden(h uint64, retired, illegal func(c uint64) bool) *goldenRun {
-	g := &goldenRun{cycles: make([]cycleRec, h), n: int(h), traced: true}
+	g := &goldenRun{cycles: make([]cycleRec, h), n: int(h)}
 	for c := uint64(1); c <= h; c++ {
 		if retired(c) {
 			g.cycles[c-1].flags |= cycRetired
@@ -309,8 +306,8 @@ func TestCrossCheckCatchesTamperedTrace(t *testing.T) {
 	en.cfg.Prove = ProveOff
 	en.cfg.EarlyStop = EarlyStopOn
 	en.cfg.CrossCheck = 8
-	if !g.traced || !en.model.Transient() {
-		t.Fatal("fixture needs a traced golden run under the transient model")
+	if !en.model.Transient() {
+		t.Fatal("fixture needs the transient model")
 	}
 	g.trace = &state.WindowTrace{}
 	err := en.crossCheck(0, nil)

@@ -56,10 +56,10 @@ type keyframe struct {
 // goldenRun is a checkpoint's fault-free continuation over the trial
 // horizon, as the golden sweep recorded it (see sweep.go): per cycle the
 // whole-machine trajectory digest, the cumulative retirement count and the
-// monitor flags, plus the retired-instruction trace and the keyframes.
-// They live in the sweep's rings; the window reads its stretch of each by
-// ordinal. Read-only: the worker running the checkpoint reads it for every
-// trial.
+// monitor flags, plus the retired-instruction trace, the touch trace and
+// the keyframes, recorded under every configuration. They live in the
+// sweep's rings; the window reads its stretch of each by ordinal.
+// Read-only: the worker running the checkpoint reads it for every trial.
 type goldenRun struct {
 	start  uint64 // the checkpoint cycle (absolute)
 	n      int    // window length in cycles (the horizon)
@@ -69,27 +69,22 @@ type goldenRun struct {
 	ev0    uint64 // events ordinal of the window's first retirement
 	nEv    int
 
-	// Early-stop liveness data (EarlyStopOn, or the prover): the window's
-	// touch trace over every entry, its first retiring exception, and the
-	// first monitor failure replayed over the per-cycle retire and
+	// Liveness data, read by dead-entry resolution and the prover: the
+	// window's touch trace over every entry, its first retiring exception,
+	// and the first monitor failure replayed over the per-cycle retire and
 	// illegal-fetch flags. A trial whose flipped entry is overwritten
 	// before the golden run ever reads it behaves bit-identically to the
 	// golden run, so its outcome is a pure function of these fields (see
 	// (*worker).resolveDead); replay runs the monitors over them.
-	// traced gates the fast path: a sweep without tracing (EarlyStopOff with
-	// ProveOff) leaves it false and every trial takes the full loop.
 	trace    *state.WindowTrace
 	excAt    uint64 // first cycle an exception reaches retirement
 	excMode  FailureMode
 	failAt   uint64 // replay(0, streaks{}, Horizon, 0, false)
 	failMode FailureMode
-	traced   bool
 
-	// Convergence-certificate data (EarlyStopOn): the base state of the
-	// sweep's run of windows and the keyframes at the absolute convStride
-	// boundaries inside the window, as deltas against it. conv gates the
-	// certificate exactly as traced gates the taint paths.
-	conv      bool
+	// Convergence-certificate data: the base state of the sweep's run of
+	// windows and the keyframes at the absolute convStride boundaries
+	// inside the window, as deltas against it.
 	base      *state.Snapshot
 	keyframes []keyframe
 	kf0       uint64 // keyframes ordinal of the window's first keyframe
@@ -696,26 +691,27 @@ func (w *worker) resolveDead(bit state.BitRef, horizon int) (outcome Outcome, mo
 // retiring exception, the counting monitors (streaks.step: locked, then
 // iTLB), and the per-cycle digest match against the golden run.
 //
-// Under EarlyStopOn two provably exact shortcuts apply. First, if the
-// golden liveness trace shows the flipped entry is dead (resolveDead), the
-// trial returns in O(1) without flipping or stepping — zero perturbation:
-// the RNG stream is untouched (the bit was drawn by the caller) and the
+// Under EarlyStopOn two provably exact shortcuts apply; EarlyStopOff
+// reads neither the touch trace nor the keyframes, so it stays the
+// full-horizon reference. First, for a transient fault, if the golden
+// liveness trace shows the flipped entry is dead (resolveDead), the trial
+// returns in O(1) without flipping or stepping — zero perturbation: the
+// RNG stream is untouched (the bit was drawn by the caller) and the
 // machine never leaves checkpoint state. Second, the keyframe certificate
-// (tryConverge), armed when the golden run recorded keyframes (g.conv) and
-// no fault is armed — a windowed stuck-at qualifies from the cycle it
-// disarms. The trial walks the window's keyframes in order (kfCursor):
-// once it has retired exactly as many events as the golden run had by
-// keyframe g, at any trial cycle c ≥ g, it is diffed against that
-// keyframe, and if every differing entry is provably untouched by the
-// golden run for the rest of the horizon, the trial's future is the golden
-// run's from g, c − g cycles late, and replay classifies it over the
-// golden bits. A trial in step with the golden run meets each keyframe at
-// its own cycle; one that lags meets it later. Both shortcuts
-// stand down when a trial watchdog is armed (except a resolveDead that
-// cannot cross the first watchdog stride), so watchdog expiry behavior is
-// bit-identical to the full loop. A machine that stops writing state needs
-// no shortcut: it never retires again, so the locked monitor ends the trial
-// within lockedCycles full Steps.
+// (tryConverge), armed once no fault is armed — a windowed stuck-at
+// qualifies from the cycle it disarms. The trial walks the window's
+// keyframes in order (kfCursor): once it has retired exactly as many
+// events as the golden run had by keyframe g, at any trial cycle c ≥ g,
+// it is diffed against that keyframe, and if every differing entry is
+// provably untouched by the golden run for the rest of the horizon, the
+// trial's future is the golden run's from g, c − g cycles late, and
+// replay classifies it over the golden bits. A trial in step with the
+// golden run meets each keyframe at its own cycle; one that lags meets it
+// later. Both shortcuts stand down when a trial watchdog is armed (except
+// a resolveDead that cannot cross the first watchdog stride), so watchdog
+// expiry behavior is bit-identical to the full loop. A machine that stops
+// writing state needs no shortcut: it never retires again, so the locked
+// monitor ends the trial within lockedCycles full Steps.
 func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	m := w.m
 	g := w.g
@@ -738,7 +734,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 
 	// Dead-trial resolution assumes the corruption dies with the first
 	// overwrite, so it stands down for non-transient models.
-	if g.traced && w.model.Transient() && w.cfg.EarlyStop == EarlyStopOn {
+	if w.model.Transient() && w.cfg.EarlyStop == EarlyStopOn {
 		if out, mode, cyc, ok := w.resolveDead(bit, horizon); ok && (deadline == 0 || cyc < watchdogStride) {
 			trial.Outcome, trial.Mode = out, mode
 			trial.Cycles = int32(cyc)
@@ -781,7 +777,7 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	}
 
 	kc := kfCursor{cyc: math.MaxInt, ev: math.MaxInt}
-	if g.conv && w.cfg.EarlyStop == EarlyStopOn && deadline == 0 {
+	if w.cfg.EarlyStop == EarlyStopOn && deadline == 0 {
 		kc.seek(g, 0)
 	}
 	var st streaks

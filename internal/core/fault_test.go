@@ -118,8 +118,8 @@ func TestValidateModel(t *testing.T) {
 // TestRestrictToModel: Validate narrows Prove to what each model keeps
 // sound — the transparent default path stays untouched, every other model
 // loses the prover. EarlyStop is never rewritten, and every model gets the
-// same golden run: a windowed stuck-at's golden run is traced and records
-// keyframes (the certificate applies once the fault disarms), while
+// same golden run: a windowed stuck-at's golden run records keyframes
+// (the certificate applies once the fault disarms), while
 // dead-trial resolution stays transient-only — a bit the transient model
 // resolves from the liveness trace is stepped under the stuck-at models.
 func TestRestrictToModel(t *testing.T) {
@@ -158,9 +158,8 @@ func TestRestrictToModel(t *testing.T) {
 		g := sweepGolden(en)
 		en.g = g
 		start := en.m.Cycle
-		if want := int((start+uint64(en.cfg.Horizon))/convStride - start/convStride); !g.traced || !g.conv || g.nKf != want {
-			t.Errorf("%v golden run: traced=%v conv=%v keyframes=%d; want traced, conv and %d keyframes",
-				model, g.traced, g.conv, g.nKf, want)
+		if want := int((start+uint64(en.cfg.Horizon))/convStride - start/convStride); g.nKf != want {
+			t.Errorf("%v golden run: %d keyframes, want %d", model, g.nKf, want)
 		}
 
 		// A bit the liveness trace proves dead resolves without stepping
@@ -216,23 +215,33 @@ func TestRestrictToModel(t *testing.T) {
 
 // faultTestFile builds a small frozen file with the width shapes the
 // MultiBit clamping rules care about: a full word, an odd narrow width, and
-// a 1-bit element long enough to span two backing words. The digest is
-// held, so checkDigest has an incremental digest to check.
+// a 1-bit element long enough to span two backing words. A one-window
+// sweep keeps the file hashed, so checkDigest has an incremental digest to
+// check.
 func faultTestFile() (f *state.File, wide, narrow, valid *state.Elem) {
 	f = state.New()
 	wide = f.RAM("wide", state.CatData, 3, 64)
 	narrow = f.RAM("narrow", state.CatAddr, 4, 7)
 	valid = f.Latch("valid", state.CatValid, 70, 1)
 	f.Freeze()
-	f.HoldDigest()
+	keepDigest(f)
 	return f, wide, narrow, valid
+}
+
+// keepDigest attaches a sweep with one window open at cycle 0 and stamps
+// cycle 1, as a golden sweep does: the file is hashed until StopTrace.
+func keepDigest(f *state.File) {
+	sw := f.NewSweep()
+	f.StartTrace(sw)
+	sw.OpenWindow(0)
+	f.TraceCycle(1)
 }
 
 // checkDigest asserts the incrementally maintained digest still equals the
 // from-scratch fold — the invariant every model write path must preserve.
-// The file must have held its digest (HoldDigest, or a journal or sweep)
-// since the writes being checked: on a plain file Digest is the
-// from-scratch fold, and the check would compare it with itself.
+// The file must have been hashed (a journal or an attached sweep) since
+// the writes being checked: on a plain file Digest is the from-scratch
+// fold, and the check would compare it with itself.
 func checkDigest(t *testing.T, f *state.File, when string) {
 	t.Helper()
 	if f.Digest() != f.RecomputeDigest() {
@@ -322,7 +331,7 @@ func TestStuckAtReassert(t *testing.T) {
 	f := state.New()
 	d := f.RAM("d", state.CatData, 4, 16)
 	f.Freeze()
-	f.HoldDigest()
+	keepDigest(f)
 	bit := state.BitRef{Elem: d, Entry: 2, Bit: 3}
 
 	armed := StuckAt{Polarity: 1, Duration: 5}.Arm(bit, nil)
@@ -398,7 +407,7 @@ func TestStuckAtUndoJournal(t *testing.T) {
 	f := state.New()
 	d := f.RAM("d", state.CatData, 4, 16)
 	f.Freeze()
-	f.HoldDigest()
+	keepDigest(f)
 	d.Set(0, 0xABCD)
 	f.BeginJournal()
 	mark := f.Mark()
@@ -429,7 +438,6 @@ func TestStuckAtTouchTrace(t *testing.T) {
 	f := state.New()
 	d := f.RAM("d", state.CatData, 4, 16)
 	f.Freeze()
-	f.HoldDigest()
 	sw := f.NewSweep()
 	f.StartTrace(sw)
 	sw.OpenWindow(0)
@@ -441,6 +449,7 @@ func TestStuckAtTouchTrace(t *testing.T) {
 	armed.Reassert(f, 2)
 	tr := &state.WindowTrace{}
 	sw.CloseWindow(tr)
+	checkDigest(t, f, "after traced imposition")
 	f.StopTrace()
 
 	if !d.GetBit(1, 0) {
@@ -450,7 +459,6 @@ func TestStuckAtTouchTrace(t *testing.T) {
 	if k := d.EntryIndex(1); tr.FirstSet(k) != 1 || tr.LastSet(k) != 2 {
 		t.Errorf("FirstSet/LastSet = %d/%d, want 1/2", tr.FirstSet(k), tr.LastSet(k))
 	}
-	checkDigest(t, f, "after traced imposition")
 }
 
 // TestStuckAtBitLaneWriters: lane writes (the hot-path writers for 1-bit
@@ -461,7 +469,7 @@ func TestStuckAtBitLaneWriters(t *testing.T) {
 	f := state.New()
 	v := f.Latch("valid", state.CatValid, 70, 1)
 	f.Freeze()
-	f.HoldDigest()
+	keepDigest(f)
 	lane := v.Lane()
 
 	armed := StuckAt{Polarity: 1, Duration: 50}.Arm(state.BitRef{Elem: v, Entry: 5, Bit: 0}, nil)

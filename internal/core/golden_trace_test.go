@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"testing"
 
@@ -49,9 +50,6 @@ func goldenTraceFingerprint(t *testing.T, cfg Config) uint64 {
 	var cur *mem.Image
 	for _, win := range wins {
 		g := &win.g
-		if !g.traced || !g.conv {
-			t.Fatal("golden run not traced with the certificate on")
-		}
 		w.m.RestoreCheckpoint(&win.snap, win.mem, cur)
 		cur = win.mem
 		w.g = g
@@ -203,4 +201,92 @@ func (g *goldenRun) keyframe(a uint64) *keyframe {
 		return nil
 	}
 	return g.kf(int(ki))
+}
+
+// TestGoldenTraceMatchesPlainWalk: the golden sweep steps its windows
+// traced, and the trace must be pure observation. Each window of a real
+// schedule is replayed from its checkpoint image on a machine that walks
+// plain — no journal, no sweep, so the file keeps no digest and Digest
+// folds it from scratch — one walkTo cycle at a time, and every cycle must
+// carry the composite digest, the flags and the retirement events the
+// sweep recorded.
+func TestGoldenTraceMatchesPlainWalk(t *testing.T) {
+	w, wins := scheduleWindows(t, Config{Workload: workload.Gzip, Checkpoints: 3, Horizon: 1500, Seed: 4242})
+	m := w.m
+	var evs []goldenEvent
+	var exc uint8
+	m.OnRetire = func(ev uarch.RetireEvent) { evs = append(evs, goldenEventOf(ev)) }
+	m.OnExc = func(ev uarch.ExcEvent) {
+		if exc == 0 {
+			exc = cycExc
+			if ev.Kind == uarch.ExcDTLB {
+				exc |= cycDTLB
+			}
+		}
+	}
+	var cur *mem.Image
+	for _, win := range wins {
+		g := &win.g
+		m.RestoreCheckpoint(&win.snap, win.mem, cur)
+		cur = win.mem
+		if m.Cycle != g.start || m.F.Journaling() {
+			t.Fatalf("checkpoint %d: machine at cycle %d (journaling %v), want plain at %d",
+				win.ck, m.Cycle, m.F.Journaling(), g.start)
+		}
+		evs = evs[:0]
+		for c := 1; c <= g.n; c++ {
+			if m.Halted() {
+				t.Fatalf("checkpoint %d: fixture halts at window cycle %d", win.ck, c)
+			}
+			exc = 0
+			retired := m.Retired
+			walkTo(m, m.Cycle+1)
+			fl := exc
+			if m.Retired > retired {
+				fl |= cycRetired
+			}
+			if m.FetchStalledIllegal() {
+				fl |= cycIllegal
+			}
+			if d := m.TraceDigest(); d != g.digest(c) {
+				t.Fatalf("checkpoint %d cycle %d: plain digest %#x, sweep %#x", win.ck, c, d, g.digest(c))
+			}
+			if fl != g.cycle(c).flags || len(evs) != g.evCount(c) {
+				t.Fatalf("checkpoint %d cycle %d: plain flags %#x after %d events, sweep %#x after %d",
+					win.ck, c, fl, len(evs), g.cycle(c).flags, g.evCount(c))
+			}
+		}
+		for i := range evs {
+			if evs[i] != *g.event(i) {
+				t.Fatalf("checkpoint %d: retirement event %d differs", win.ck, i)
+			}
+		}
+	}
+	m.OnRetire, m.OnExc = nil, nil
+}
+
+// TestGoldenTraceSameForEveryConfig: the sweep records the same windows,
+// touch trace and keyframes included, whatever the configuration reads of
+// them: the reference configuration (EarlyStopOff, ProveOff) and the
+// default one get equal golden runs.
+func TestGoldenTraceSameForEveryConfig(t *testing.T) {
+	s, err := setupCampaign(Config{Workload: workload.Twolf, Checkpoints: 3, Horizon: 1500, Seed: 4242,
+		Protect: uarch.AllProtections()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, warm, cycles, err := s.schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := s.cfg
+	ref.EarlyStop, ref.Prove = EarlyStopOff, ProveOff
+	defWins := sweepWindows(s.cfg, walkStart(warm.Clone(), s.newMachine, cycles), cycles, nil)
+	refWins := sweepWindows(ref, walkStart(warm, s.newMachine, cycles), cycles, nil)
+	if len(defWins) != len(cycles) || len(refWins) != len(cycles) {
+		t.Fatalf("default config swept %d windows, reference %d, for %d checkpoints", len(defWins), len(refWins), len(cycles))
+	}
+	for i := range defWins {
+		goldenRunsEqual(t, fmt.Sprintf("checkpoint %d", i), &refWins[i].g, &defWins[i].g)
+	}
 }

@@ -238,9 +238,8 @@ func TestGoldenReuse(t *testing.T) {
 		t.Fatalf("sweep handed %d windows for %d checkpoints", len(wins), len(cycles))
 	}
 	g := &wins[0].g
-	if !g.traced || !g.conv || g.nKf < 2 {
-		t.Fatalf("fixture needs a traced golden run with keyframes: traced=%v conv=%v keyframes=%d",
-			g.traced, g.conv, g.nKf)
+	if g.nKf < 2 {
+		t.Fatalf("fixture needs a golden run with keyframes: keyframes=%d", g.nKf)
 	}
 	for i, w := range wins {
 		m := newMachine()
@@ -267,9 +266,8 @@ func sweepWindows(cfg Config, m *uarch.Machine, cycles []uint64, skip []bool) []
 // record, and the state and memory digest at every keyframe.
 func goldenRunsEqual(t *testing.T, name string, got, want *goldenRun) {
 	t.Helper()
-	if got.start != want.start || got.n != want.n || got.traced != want.traced || got.conv != want.conv {
-		t.Fatalf("%s: start %d, %d cycles, traced %v, conv %v; want %d, %d, %v, %v", name,
-			got.start, got.n, got.traced, got.conv, want.start, want.n, want.traced, want.conv)
+	if got.start != want.start || got.n != want.n {
+		t.Fatalf("%s: start %d, %d cycles; want %d, %d", name, got.start, got.n, want.start, want.n)
 	}
 	for c := 1; c <= want.n; c++ {
 		if got.digest(c) != want.digest(c) || got.cycle(c).flags != want.cycle(c).flags || got.evCount(c) != want.evCount(c) {
@@ -297,20 +295,18 @@ func goldenRunsEqual(t *testing.T, name string, got, want *goldenRun) {
 			t.Errorf("%s: %s differs", name, f.name)
 		}
 	}
-	if got.traced {
-		if got.trace.Len() != want.trace.Len() {
-			t.Fatalf("%s: trace covers %d entries, want %d", name, got.trace.Len(), want.trace.Len())
-		}
-		for k := uint64(0); k < uint64(want.trace.Len()); k++ {
-			for _, get := range []func(*state.WindowTrace, uint64) uint64{
-				(*state.WindowTrace).FirstRead, (*state.WindowTrace).FirstSet,
-				(*state.WindowTrace).LastRead, (*state.WindowTrace).LastSet,
-				(*state.WindowTrace).LastCopy, (*state.WindowTrace).CopyDst,
-				(*state.WindowTrace).ObsPre,
-			} {
-				if get(got.trace, k) != get(want.trace, k) {
-					t.Fatalf("%s: trace record %d differs", name, k)
-				}
+	if got.trace.Len() != want.trace.Len() {
+		t.Fatalf("%s: trace covers %d entries, want %d", name, got.trace.Len(), want.trace.Len())
+	}
+	for k := uint64(0); k < uint64(want.trace.Len()); k++ {
+		for _, get := range []func(*state.WindowTrace, uint64) uint64{
+			(*state.WindowTrace).FirstRead, (*state.WindowTrace).FirstSet,
+			(*state.WindowTrace).LastRead, (*state.WindowTrace).LastSet,
+			(*state.WindowTrace).LastCopy, (*state.WindowTrace).CopyDst,
+			(*state.WindowTrace).ObsPre,
+		} {
+			if get(got.trace, k) != get(want.trace, k) {
+				t.Fatalf("%s: trace record %d differs", name, k)
 			}
 		}
 	}

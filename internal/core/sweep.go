@@ -71,10 +71,6 @@ type sweeper struct {
 	m *uarch.Machine
 	//pipelint:shadow-ok sweep parameter: the trial horizon
 	h uint64
-	//pipelint:shadow-ok sweep parameter: record the touch trace
-	traced bool
-	//pipelint:shadow-ok sweep parameter: record keyframes
-	conv bool
 	//pipelint:shadow-ok the sweep's touch-trace recorder; engine scaffolding
 	tr *state.Sweep
 	//pipelint:shadow-ok the campaign context, for waits on returned; engine scaffolding
@@ -127,9 +123,9 @@ var testSweepSteps func()
 // that architecturally halts before a checkpoint opens no further windows;
 // windows already open run their full horizon, halted or not, as a golden
 // continuation does. The sweep stops when hand returns false or ctx is
-// cancelled.
+// cancelled. Every window records the touch trace and the keyframes,
+// whatever cfg's EarlyStop and Prove; only their readers depend on them.
 func runSweep(ctx context.Context, cfg Config, m *uarch.Machine, cycles []uint64, skip []bool, returned <-chan *ckWindow, hand func(*ckWindow) bool) {
-	conv := cfg.EarlyStop == EarlyStopOn
 	s := &sweeper{
 		m:   m,
 		ctx: ctx,
@@ -137,14 +133,8 @@ func runSweep(ctx context.Context, cfg Config, m *uarch.Machine, cycles []uint64
 		// A horizon for the open windows, and a quarter horizon per worker
 		// for the windows the workers hold.
 		ringCycles: uint64(cfg.Horizon) + uint64(cfg.Horizon/4)*uint64(max(cfg.Workers, 1)) + 1,
-		// Convergence records keyframes; either it or the prover arms the
-		// trace, exactly as for every fault model.
-		traced:   conv || cfg.Prove != ProveOff,
-		conv:     conv,
-		returned: returned,
-	}
-	if s.traced {
-		s.tr = m.F.NewSweep()
+		tr:         m.F.NewSweep(),
+		returned:   returned,
 	}
 	s.onRetire = func(ev uarch.RetireEvent) {
 		s.events[s.evN%uint64(len(s.events))] = goldenEventOf(ev)
@@ -225,19 +215,14 @@ func (s *sweeper) openWindow(ck int) {
 			s.events = make([]goldenEvent, n*m.Retired/max(m.Cycle, 1)*9/8+uarch.RetireWidth)
 			s.kfs = make([]keyframe, n/convStride+2)
 		}
-		// Every traced cycle records the digest, touch trace or not.
-		m.F.HoldDigest()
-		if s.traced {
-			m.F.StartTrace(s.tr)
-		}
+		// The attached sweep keeps the file hashed for the cycle digests.
+		m.F.StartTrace(s.tr)
 		// A fresh base: outstanding windows may still read the previous one.
 		s.base = m.F.Snapshot()
 		m.OnRetire, m.OnExc = s.onRetire, s.onExc
 		s.lastRetired = m.Retired
 	}
-	if s.traced {
-		s.tr.OpenWindow(m.Cycle)
-	}
+	s.tr.OpenWindow(m.Cycle)
 	var w *ckWindow
 	if len(s.free) == 0 {
 		s.reclaim()
@@ -251,8 +236,7 @@ func (s *sweeper) openWindow(ck int) {
 	m.SnapshotDeltaInto(&w.snap, s.base)
 	w.mem = m.Mem.CaptureImage()
 	w.g = goldenRun{
-		start: m.Cycle, n: int(s.h), ord: s.ord, ev0: s.evN, kf0: s.kfN,
-		traced: s.traced, conv: s.conv, base: s.base,
+		start: m.Cycle, n: int(s.h), ord: s.ord, ev0: s.evN, kf0: s.kfN, base: s.base,
 	}
 	s.open = append(s.open, w)
 }
@@ -262,12 +246,11 @@ func (s *sweeper) openWindow(ck int) {
 func (s *sweeper) step() bool {
 	m := s.m
 	a := m.Cycle + 1
-	if !s.reserve(s.conv && a&(convStride-1) == 0) {
+	atKf := a&(convStride-1) == 0
+	if !s.reserve(atKf) {
 		return false
 	}
-	if s.traced {
-		m.F.TraceCycle(a)
-	}
+	m.F.TraceCycle(a)
 	s.exc = 0
 	m.Step()
 	if testSweepSteps != nil {
@@ -283,7 +266,7 @@ func (s *sweeper) step() bool {
 	}
 	s.cyc[s.ord%uint64(len(s.cyc))] = cycleRec{digest: m.TraceDigest(), ev: uint32(s.evN), flags: fl}
 	s.ord++
-	if s.conv && a&(convStride-1) == 0 {
+	if atKf {
 		kf := &s.kfs[s.kfN%uint64(len(s.kfs))]
 		kf.cyc, kf.memDigest = a, m.Mem.Digest()
 		m.F.DeltaInto(&kf.delta, s.base)
@@ -356,9 +339,7 @@ func (s *sweeper) reclaim() bool {
 // goes to the next windows.
 func (s *sweeper) take(w *ckWindow) {
 	s.held = slices.DeleteFunc(s.held, func(h *ckWindow) bool { return h == w })
-	if w.g.trace != nil {
-		s.views = append(s.views, w.g.trace)
-	}
+	s.views = append(s.views, w.g.trace)
 	w.mem, w.g = nil, goldenRun{}
 	s.free = append(s.free, w)
 }
@@ -391,31 +372,25 @@ func (s *sweeper) closeWindow() *ckWindow {
 			break
 		}
 	}
-	if s.traced {
-		if len(s.views) == 0 {
-			s.reclaim()
-		}
-		if n := len(s.views); n > 0 {
-			g.trace, s.views = s.views[n-1], s.views[:n-1]
-		} else {
-			g.trace = &state.WindowTrace{}
-		}
-		s.tr.CloseWindow(g.trace)
-		g.failAt, g.failMode = g.replay(0, streaks{}, s.h, 0, false)
+	if len(s.views) == 0 {
+		s.reclaim()
 	}
+	if n := len(s.views); n > 0 {
+		g.trace, s.views = s.views[n-1], s.views[:n-1]
+	} else {
+		g.trace = &state.WindowTrace{}
+	}
+	s.tr.CloseWindow(g.trace)
+	g.failAt, g.failMode = g.replay(0, streaks{}, s.h, 0, false)
 	if len(s.open) == 0 {
 		s.detach()
 	}
 	return w
 }
 
-// detach ends a run of overlapping windows: the trace, the digest hold and
-// the callbacks come off the machine, which walks plain to the next window.
+// detach ends a run of overlapping windows: the trace and the callbacks
+// come off the machine, which walks plain to the next window.
 func (s *sweeper) detach() {
-	m := s.m
-	if s.traced {
-		m.F.StopTrace()
-	}
-	m.F.ReleaseDigest()
-	m.OnRetire, m.OnExc = nil, nil
+	s.m.F.StopTrace()
+	s.m.OnRetire, s.m.OnExc = nil, nil
 }

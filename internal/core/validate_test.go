@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pipefault/internal/uarch"
 	"pipefault/internal/workload"
 )
 
@@ -26,6 +27,8 @@ func TestConfigErrorTyped(t *testing.T) {
 		{"negative-workers", func(c *Config) { c.Workers = -2 }, "Workers"},
 		{"negative-timeout", func(c *Config) { c.TrialTimeout = -time.Second }, "TrialTimeout"},
 		{"bad-earlystop", func(c *Config) { c.EarlyStop = EarlyStopMode(99) }, "EarlyStop"},
+		{"bad-prove", func(c *Config) { c.Prove = ProveMode(99) }, "Prove"},
+		{"bad-recovery", func(c *Config) { c.Recovery = uarch.RecoveryStyle(99) }, "Recovery"},
 		{"negative-crosscheck", func(c *Config) { c.CrossCheck = -1 }, "CrossCheck"},
 		{"unnamed-population", func(c *Config) { c.Populations[0].Name = "" }, "Populations"},
 		{"duplicate-population", func(c *Config) { c.Populations[1].Name = c.Populations[0].Name }, "Populations"},

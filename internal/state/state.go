@@ -106,7 +106,9 @@ func Categories() []Category {
 }
 
 // Elem is one named state element: an array of entries, each width bits
-// (width <= 64). A single latch is an Elem with entries == 1.
+// (width <= 64). A single latch is an Elem with entries == 1. Rows of every
+// width share one access path: a shift and a mask within one backing word,
+// or two words for a row that straddles a word boundary (see strSh).
 type Elem struct {
 	// Hot-path fields, grouped so Get/Set touch one cache line: words
 	// aliases the file's backing storage (set at Freeze, never reallocated),
@@ -125,7 +127,6 @@ type Elem struct {
 	fastLim  uint64 // strSh+1 while untraced, 0 while traced (forces getSlow)
 	setLim   uint64 // strSh+1 while the file is plain, 0 while hashed (forces put)
 	width    int
-	spec     uint8 // Freeze-selected accessor specialization
 
 	name       string
 	kind       Kind
@@ -137,19 +138,6 @@ type Elem struct {
 	injBase   uint64 // cumulative injectable-bit index (if injectable)
 	entryBase uint64 // cumulative entry index over all elements (trace key)
 }
-
-// Accessor specializations, selected once at Freeze from the element's
-// geometry. Every element is word-aligned at Freeze, so width-64 rows
-// coincide with backing words (no shift, no mask), width-1 rows are single
-// bits of word wordBase+i/64, and widths dividing 64 can never straddle a
-// word boundary. The spec byte is constant after Freeze, so the dispatch
-// branch in Get/put is perfectly predicted per call site.
-const (
-	specGeneric uint8 = iota // any width; straddle check per access
-	specW64                  // width 64: row i IS words[wordBase+i]
-	specW1                   // width 1: row i is bit i%64 of words[wordBase+i/64]
-	specNarrow               // width divides 64: in-word, no straddle check
-)
 
 // Name returns the element's name.
 func (e *Elem) Name() string { return e.name }
@@ -178,11 +166,10 @@ func (e *Elem) Injectable() bool { return e.injectable }
 // reason about cache/predictor state alongside the injectable population.
 func (e *Elem) EntryIndex(i int) uint64 { return e.entryBase + uint64(i) }
 
-// Get reads entry i. The untraced non-straddling read — every
-// Freeze-specialized shape and every in-word generic row — is one compare
-// and a shift-and-mask; traced reads and straddling rows take the outlined
-// slow path. Get itself exceeds the compiler's inline budget (see DESIGN.md
-// "Width-specialized row accessors").
+// Get reads entry i. The untraced read of a row that fits one word is one
+// compare and a shift-and-mask; traced reads and straddling rows take the
+// outlined slow path. Get itself exceeds the compiler's inline budget (see
+// DESIGN.md "Row accessors: two compares").
 func (e *Elem) Get(i int) uint64 {
 	bit := e.bitBase + uint64(i)*e.stride
 	if bit&63 >= e.fastLim {
@@ -202,13 +189,7 @@ func (e *Elem) getSlow(i int) uint64 {
 			s.observe(g, ^uint64(0), true)
 		}
 	}
-	bit := e.bitBase + uint64(i)*e.stride
-	sh := bit & 63
-	v := e.words[bit>>6] >> sh
-	if sh > e.strSh {
-		v |= e.words[bit>>6+1] << (64 - sh)
-	}
-	return v & e.mask
+	return e.getFrom(e.words, i)
 }
 
 // GetObs reads entry i exactly like Get, but narrows what an attached sweep
@@ -224,13 +205,7 @@ func (e *Elem) getSlow(i int) uint64 {
 // sound (over-approximate), or the constprop proof rule built on ObsPre
 // would claim benign flips that in fact diverge.
 func (e *Elem) GetObs(i int, obs func(uint64) uint64) uint64 {
-	bit := e.bitBase + uint64(i)*uint64(e.width)
-	sh := bit & 63
-	v := e.words[bit>>6] >> sh
-	if sh > e.strSh {
-		v |= e.words[bit>>6+1] << (64 - sh)
-	}
-	v &= e.mask
+	v := e.getFrom(e.words, i)
 	if e.trace != nil {
 		e.trace.observe(e.entryBase+uint64(i), obs(v)&e.mask, false)
 	}
@@ -263,40 +238,14 @@ func (e *Elem) Set(i int, v uint64) {
 
 // put is Set without the touch-trace hook: the raw write path shared by
 // behavioral writes and CopyEntry's data movement. bit is the row's global
-// bit offset, which Set has already computed.
+// bit offset, which Set has already computed. One in-word store serves
+// every width (width 64 is shift 0 under a full mask); a row that crosses
+// a word boundary takes setStraddle.
 func (e *Elem) put(bit, v uint64) {
-	w := bit >> 6
-	switch e.spec {
-	case specW64:
-		cur := e.words[w]
-		if cur == v {
-			return
-		}
-		f := e.file
-		f.digest ^= mix(bit, cur) ^ mix(bit, v)
-		if f.jOn {
-			f.touch(w)
-		}
-		e.words[w] = v
-		return
-	case specW1:
-		v &= 1
-		sh := bit & 63
-		cur := e.words[w]
-		if cur>>sh&1 == v {
-			return
-		}
-		f := e.file
-		f.digest ^= mix(bit, v^1) ^ mix(bit, v)
-		if f.jOn {
-			f.touch(w)
-		}
-		e.words[w] = cur ^ 1<<sh
-		return
-	}
 	v &= e.mask
 	sh := bit & 63
 	if sh <= e.strSh {
+		w := bit >> 6
 		cur := e.words[w]
 		old := cur >> sh & e.mask
 		if old == v {
@@ -419,10 +368,9 @@ type File struct {
 	frozen bool
 
 	// hashed is set while the digest has a consumer: an active journal
-	// (jOn), an attached sweep (tr) or a hold (dHold). A file that is not
-	// hashed is plain; see Digest.
+	// (jOn) or an attached sweep (tr). A file that is not hashed is plain;
+	// see Digest.
 	hashed bool
-	dHold  bool
 
 	zeroDigest uint64
 
@@ -533,14 +481,6 @@ func (f *File) Freeze() {
 	for _, e := range f.elems {
 		e.bitBase = bit
 		e.wordBase = bit >> 6
-		switch {
-		case e.width == 64:
-			e.spec = specW64
-		case e.width == 1:
-			e.spec = specW1
-		case 64%e.width == 0:
-			e.spec = specNarrow
-		}
 		bit += uint64(e.entries * e.width)
 		bit = (bit + 63) &^ 63 // word-align each element
 		e.entryBase = f.allEntries
@@ -581,11 +521,10 @@ func (f *File) Elems() []*Elem { return f.elems }
 
 // Digest returns the whole-machine state digest: the XOR of mix over every
 // entry. The file keeps it incrementally only while something compares it
-// — while a journal is active, while a sweep is attached, or between
-// HoldDigest and ReleaseDigest — and is otherwise plain: Set stores raw
-// and Digest folds the value from scratch, O(state) per call. Every
-// transition out of plain recomputes the digest, so in either mode Digest
-// equals RecomputeDigest.
+// — while a journal is active or a sweep is attached — and is otherwise
+// plain: Set stores raw and Digest folds the value from scratch, O(state)
+// per call. Every transition out of plain recomputes the digest, so in
+// either mode Digest equals RecomputeDigest.
 func (f *File) Digest() uint64 {
 	if !f.hashed {
 		return f.RecomputeDigest()
@@ -593,30 +532,12 @@ func (f *File) Digest() uint64 {
 	return f.digest
 }
 
-// HoldDigest keeps the digest maintained, journal or sweep or not, until
-// ReleaseDigest: for a caller that reads Digest every cycle without either,
-// such as the golden sweep of a campaign that records no touch trace.
-func (f *File) HoldDigest() {
-	if !f.frozen {
-		panic("state: HoldDigest before Freeze")
-	}
-	f.dHold = true
-	f.syncMode()
-}
-
-// ReleaseDigest ends HoldDigest; the file turns plain once no journal or
-// sweep needs the digest either. Releasing without a hold is a no-op.
-func (f *File) ReleaseDigest() {
-	f.dHold = false
-	f.syncMode()
-}
-
 // syncMode switches the file between plain and hashed after a change in
 // what consumes the digest. Entering hashed mode recomputes the digest
 // from scratch, in O(state), since plain Sets left it stale; the switch
-// is paid per journal, sweep or hold, never per access.
+// is paid per journal or sweep attachment, never per access.
 func (f *File) syncMode() {
-	hashed := f.jOn || f.tr != nil || f.dHold
+	hashed := f.jOn || f.tr != nil
 	if hashed == f.hashed {
 		return
 	}
@@ -878,8 +799,9 @@ func (d *Delta) PatchInto(dst, base *Snapshot) {
 	dst.digest = d.digest
 }
 
-// getFrom extracts entry i's value from an alternate word array with the
-// file's frozen layout (a Snapshot's backing store).
+// getFrom extracts entry i's value from a word array with the file's frozen
+// layout: the file's own words or a Snapshot's. It is the one row extract,
+// shift-and-mask within a word plus the second word of a straddling row.
 func (e *Elem) getFrom(words []uint64, i int) uint64 {
 	bit := e.bitBase + uint64(i)*uint64(e.width)
 	sh := bit & 63

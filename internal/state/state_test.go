@@ -23,25 +23,30 @@ func newTestFile() (*File, []*Elem) {
 }
 
 // inModes runs fn on a fresh newTestFile twice: once plain and once with
-// the digest held. While a file is plain, Digest is the from-scratch fold,
-// so a digest check there tests only the words; the held run holds the
-// incremental digest, and every write path that maintains it, to the
-// check.
+// the digest held by a one-window sweep, which keeps the file hashed.
+// While a file is plain, Digest is the from-scratch fold, so a digest
+// check there tests only the words; the held run holds the incremental
+// digest, and every write path that maintains it, to the check.
 func inModes(t *testing.T, fn func(t *testing.T, f *File, elems []*Elem)) {
 	t.Helper()
-	for _, held := range []bool{false, true} {
+	for _, hashed := range []bool{false, true} {
 		name := "plain"
-		if held {
+		if hashed {
 			name = "held"
 		}
 		t.Run(name, func(t *testing.T) {
 			f, elems := newTestFile()
-			if held {
-				f.HoldDigest()
+			var w *window
+			if hashed {
+				w = openWindow(f)
+				w.at(1)
 			}
 			fn(t, f, elems)
-			if f.hashed != held {
-				t.Fatalf("file hashed = %v at the end, want %v", f.hashed, held)
+			if f.hashed != hashed {
+				t.Fatalf("file hashed = %v at the end, want %v", f.hashed, hashed)
+			}
+			if w != nil {
+				w.close()
 			}
 		})
 	}
@@ -114,24 +119,24 @@ func TestPackedNeighboursProperty(t *testing.T) {
 // TestDigestIsPureFunctionOfState: two different write sequences reaching
 // the same final contents must produce the same digest.
 func TestDigestIsPureFunctionOfState(t *testing.T) {
-	for _, held := range []bool{false, true} {
-		if d1, d2 := digestAfterWrites(held, []int{0, 1, 2, 3, 4, 5, 6, 7}),
-			digestAfterWrites(held, []int{7, 3, 5, 1, 6, 0, 2, 4}); d1 != d2 {
-			t.Errorf("held %v: digest depends on write order: %#x vs %#x", held, d1, d2)
+	for _, hashed := range []bool{false, true} {
+		if d1, d2 := digestAfterWrites(hashed, []int{0, 1, 2, 3, 4, 5, 6, 7}),
+			digestAfterWrites(hashed, []int{7, 3, 5, 1, 6, 0, 2, 4}); d1 != d2 {
+			t.Errorf("hashed %v: digest depends on write order: %#x vs %#x", hashed, d1, d2)
 		}
 	}
 }
 
 // digestAfterWrites scribbles over a fresh file and then settles it to the
-// same final values, visiting entries in the given order; held keeps the
-// digest maintained throughout.
-func digestAfterWrites(held bool, order []int) uint64 {
+// same final values, visiting entries in the given order; hashed keeps the
+// digest maintained throughout, under a one-window sweep.
+func digestAfterWrites(hashed bool, order []int) uint64 {
 	vals := []uint64{1, 2, 3, 0, 5, 0x1FFFF, 7, 8}
 	f := New()
 	e := f.RAM("a", CatData, 8, 17)
 	f.Freeze()
-	if held {
-		f.HoldDigest()
+	if hashed {
+		openWindow(f).at(1)
 	}
 	for _, i := range order {
 		e.Set(i, vals[(i+3)%8]^0x5A5A)
@@ -171,10 +176,10 @@ func TestDigestDetectsAnySingleBitFlip(t *testing.T) {
 // digest incrementally, the second is plain.
 func TestDigestMatchesEqualProperty(t *testing.T) {
 	prop := func(seedA, seedB int64) bool {
-		mutate := func(seed int64, held bool) *File {
+		mutate := func(seed int64, hashed bool) *File {
 			f, _ := newTestFile()
-			if held {
-				f.HoldDigest()
+			if hashed {
+				openWindow(f).at(1)
 			}
 			rng := rand.New(rand.NewSource(seed))
 			for k := 0; k < 50; k++ {
@@ -497,8 +502,8 @@ func digestScript(f *File, rng *rand.Rand, n int) {
 	}
 }
 
-// TestDigestPlainHashedTransitions: a plain file (no journal, no sweep, no
-// hold: Set stores raw and keeps no digest) and a hashed one run the same
+// TestDigestPlainHashedTransitions: a plain file (no journal and no sweep:
+// Set stores raw and keeps no digest) and a hashed one run the same
 // random scripts to the same words, and after every switch between the
 // two modes the digest equals the from-scratch fold — including Restore
 // and RestoreDelta of images captured while plain, whose digest must have
@@ -507,7 +512,7 @@ func TestDigestPlainHashedTransitions(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		plain, _ := newTestFile()
 		hashed, _ := newTestFile()
-		hashed.HoldDigest()
+		openWindow(hashed).at(1)
 		digestScript(plain, rand.New(rand.NewSource(seed)), 400)
 		digestScript(hashed, rand.New(rand.NewSource(seed)), 400)
 		if plain.hashed || !hashed.hashed {
@@ -567,11 +572,11 @@ func TestDigestPlainHashedTransitions(t *testing.T) {
 
 	// The plain write paths that bypass Set's one-word store: a straddling
 	// row, a CopyEntry onto one, and both lane masks. A hashed twin takes
-	// the same writes; after HoldDigest the plain file must hold the twin's
-	// words and digest, and keep folding like it.
+	// the same writes; once a sweep attaches, the plain file must hold the
+	// twin's words and digest, and keep folding like it.
 	twin, _ := newTestFile()
 	twin.Restore(f.Snapshot())
-	twin.HoldDigest()
+	openWindow(twin).at(1)
 	rat := f.Elem("rat")
 	if bit := rat.bitBase + 9*rat.stride; bit&63 <= rat.strSh {
 		t.Fatal("rat[9] does not straddle a word boundary")
@@ -587,17 +592,18 @@ func TestDigestPlainHashedTransitions(t *testing.T) {
 	plainWrites(f)
 	plainWrites(twin)
 	check("plain straddle, CopyEntry and lane masks", false)
-	f.HoldDigest()
-	check("HoldDigest", true)
+	fw := openWindow(f)
+	fw.at(1)
+	check("one-window sweep", true)
 	if !f.Equal(twin) || f.Digest() != twin.Digest() {
 		t.Fatalf("plain writes: words equal %v, digest %#x, hashed twin %#x", f.Equal(twin), f.Digest(), twin.Digest())
 	}
 	plainWrites(f)
 	plainWrites(twin)
 	if f.Digest() != twin.Digest() || f.Digest() != f.RecomputeDigest() {
-		t.Fatalf("held writes: digest %#x, hashed twin %#x, recomputed %#x", f.Digest(), twin.Digest(), f.RecomputeDigest())
+		t.Fatalf("hashed writes: digest %#x, hashed twin %#x, recomputed %#x", f.Digest(), twin.Digest(), f.RecomputeDigest())
 	}
-	run("HoldDigest", true)
+	run("one-window sweep", true)
 	f.Restore(img)
 	check("Restore of a plain image", true)
 	if f.Digest() != want {
@@ -609,14 +615,14 @@ func TestDigestPlainHashedTransitions(t *testing.T) {
 	if f.Digest() != want {
 		t.Fatalf("RestoreDelta of a plain image: digest %#x, want %#x", f.Digest(), want)
 	}
-	// A journal begun under a hold keeps the file hashed past the release.
+	// A journal begun under a sweep keeps the file hashed past StopTrace.
 	f.BeginJournal()
-	f.ReleaseDigest()
-	run("ReleaseDigest under a journal", true)
+	fw.close()
+	run("StopTrace under a journal", true)
 	f.CommitJournal()
-	run("CommitJournal after the release", false)
-	f.ReleaseDigest()
-	check("second ReleaseDigest", false)
+	run("CommitJournal after StopTrace", false)
+	f.StopTrace()
+	check("second StopTrace", false)
 }
 
 // TestRecomputeDigestStampsNoTouch: the from-scratch fold reads the words

@@ -186,9 +186,11 @@ func TestCopyEntryTrace(t *testing.T) {
 // would, including the no-op fast path.
 func TestCopyEntryDigestJournal(t *testing.T) {
 	f, elems := newTestFile()
-	// The hold keeps the digest incremental past CommitJournal, so the
+	// The sweep keeps the digest incremental past CommitJournal, so the
 	// final check compares it with the fold.
-	f.HoldDigest()
+	w := openWindow(f)
+	w.at(1)
+	defer w.close()
 	ctrl, rat := elems[4], elems[3] // rat is 7-bit: exercises the straddle path
 	ctrl.Set(0, 55)
 	rat.Set(9, 101)
@@ -469,12 +471,13 @@ func TestGetObsStraddle(t *testing.T) {
 // TestIncrementalDigestMatchesRecompute: after an arbitrary mix of Sets,
 // Flips, journal rewinds and snapshot restores, the incrementally
 // maintained Digest must equal the from-scratch RecomputeDigest oracle.
-// The hold keeps the digest maintained throughout; a plain file's Digest
-// would be the recompute itself.
+// A one-window sweep keeps the digest maintained throughout; a plain
+// file's Digest would be the recompute itself.
 func TestIncrementalDigestMatchesRecompute(t *testing.T) {
 	f, elems := newTestFile()
-	f.HoldDigest()
-	defer f.ReleaseDigest()
+	w := openWindow(f)
+	w.at(1)
+	defer w.close()
 	rng := rand.New(rand.NewSource(7))
 	inj := make([]*Elem, 0, len(elems))
 	for _, e := range elems {
