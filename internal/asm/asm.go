@@ -45,6 +45,10 @@ const (
 	StackTop = 0x0010_0000
 	// StackPages is the number of pages preallocated below StackTop.
 	StackPages = 8
+	// DataEnd bounds the .data section: the lowest preallocated stack
+	// page. .text must end at or below DataBase and .data at or below
+	// DataEnd, or Program.Load would store one over the other.
+	DataEnd = StackTop - StackPages*mem.PageSize
 )
 
 // Program is the output of the assembler: a loadable memory image.
@@ -169,9 +173,23 @@ func (a *assembler) advance(n uint64) {
 	}
 }
 
+// room returns the bytes left in the active section before it reaches its
+// bound in the load layout, and the section's name and bound.
+func (a *assembler) room() (n uint64, name string, end uint64) {
+	if a.sec == secText {
+		return DataBase - a.pos(), ".text", DataBase
+	}
+	return DataEnd - a.pos(), ".data", DataEnd
+}
+
 // emitBytes appends raw bytes to the active section (pass 2) or advances the
-// position counter (pass 1).
+// position counter (pass 1). Bytes that do not fit before the section's
+// bound are an error, and are not emitted.
 func (a *assembler) emitBytes(bs ...byte) {
+	if n, name, end := a.room(); uint64(len(bs)) > n {
+		a.errorf("%s runs past %#x", name, end)
+		return
+	}
 	if a.pass == 2 {
 		if a.sec == secText {
 			a.text = append(a.text, bs...)

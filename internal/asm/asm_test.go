@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -326,6 +328,46 @@ func TestAssembleErrors(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Assemble(tt.src); err == nil {
 				t.Errorf("no error for %q", tt.src)
+			}
+		})
+	}
+}
+
+// TestSectionBounds: a section that runs past its bound in the load
+// layout (.text into .data, .data into the stack pages) is a positioned
+// error, whether code, data or .space fills it; filling a section exactly
+// is fine. The huge .space sizes are refused before any byte is emitted.
+func TestSectionBounds(t *testing.T) {
+	textRoom := fmt.Sprint(DataBase - TextBase)
+	dataRoom := fmt.Sprint(DataEnd - DataBase)
+	for _, tt := range []struct {
+		name string
+		src  string
+		line int // 0: assembles
+	}{
+		{"text full", ".space " + textRoom + "\n", 0},
+		{"text full, then code", ".space " + textRoom + "\nnop\n", 2},
+		{"text past data", "nop\n.space 0x40000\n", 2},
+		{"huge text space", ".space 1<<40\n", 1},
+		{"data full", ".data\n.space " + dataRoom + "\n.align 16\n", 0},
+		{"data full, then a byte", ".data\n.space " + dataRoom + "\n.byte 1\n", 3},
+		{"huge data space", ".data\n.quad 1\n.space 1<<40, 7\n", 3},
+		{"data past stack", ".data\n.space " + dataRoom + " - 4\n.quad 1\n", 3},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			p, err := Assemble(tt.src)
+			if tt.line == 0 {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.TextEnd() > DataBase || DataBase+uint64(len(p.Data)) > DataEnd {
+					t.Errorf("program spans text %#x-%#x, data %#x-%#x", TextBase, p.TextEnd(), DataBase, DataBase+uint64(len(p.Data)))
+				}
+				return
+			}
+			var ae *Error
+			if !errors.As(err, &ae) || ae.Line != tt.line {
+				t.Errorf("Assemble = %v, want an *Error at line %d", err, tt.line)
 			}
 		})
 	}

@@ -21,7 +21,7 @@ func (a *assembler) doDirective(s string) {
 			return
 		}
 		align := uint64(1) << uint(v)
-		for a.pos()%align != 0 {
+		for a.pos()%align != 0 && a.err == nil {
 			a.emitBytes(0)
 		}
 
@@ -60,6 +60,10 @@ func (a *assembler) doDirective(s string) {
 		n, _, err := a.eval(fields[0])
 		if err != nil || n < 0 {
 			a.errorf("bad .space size %q", fields[0])
+			return
+		}
+		if room, name, end := a.room(); uint64(n) > room {
+			a.errorf(".space %d exceeds the %d bytes left in %s before %#x", n, room, name, end)
 			return
 		}
 		fill := int64(0)

@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"pipefault/internal/mem"
 	"pipefault/internal/prove"
 	"pipefault/internal/state"
 	"pipefault/internal/uarch"
@@ -327,21 +328,42 @@ type worker struct {
 	model FaultModel
 	//pipelint:shadow-ok the current checkpoint's golden run, read-only; engine scaffolding
 	g *goldenRun
+	//pipelint:shadow-ok the memory image last restored onto the machine; engine scaffolding
+	cur *mem.Image
 	//pipelint:shadow-ok tryConverge's scratch: a keyframe delta patched onto the golden base; engine scaffolding
 	kfSnap state.Snapshot
 	//pipelint:shadow-ok per-trial classifier scratch, reset each trial; never injectable machine state
 	mon trialMonitor
 	//pipelint:shadow-ok reusable rewind marks for the undo journal; engine scaffolding
 	trialMark uarch.MarkPoint
+	//pipelint:shadow-ok validInsns's scratch: the checkpoint's in-flight seqnos; engine scaffolding
+	seqs []uint64
+	//pipelint:shadow-ok the prover's declarations, built once per worker; campaign parameter
+	hints prove.Hints
+	//pipelint:shadow-ok the current checkpoint's proof, refilled per checkpoint; engine scaffolding
+	proof prove.Proof
+	//pipelint:shadow-ok the checkpoint's bit-draw stream, reseeded per checkpoint; engine scaffolding
+	drawRNG *rand.Rand
+	//pipelint:shadow-ok the cross-check oracle's stream, reseeded per checkpoint; engine scaffolding
+	checkRNG *rand.Rand
+	//pipelint:shadow-ok the fault model's per-trial stream, reseeded per trial; engine scaffolding
+	modelRNG *rand.Rand
 
 	// Callbacks built once per worker and re-attached per trial.
 	onRetire func(uarch.RetireEvent)
 	onExc    func(uarch.ExcEvent)
 }
 
-// newWorker wires up a worker's reusable buffers and callbacks.
+// newWorker wires up a worker's reusable buffers and callbacks. Its RNGs
+// are reseeded in place at each use: Seed restarts a source on exactly the
+// stream a fresh NewSource with that seed gives.
 func newWorker(cfg Config, m *uarch.Machine) *worker {
-	w := &worker{cfg: cfg, m: m, model: resolveModel(cfg.Model)}
+	w := &worker{
+		cfg: cfg, m: m, model: resolveModel(cfg.Model), hints: uarch.ProofHints(),
+		drawRNG:  rand.New(rand.NewSource(0)),
+		checkRNG: rand.New(rand.NewSource(0)),
+		modelRNG: rand.New(rand.NewSource(0)),
+	}
 	w.onRetire = w.mon.onRetire
 	w.onExc = w.mon.onExc
 	return w
@@ -371,12 +393,13 @@ func splitmix64(x uint64) uint64 {
 // computeProof runs the static benign-injection prover over the machine's
 // current (checkpoint) state and the checkpoint's golden run, or returns
 // nil under ProveOff. The machine must stand at checkpoint state — the
-// idleness rule reads gate values as of the checkpoint.
+// idleness rule reads gate values as of the checkpoint. The proof is the
+// worker's, refilled at each checkpoint: it is valid until the next call.
 func (w *worker) computeProof(g *goldenRun) *prove.Proof {
 	if w.cfg.Prove == ProveOff {
 		return nil
 	}
-	return prove.Compute(w.m.F, g.trace, g.failAt, uint64(w.cfg.Horizon), uarch.ProofHints(), prove.RuleAll)
+	return w.proof.Compute(w.m.F, g.trace, g.failAt, uint64(w.cfg.Horizon), w.hints, prove.RuleAll)
 }
 
 // provenStrata snapshots the proof's per-population coverage for the
@@ -446,7 +469,8 @@ func (w *worker) crossCheck(ck int, proof *prove.Proof) error {
 		m.CommitJournal()
 		m.Mem.Rollback()
 	}()
-	rng := rand.New(rand.NewSource(checkpointSeed(w.cfg.Seed, ck) ^ crossCheckSalt))
+	rng := w.checkRNG
+	rng.Seed(checkpointSeed(w.cfg.Seed, ck) ^ crossCheckSalt)
 	for k := 0; k < w.cfg.CrossCheck; k++ {
 		idx := -1 - k
 		bit := drawBit(m.F, proof, rng, false)
@@ -769,7 +793,8 @@ func (w *worker) runTrial(bit state.BitRef, ck, idx int) Trial {
 	// below is bit-identical to the pre-interface engine.
 	var mrng *rand.Rand
 	if w.model.armRNG() {
-		mrng = rand.New(rand.NewSource(trialModelSeed(w.cfg.Seed, ck, idx)))
+		mrng = w.modelRNG
+		mrng.Seed(trialModelSeed(w.cfg.Seed, ck, idx))
 	}
 	armed := w.model.Arm(bit, mrng)
 	if armed != nil {

@@ -164,7 +164,7 @@ func TestCrossCheckCatchesUnsoundHint(t *testing.T) {
 			// so the only "proven" bit is the one we just saw misbehave.
 			consumed := (uint64(1)<<uint(e.Width()) - 1) &^ (uint64(1) << uint(bit))
 			badHints := prove.Hints{Masks: map[string]uint64{elem: consumed}}
-			proof := prove.Compute(en.m.F, g.trace, g.failAt, uint64(h), badHints, prove.RuleMask)
+			proof := new(prove.Proof).Compute(en.m.F, g.trace, g.failAt, uint64(h), badHints, prove.RuleMask)
 			if proof.ProvenBits(false) == 0 {
 				break // entry never re-converges; mask rule proves nothing
 			}

@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"sort"
 	"sync"
 
-	"pipefault/internal/mem"
 	"pipefault/internal/uarch"
 )
 
@@ -53,7 +51,8 @@ type ckMsg struct {
 func (w *worker) validInsns() int {
 	g := w.g
 	n := 0
-	for _, s := range w.m.InFlightSeqs() {
+	w.seqs = w.m.InFlightSeqs(w.seqs[:0])
+	for _, s := range w.seqs {
 		i := sort.Search(g.nEv, func(i int) bool { return g.event(i).seq >= s })
 		if i < g.nEv && g.event(i).seq == s {
 			n++
@@ -76,7 +75,8 @@ func (w *worker) runCheckpoint(ck int, popOf []int) ckMsg {
 	}
 
 	m := w.m
-	rng := rand.New(rand.NewSource(checkpointSeed(w.cfg.Seed, ck)))
+	rng := w.drawRNG
+	rng.Seed(checkpointSeed(w.cfg.Seed, ck))
 	m.BeginJournal()
 	m.Mem.BeginUndo()
 	msg.trials = make([]Trial, len(popOf))
@@ -96,19 +96,26 @@ func (w *worker) runCheckpoint(ck int, popOf []int) ckMsg {
 // back), so that image is a valid RestoreCheckpoint prev. A finished
 // checkpoint's window goes back to the sweep on returned.
 func runWorker(ctx context.Context, w *worker, popOf []int, in <-chan *ckWindow, returned chan<- *ckWindow, out chan<- ckMsg) {
-	var cur *mem.Image
 	for win := range in {
 		if ctx.Err() != nil {
 			continue
 		}
-		w.m.RestoreCheckpoint(&win.snap, win.mem, cur)
-		cur = win.mem
-		w.g = &win.g
+		w.restore(win)
 		msg := w.runCheckpoint(win.ck, popOf)
 		w.g = nil
 		returned <- win
 		out <- msg
 	}
+}
+
+// restore materializes win on the worker's machine and makes its golden
+// run current. The image the machine held before is read for the last
+// time here, as RestoreCheckpoint's prev: it rides back to the sweep in
+// win.prev, to be reused once win is returned.
+func (w *worker) restore(win *ckWindow) {
+	w.m.RestoreCheckpoint(&win.snap, win.mem, w.cur)
+	win.prev, w.cur = w.cur, win.mem
+	w.g = &win.g
 }
 
 // runPool runs the golden sweep on machine sweepM and the worker pool on

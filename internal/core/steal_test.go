@@ -343,7 +343,9 @@ func sweepImages(t *testing.T, cfg Config, m *uarch.Machine, cycles []uint64) []
 
 // imagesEqual fails unless got and want are the same checkpoint images:
 // the state-file snapshot and its digest, Cycle, Retired, nextSeq and
-// every seq shadow, and the memory image's digest and pages.
+// every seq shadow, and the memory image's digest, page count and
+// contents (compared restored: page copies carry the capturing memory's
+// reference counts, which differ between sweeps).
 func imagesEqual(t *testing.T, name string, newMachine func() *uarch.Machine, got, want []*ckWindow) {
 	t.Helper()
 	gm, wm := newMachine(), newMachine()
@@ -360,7 +362,7 @@ func imagesEqual(t *testing.T, name string, newMachine func() *uarch.Machine, go
 		if !reflect.DeepEqual(gm.Snapshot(), wm.Snapshot()) {
 			t.Errorf("%s checkpoint %d: snapshot (state file or seq shadows) differs", name, i)
 		}
-		if g.mem.Digest() != w.mem.Digest() || !reflect.DeepEqual(g.mem, w.mem) {
+		if g.mem.Digest() != w.mem.Digest() || g.mem.PageCount() != w.mem.PageCount() || !gm.Mem.Equal(wm.Mem) {
 			t.Errorf("%s checkpoint %d: memory image differs", name, i)
 		}
 	}

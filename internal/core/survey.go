@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"pipefault/internal/mem"
 	"pipefault/internal/prove"
 	"pipefault/internal/state"
 )
@@ -44,11 +43,9 @@ func SurveyProofs(cfg Config) ([]ProofCoverage, error) {
 	f := w.m.F
 	out := make([]ProofCoverage, 0, len(cycles))
 	returned := make(chan *ckWindow, len(cycles))
-	var cur *mem.Image
 	runSweep(context.Background(), s.cfg, walkStart(warm, s.newMachine, cycles), cycles, nil, returned, func(win *ckWindow) bool {
-		w.m.RestoreCheckpoint(&win.snap, win.mem, cur)
-		cur = win.mem
-		proof := w.computeProof(&win.g)
+		w.restore(win)
+		proof := w.computeProof(w.g)
 		out = append(out, ProofCoverage{
 			Checkpoint: win.ck,
 			Cycle:      cycles[win.ck],

@@ -35,17 +35,22 @@ import (
 // slot an outstanding window still holds, it waits for that window's
 // return, and it grows a ring only when the open windows alone outgrow it
 // (or windows are never returned), the holders then reading the old one.
-// Returned windows lend their image, view and keyframe storage to new
-// ones, so a campaign allocates its golden buffers once.
+// Returned windows lend their snapshot, view and keyframe storage to new
+// ones, and the images their workers no longer read go back to the
+// sweep's memory for later captures, so a campaign allocates its golden
+// buffers once.
 
 // ckWindow is one checkpoint as the sweep hands it to a worker: the
 // portable image captured at the checkpoint cycle (the state file as a
 // delta against the run's base) and the checkpoint's golden run.
-// Read-only from hand-off until the worker returns it.
+// Read-only from hand-off until the worker returns it, but for prev: the
+// image the worker's machine held before it restored this one, which
+// nothing reads once the window is back (see (*worker).restore).
 type ckWindow struct {
 	ck   int
 	snap uarch.Snapshot
 	mem  *mem.Image
+	prev *mem.Image
 	g    goldenRun
 }
 
@@ -102,6 +107,8 @@ type sweeper struct {
 	kfN uint64
 	//pipelint:shadow-ok golden recording: the image and keyframe base of the current run of windows
 	base *state.Snapshot
+	//pipelint:shadow-ok every base the sweep has captured, for reuse once no window reads one; engine scaffolding
+	bases []*state.Snapshot
 	//pipelint:shadow-ok golden recording: the retirement count after the last traced cycle
 	lastRetired uint64
 	//pipelint:shadow-ok golden recording: the stepping cycle's exception flags
@@ -218,7 +225,8 @@ func (s *sweeper) openWindow(ck int) {
 		// The attached sweep keeps the file hashed for the cycle digests.
 		m.F.StartTrace(s.tr)
 		// A fresh base: outstanding windows may still read the previous one.
-		s.base = m.F.Snapshot()
+		s.base = s.freeBase()
+		m.F.SnapshotInto(s.base)
 		m.OnRetire, m.OnExc = s.onRetire, s.onExc
 		s.lastRetired = m.Retired
 	}
@@ -239,6 +247,20 @@ func (s *sweeper) openWindow(ck int) {
 		start: m.Cycle, n: int(s.h), ord: s.ord, ev0: s.evN, kf0: s.kfN, base: s.base,
 	}
 	s.open = append(s.open, w)
+}
+
+// freeBase returns a base no outstanding window reads, allocating one only
+// when each is still read. No window is open when a run begins, so only the
+// handed ones can read an earlier run's base.
+func (s *sweeper) freeBase() *state.Snapshot {
+	for _, b := range s.bases {
+		if !slices.ContainsFunc(s.held, func(w *ckWindow) bool { return w.g.base == b }) {
+			return b
+		}
+	}
+	b := new(state.Snapshot)
+	s.bases = append(s.bases, b)
+	return b
 }
 
 // step steps one traced cycle and records it, or reports false when the
@@ -336,11 +358,15 @@ func (s *sweeper) reclaim() bool {
 }
 
 // take takes back a returned window: its slots are free, and its storage
-// goes to the next windows.
+// goes to the next windows. Its own image is still its worker's current
+// one; the image that worker held before is released.
 func (s *sweeper) take(w *ckWindow) {
 	s.held = slices.DeleteFunc(s.held, func(h *ckWindow) bool { return h == w })
 	s.views = append(s.views, w.g.trace)
-	w.mem, w.g = nil, goldenRun{}
+	if w.prev != nil {
+		s.m.Mem.ReleaseImage(w.prev)
+	}
+	w.mem, w.prev, w.g = nil, nil, goldenRun{}
 	s.free = append(s.free, w)
 }
 

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestImageRoundTrip: capture → mutate → restore must reproduce the
 // captured contents exactly, against a Clone taken at capture time as the
@@ -149,5 +152,61 @@ func TestEndImagingKeepsImages(t *testing.T) {
 	m.RestoreImage(img, nil)
 	if !m.Equal(want) {
 		t.Error("image captured before EndImaging no longer restores correctly")
+	}
+}
+
+// TestImageReleaseReuse: released images and their unshared page copies
+// are reused by later captures, and reuse never disturbs an image still
+// held. Random writes, captures and releases; every held image must
+// restore to the contents cloned at its capture, which fails if a copy it
+// holds was reused for another version of its page.
+func TestImageReleaseReuse(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := New()
+		m.BeginImaging()
+		type held struct {
+			img  *Image
+			want *Memory
+		}
+		var live []held
+		for step := 0; step < 200; step++ {
+			for n := rng.Intn(4); n > 0; n-- {
+				m.Write(uint64(rng.Intn(6))<<PageShift|uint64(rng.Intn(PageSize/8))*8, rng.Uint64(), 8)
+			}
+			live = append(live, held{m.CaptureImage(), m.Clone()})
+			for len(live) > 0 && rng.Intn(3) > 0 {
+				i := rng.Intn(len(live))
+				m.ReleaseImage(live[i].img)
+				live = append(live[:i], live[i+1:]...)
+			}
+			for _, h := range live {
+				dst := New()
+				dst.RestoreImage(h.img, nil)
+				if !dst.Equal(h.want) || h.img.Digest() != h.want.Digest() {
+					t.Fatalf("seed %d step %d: a held image no longer restores its capture", seed, step)
+				}
+			}
+		}
+	}
+
+	// Once a capture-release cycle has sized the spare pool, it allocates
+	// nothing.
+	m := New()
+	m.Write(0x1000, 1, 8)
+	m.Write(0x10000, 2, 8)
+	m.BeginImaging()
+	prev := m.CaptureImage()
+	v := uint64(3)
+	cycle := func() {
+		m.Write(0x1000, v, 8)
+		v++
+		img := m.CaptureImage()
+		m.ReleaseImage(prev)
+		prev = img
+	}
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("a steady capture-release cycle allocates %.1f times, want 0", a)
 	}
 }

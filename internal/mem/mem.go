@@ -59,14 +59,20 @@ type Memory struct {
 	// frozen copy of every page ever captured, dirty tracks pages written
 	// since the previous capture, and lastDirtyVPN is a one-entry cache so
 	// the common same-page store pattern costs one compare, not one map op.
+	// spare and spareImgs hold what ReleaseImage gave back, for later
+	// captures to reuse.
 	//pipelint:clone-ok imaging is per-run capture scaffolding; clones start with imaging off
-	imgCur map[uint64]*[PageSize]byte
+	imgCur map[uint64]*frozenPage
 	//pipelint:clone-ok imaging is per-run capture scaffolding; clones start with imaging off
 	dirty map[uint64]struct{}
 	//pipelint:clone-ok imaging is per-run capture scaffolding; clones start with imaging off
 	dirtyOn bool
 	//pipelint:clone-ok imaging is per-run capture scaffolding; clones start with imaging off
 	lastDirtyVPN uint64
+	//pipelint:clone-ok imaging is per-run capture scaffolding; clones start with imaging off
+	spare []*frozenPage
+	//pipelint:clone-ok imaging is per-run capture scaffolding; clones start with imaging off
+	spareImgs []*Image
 }
 
 type undoEntry struct {
@@ -285,12 +291,21 @@ func (m *Memory) Clone() *Memory {
 // by pointer comparison. Images transfer freely across Memory instances:
 // any Memory can be overwritten to match any Image.
 type Image struct {
-	pages map[uint64]*[PageSize]byte
+	pages map[uint64]*frozenPage
 
 	// digest is the capturing memory's contents digest at capture time.
 	// RestoreImage makes the target's contents equal the image's, so it can
 	// adopt this digest in O(1) instead of re-folding restored pages.
 	digest uint64
+}
+
+// A frozenPage is one page copy of the images a Memory captured. refs
+// counts the images that hold it, plus one while it is the Memory's
+// latest copy of its page; only the capturing Memory's goroutine touches
+// it. A copy no image holds is reused by a later capture.
+type frozenPage struct {
+	data [PageSize]byte
+	refs int
 }
 
 // Digest returns the captured contents digest (see Memory.Digest).
@@ -302,7 +317,7 @@ func (im *Image) PageCount() int { return len(im.pages) }
 // BeginImaging arms dirty-page tracking for CaptureImage. All currently
 // resident pages count as dirty, so the first capture is a full image.
 func (m *Memory) BeginImaging() {
-	m.imgCur = make(map[uint64]*[PageSize]byte, len(m.pages))
+	m.imgCur = make(map[uint64]*frozenPage, len(m.pages))
 	m.dirty = make(map[uint64]struct{}, len(m.pages))
 	for vpn := range m.pages {
 		m.dirty[vpn] = struct{}{}
@@ -317,27 +332,63 @@ func (m *Memory) EndImaging() {
 	m.imgCur = nil
 	m.dirty = nil
 	m.dirtyOn = false
+	m.spare, m.spareImgs = nil, nil
 }
 
 // CaptureImage freezes the current contents into an Image. Only pages
 // dirtied since the previous capture are copied; clean pages are shared
-// with the previous image. BeginImaging must be active.
+// with the previous image. BeginImaging must be active. The image and the
+// page copies come from what ReleaseImage gave back, when there is any.
 func (m *Memory) CaptureImage() *Image {
 	if !m.dirtyOn {
 		panic("mem: CaptureImage without BeginImaging")
 	}
 	for vpn := range m.dirty {
-		cp := new([PageSize]byte)
-		*cp = *m.pages[vpn]
+		if old := m.imgCur[vpn]; old != nil {
+			m.unref(old)
+		}
+		var cp *frozenPage
+		if n := len(m.spare); n > 0 {
+			cp, m.spare = m.spare[n-1], m.spare[:n-1]
+		} else {
+			cp = new(frozenPage)
+		}
+		cp.data, cp.refs = *m.pages[vpn], 1
 		m.imgCur[vpn] = cp
 	}
 	clear(m.dirty)
 	m.lastDirtyVPN = ^uint64(0)
-	pages := make(map[uint64]*[PageSize]byte, len(m.imgCur))
-	for vpn, p := range m.imgCur {
-		pages[vpn] = p
+	var img *Image
+	if n := len(m.spareImgs); n > 0 {
+		img, m.spareImgs = m.spareImgs[n-1], m.spareImgs[:n-1]
+	} else {
+		img = &Image{pages: make(map[uint64]*frozenPage, len(m.imgCur))}
 	}
-	return &Image{pages: pages, digest: m.digest}
+	for vpn, p := range m.imgCur {
+		img.pages[vpn] = p
+		p.refs++
+	}
+	img.digest = m.digest
+	return img
+}
+
+// ReleaseImage gives img, which m captured, back to m for later captures
+// to reuse, with each page copy no other image holds. The caller
+// guarantees nothing reads img any more: no later RestoreImage names it,
+// as the image or as prev.
+func (m *Memory) ReleaseImage(img *Image) {
+	for _, p := range img.pages {
+		m.unref(p)
+	}
+	clear(img.pages)
+	m.spareImgs = append(m.spareImgs, img)
+}
+
+// unref drops one reference to p, keeping it for reuse once none is left.
+func (m *Memory) unref(p *frozenPage) {
+	if p.refs--; p.refs == 0 {
+		m.spare = append(m.spare, p)
+	}
 }
 
 // RestoreImage overwrites this memory's contents to match img. If prev is
@@ -361,7 +412,7 @@ func (m *Memory) RestoreImage(img, prev *Image) {
 		if m.dirtyOn {
 			m.markDirty(vpn)
 		}
-		*dst = *p
+		*dst = p.data
 	}
 	// Pages resident here but absent from img were all-zero at img's
 	// capture time (pages are created on first write); zero them. With a

@@ -61,7 +61,7 @@ const (
 	RuleNone Rule = 0
 )
 
-var ruleNames = []struct {
+var ruleNames = [...]struct {
 	r    Rule
 	name string
 }{
@@ -135,15 +135,18 @@ type elemProof struct {
 	cum  []uint64
 }
 
-// Proof is the partition of one checkpoint's injectable population.
+// Proof is the partition of one checkpoint's injectable population. A
+// Proof is refilled in place by Compute, so a worker that proves many
+// checkpoints over one state file allocates its partition once.
 type Proof struct {
 	rules Rule
 	h     uint64
 
+	f      *state.File // the file the partition's storage was sized for
 	elems  map[*state.Elem]*elemProof
 	all    population
 	latch  population
-	perCat map[state.Category]map[Rule]uint64 // proven bits by (category, rule)
+	perCat [state.NumCategories][len(ruleNames)]uint64 // proven bits by (category, rule bit)
 }
 
 // population is the draw index over one injectable population's
@@ -155,24 +158,30 @@ type population struct {
 	mustSim uint64
 }
 
-// Compute partitions the injectable population of f. The file must be
+// Compute partitions the injectable population of f into p, reusing p's
+// storage when p last partitioned f, and returns p. The file must be
 // positioned at the checkpoint state (the idleness rule reads gate values
 // from it), trace must be the golden continuation's touch trace, failAt the
 // first cycle any of its failure monitors fires (0 = never), and h the trial
 // horizon in cycles. Only the rules present in the rules mask are applied.
-func Compute(f *state.File, trace *state.WindowTrace, failAt, h uint64, hints Hints, rules Rule) *Proof {
-	p := &Proof{
-		rules:  rules,
-		h:      h,
-		elems:  make(map[*state.Elem]*elemProof),
-		perCat: make(map[state.Category]map[Rule]uint64),
+func (p *Proof) Compute(f *state.File, trace *state.WindowTrace, failAt, h uint64, hints Hints, rules Rule) *Proof {
+	if p.f != f {
+		*p = Proof{f: f, elems: make(map[*state.Elem]*elemProof)}
 	}
+	p.rules, p.h = rules, h
+	p.all.reset()
+	p.latch.reset()
+	p.perCat = [state.NumCategories][len(ruleNames)]uint64{}
 	for _, e := range f.Elems() {
 		if !e.Injectable() {
 			continue
 		}
-		ep := p.analyze(e, f, trace, failAt, hints)
-		p.elems[e] = ep
+		ep := p.elems[e]
+		if ep == nil {
+			ep = newElemProof(e)
+			p.elems[e] = ep
+		}
+		p.analyze(ep, f, trace, failAt, hints)
 		p.all.add(ep)
 		if e.Kind() == state.KindLatch {
 			p.latch.add(ep)
@@ -181,11 +190,14 @@ func Compute(f *state.File, trace *state.WindowTrace, failAt, h uint64, hints Hi
 	return p
 }
 
+func (pop *population) reset() {
+	pop.elems = pop.elems[:0]
+	pop.cum = append(pop.cum[:0], 0)
+	pop.total, pop.mustSim = 0, 0
+}
+
 func (pop *population) add(ep *elemProof) {
 	pop.elems = append(pop.elems, ep)
-	if pop.cum == nil {
-		pop.cum = []uint64{0}
-	}
 	total := uint64(ep.e.Bits())
 	must := total - ep.provenBits()
 	pop.cum = append(pop.cum, pop.cum[len(pop.cum)-1]+must)
@@ -201,21 +213,25 @@ func (ep *elemProof) provenBits() uint64 {
 	return n
 }
 
-// analyze applies the rule set to one element, producing its partition and
-// folding per-(category, rule) coverage into the proof record.
-func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.WindowTrace, failAt uint64, hints Hints) *elemProof {
-	width := e.Width()
+// newElemProof allocates the partition storage of one element.
+func newElemProof(e *state.Elem) *elemProof {
 	mask := ^uint64(0)
-	if width < 64 {
-		mask = uint64(1)<<uint(width) - 1
+	if e.Width() < 64 {
+		mask = uint64(1)<<uint(e.Width()) - 1
 	}
-	ep := &elemProof{
+	return &elemProof{
 		e:    e,
 		mask: mask,
 		dead: make([]uint64, e.Entries()),
 		rule: make([]Rule, e.Entries()),
 		cum:  make([]uint64, e.Entries()+1),
 	}
+}
+
+// analyze applies the rule set to one element, refilling its partition and
+// folding per-(category, rule) coverage into the proof record.
+func (p *Proof) analyze(ep *elemProof, f *state.File, trace *state.WindowTrace, failAt uint64, hints Hints) {
+	e, mask, width := ep.e, ep.mask, ep.e.Width()
 	var gate *state.Elem
 	if p.rules&RuleIdle != 0 {
 		if g, ok := hints.Gates[e.Name()]; ok {
@@ -235,6 +251,7 @@ func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.WindowTrace, 
 		}
 	}
 	for i := 0; i < e.Entries(); i++ {
+		ep.dead[i], ep.rule[i] = 0, 0
 		key := e.EntryIndex(i)
 		matchAt, dead := trace.ProvenDead(key, p.h)
 		// Every rule shares the re-convergence skeleton: the entry must be
@@ -279,7 +296,6 @@ func (p *Proof) analyze(e *state.Elem, f *state.File, trace *state.WindowTrace, 
 		}
 		ep.cum[i+1] = ep.cum[i] + uint64(width) - uint64(bits.OnesCount64(ep.dead[i]))
 	}
-	return ep
 }
 
 // idleThrough reports whether a gate entry that is 0 at the checkpoint
@@ -292,12 +308,7 @@ func idleThrough(trace *state.WindowTrace, gateKey, matchAt uint64) bool {
 }
 
 func (p *Proof) record(cat state.Category, r Rule, n uint64) {
-	m := p.perCat[cat]
-	if m == nil {
-		m = make(map[Rule]uint64)
-		p.perCat[cat] = m
-	}
-	m[r] += n
+	p.perCat[cat][bits.TrailingZeros8(uint8(r))] += n
 }
 
 // ProvenBits returns the proven-benign bit count of the population
@@ -435,12 +446,8 @@ func (cr CatRule) MarshalJSON() ([]byte, error) {
 func (p *Proof) Coverage() []CatRule {
 	var out []CatRule
 	for _, cat := range state.Categories() {
-		m := p.perCat[cat]
-		if m == nil {
-			continue
-		}
-		for _, r := range Rules() {
-			if n := m[r]; n > 0 {
+		for i, r := range Rules() {
+			if n := p.perCat[cat][i]; n > 0 {
 				out = append(out, CatRule{Category: cat, Rule: r, Proven: n})
 			}
 		}

@@ -2,6 +2,7 @@ package prove
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pipefault/internal/state"
@@ -109,7 +110,7 @@ func TestLivenessRule(t *testing.T) {
 		// entries 2, 3: untouched (never read -> dead, but never
 		// overwritten -> no Match proof)
 	})
-	p := Compute(f, tr, 0, 100, Hints{}, RuleAll)
+	p := new(Proof).Compute(f, tr, 0, 100, Hints{}, RuleAll)
 
 	if r, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 5}); !ok || r != RuleLiveness {
 		t.Errorf("overwritten-never-read entry: Proven = (%v, %v), want (liveness, true)", r, ok)
@@ -122,11 +123,12 @@ func TestLivenessRule(t *testing.T) {
 
 	// A golden monitor firing at or before the overwrite kills the proof:
 	// the trial loop would classify the monitor event, not Match.
-	p = Compute(f, tr, 3, 100, Hints{}, RuleAll)
+	// p is refilled in place: the refill must clear the earlier proof.
+	p.Compute(f, tr, 3, 100, Hints{}, RuleAll)
 	if _, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 0}); ok {
 		t.Error("proof survived a golden exception at the overwrite cycle")
 	}
-	p = Compute(f, tr, 4, 100, Hints{}, RuleAll)
+	p.Compute(f, tr, 4, 100, Hints{}, RuleAll)
 	if _, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 0}); !ok {
 		t.Error("proof rejected although the overwrite beats the golden exception")
 	}
@@ -153,7 +155,7 @@ func TestIdleRule(t *testing.T) {
 		v.Set(0, 1) // gate 0 rises only after the overwrite
 	})
 	hints := Hints{Gates: map[string]Gate{"q.data": {Valid: "q.valid"}}}
-	p := Compute(f, tr, 0, 100, hints, RuleAll)
+	p := new(Proof).Compute(f, tr, 0, 100, hints, RuleAll)
 
 	if r, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 0}); !ok || r != RuleIdle {
 		t.Errorf("gated-off entry: Proven = (%v, %v), want (idle, true)", r, ok)
@@ -166,7 +168,7 @@ func TestIdleRule(t *testing.T) {
 	}
 
 	// Disabling the idle rule removes the proof.
-	p = Compute(f, tr, 0, 100, hints, RuleLiveness|RuleMask)
+	p = new(Proof).Compute(f, tr, 0, 100, hints, RuleLiveness|RuleMask)
 	if _, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 0}); ok {
 		t.Error("idle proof emitted with RuleIdle disabled")
 	}
@@ -186,7 +188,7 @@ func TestMaskRule(t *testing.T) {
 		w.Get(1)
 	})
 	hints := Hints{Masks: map[string]uint64{"wide": 0x00F}} // bits 0..3 consumed
-	p := Compute(f, tr, 0, 100, hints, RuleAll)
+	p := new(Proof).Compute(f, tr, 0, 100, hints, RuleAll)
 
 	for bit := 0; bit < 12; bit++ {
 		r, ok := p.Proven(state.BitRef{Elem: w, Entry: 0, Bit: bit})
@@ -202,7 +204,7 @@ func TestMaskRule(t *testing.T) {
 	}
 
 	// A mask covering every declared bit disables the rule (nothing to prove).
-	p = Compute(f, tr, 0, 100, Hints{Masks: map[string]uint64{"wide": 0xFFF}}, RuleAll)
+	p = new(Proof).Compute(f, tr, 0, 100, Hints{Masks: map[string]uint64{"wide": 0xFFF}}, RuleAll)
 	if _, ok := p.Proven(state.BitRef{Elem: w, Entry: 0, Bit: 11}); ok {
 		t.Error("full consumed mask still proved bits")
 	}
@@ -225,7 +227,7 @@ func TestConstPropRule(t *testing.T) {
 		q.Set(1, 9)
 		// entry 2 is never overwritten: no re-convergence, no proof
 	})
-	p := Compute(f, tr, 0, 100, Hints{}, RuleAll)
+	p := new(Proof).Compute(f, tr, 0, 100, Hints{}, RuleAll)
 
 	for bit := 0; bit < 16; bit++ {
 		r, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: bit})
@@ -246,13 +248,13 @@ func TestConstPropRule(t *testing.T) {
 
 	// A golden monitor tying the overwrite kills the proof, exactly as for
 	// liveness.
-	p = Compute(f, tr, 5, 100, Hints{}, RuleAll)
+	p = new(Proof).Compute(f, tr, 5, 100, Hints{}, RuleAll)
 	if _, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 15}); ok {
 		t.Error("constprop proof survived a tying golden monitor")
 	}
 
 	// Disabling the rule removes the proof.
-	p = Compute(f, tr, 0, 100, Hints{}, RuleLiveness|RuleIdle|RuleMask)
+	p = new(Proof).Compute(f, tr, 0, 100, Hints{}, RuleLiveness|RuleIdle|RuleMask)
 	if _, ok := p.Proven(state.BitRef{Elem: q, Entry: 0, Bit: 15}); ok {
 		t.Error("constprop proof emitted with RuleConstProp disabled")
 	}
@@ -271,7 +273,7 @@ func TestConstPropMaskCompose(t *testing.T) {
 		w.Set(0, 1)
 	})
 	hints := Hints{Masks: map[string]uint64{"wide": 0x00F}} // bits 0..3 consumed
-	p := Compute(f, tr, 0, 100, hints, RuleAll)
+	p := new(Proof).Compute(f, tr, 0, 100, hints, RuleAll)
 
 	// Bit 0: observed and consumed — must simulate.
 	if _, ok := p.Proven(state.BitRef{Elem: w, Entry: 0, Bit: 0}); ok {
@@ -300,6 +302,7 @@ func TestConstPropMaskCompose(t *testing.T) {
 			t.Errorf("Coverage()[%d] = %+v, want %+v", i, cov[i], want[i])
 		}
 	}
+
 }
 
 // TestRuleNone: with every rule disabled the proof is empty and the draw
@@ -311,7 +314,7 @@ func TestRuleNone(t *testing.T) {
 		cycle(3)
 		q.Set(0, 7)
 	})
-	p := Compute(f, tr, 0, 100, Hints{}, RuleNone)
+	p := new(Proof).Compute(f, tr, 0, 100, Hints{}, RuleNone)
 	if got := p.ProvenBits(false); got != 0 {
 		t.Fatalf("RuleNone proved %d bits", got)
 	}
@@ -339,7 +342,7 @@ func TestGatePanics(t *testing.T) {
 					t.Errorf("%s gate declaration did not panic", name)
 				}
 			}()
-			Compute(f, tr, 0, 100, hints, RuleAll)
+			new(Proof).Compute(f, tr, 0, 100, hints, RuleAll)
 		}()
 	}
 }
@@ -356,7 +359,7 @@ func provedFile(t *testing.T) (*state.File, *Proof, map[string]*state.Elem) {
 		q.Set(0, 7)
 		q.Set(1, 8)
 	})
-	p := Compute(f, tr, 0, 100, Hints{}, RuleAll)
+	p := new(Proof).Compute(f, tr, 0, 100, Hints{}, RuleAll)
 	if got := p.ProvenBits(false); got != 32 {
 		t.Fatalf("fixture proved %d bits, want 32 (two 16-bit entries)", got)
 	}
@@ -447,7 +450,7 @@ func TestFullDrawFallback(t *testing.T) {
 			b.Set(i, 1)
 		}
 	})
-	p := Compute(f, tr, 0, 100, Hints{}, RuleAll)
+	p := new(Proof).Compute(f, tr, 0, 100, Hints{}, RuleAll)
 	if p.ProvenBits(false) != p.TotalBits(false) {
 		t.Fatalf("fixture not fully proven: %d/%d", p.ProvenBits(false), p.TotalBits(false))
 	}
@@ -499,7 +502,7 @@ func TestCoverage(t *testing.T) {
 		w.Set(0, 1) // mask: 8 of 12 bits of CatCtrl
 	})
 	hints := Hints{Masks: map[string]uint64{"wide": 0x00F}}
-	p := Compute(f, tr, 0, 100, hints, RuleAll)
+	p := new(Proof).Compute(f, tr, 0, 100, hints, RuleAll)
 	cov := p.Coverage()
 	want := []CatRule{
 		{Category: state.CatCtrl, Rule: RuleMask, Proven: 8},
@@ -511,6 +514,39 @@ func TestCoverage(t *testing.T) {
 	for i := range want {
 		if cov[i] != want[i] {
 			t.Errorf("Coverage()[%d] = %+v, want %+v", i, cov[i], want[i])
+		}
+	}
+
+	// A proof refilled from a different window and rule set ends equal to
+	// the fresh one: same coverage, same partition, same draws.
+	other := record(f, func(cycle func(uint64)) {
+		cycle(2)
+		w.Set(0, 3)
+		for i := 0; i < q.Entries(); i++ {
+			q.Set(i, 1)
+		}
+	})
+	r := new(Proof).Compute(f, other, 0, 100, Hints{}, RuleLiveness|RuleConstProp)
+	r.Compute(f, tr, 0, 100, hints, RuleAll)
+	if got := r.Coverage(); !slices.Equal(got, cov) {
+		t.Errorf("refilled Coverage() = %+v, want %+v", got, cov)
+	}
+	for _, e := range f.Elems() {
+		for i := 0; i < e.Entries(); i++ {
+			for b := 0; b < e.Width(); b++ {
+				bit := state.BitRef{Elem: e, Entry: i, Bit: b}
+				gr, gok := r.Proven(bit)
+				wr, wok := p.Proven(bit)
+				if gr != wr || gok != wok {
+					t.Fatalf("%s[%d].%d: refilled Proven = (%v, %v), fresh (%v, %v)", e.Name(), i, b, gr, gok, wr, wok)
+				}
+			}
+		}
+	}
+	r1, r2 := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		if got, want := r.RandomBit(r1, i%3 == 0), p.RandomBit(r2, i%3 == 0); got != want {
+			t.Fatalf("draw %d: refilled %+v, fresh %+v", i, got, want)
 		}
 	}
 }

@@ -86,7 +86,9 @@ func (l BitLane) stamp(w int, mask uint64, set bool) {
 	for m := mask; m != 0; m &= m - 1 {
 		switch g := base + uint64(bits.TrailingZeros64(m)); {
 		case set:
-			s.set(g)
+			if !s.set(g) {
+				s.logSet(g)
+			}
 		case !s.read(g):
 			s.observe(g, ^uint64(0), true)
 		}

@@ -230,8 +230,10 @@ func (e *Elem) Set(i int, v uint64) {
 	// A sweep records the set BEFORE the no-op check: a golden write
 	// of an unchanged value is still a write the trial performs over its
 	// (possibly corrupted) copy, so it clears the corruption all the same.
-	if e.trace != nil {
-		e.trace.set(e.entryBase + uint64(i))
+	if s := e.trace; s != nil {
+		if g := e.entryBase + uint64(i); !s.set(g) {
+			s.logSet(g)
+		}
 	}
 	e.put(bit, v)
 }
@@ -774,9 +776,20 @@ type Delta struct {
 
 // DeltaInto records the current contents into d as a delta against base,
 // reusing d's storage. Like SnapshotInto, it records the exact digest.
+// Storage that is too small is replaced once, sized to the delta with an
+// eighth to spare, so a delta reused across a run grows rarely.
 func (f *File) DeltaInto(d *Delta, base *Snapshot) {
 	if len(base.words) != len(f.words) {
 		panic("state: DeltaInto base layout mismatch")
+	}
+	n := 0
+	for i, w := range f.words {
+		if w != base.words[i] {
+			n++
+		}
+	}
+	if cap(d.idx) < n {
+		d.idx, d.val = make([]uint32, 0, n+n/8), make([]uint64, 0, n+n/8)
 	}
 	d.idx, d.val = d.idx[:0], d.val[:0]
 	for i, w := range f.words {

@@ -33,20 +33,29 @@ import (
 // pre-window value is logged unless a whole-row read since the newest
 // window start already observed every bit. The log keeps only what the
 // open windows can still see: one word per access, and one word per cycle
-// marking where the cycle's accesses begin.
+// marking where the cycle's accesses begin. It is held in fixed-size
+// chunks that the sweep takes back as windows close and reuses, so a
+// sweep allocates its log once, at the most any run of open windows holds.
 type Sweep struct {
 	recs   []sweepTouch
 	copies map[uint32]*copyEdge // copy sources' edges, by key
 	cycle  uint32
-	newest uint32     // start of the newest open window
-	wins   []sweepWin // open windows, oldest first
-	log    []uint32   // first-touch candidates: key | kind bits
-	logPos int        // log position of log[0]
-	marks  []uint32   // log position at which each cycle from markCyc begins
-	markCy uint32
-	slot   []uint32 // CloseWindow scratch: key -> index+1 in the view
-	n      int      // entries (the trace key space)
+	next   uint32      // the cycle the open windows stamp next
+	newest uint32      // start of the newest open window
+	wins   []sweepWin  // open windows, oldest first
+	log    []*logChunk // first-touch candidates and cycle marks, oldest first
+	spare  []*logChunk // chunks the log has released
+	logPos int         // log position of log[0][0]
+	logEnd int         // log position of the next word
+	slot   []uint32    // CloseWindow scratch: key -> index+1 in the view
+	n      int         // entries (the trace key space)
 }
+
+// logChunkBits sizes the log's chunks: 4096 words.
+const logChunkBits = 12
+
+// A logChunk is one chunk of a sweep's log.
+type logChunk [1 << logChunkBits]uint32
 
 // sweepTouch is one entry's absolute last-touch record.
 type sweepTouch struct {
@@ -71,7 +80,7 @@ type sweepWin struct {
 }
 
 // Log word kinds. A partial observation is followed by two words holding
-// its mask.
+// its mask. A word with no kind bits marks the start of a cycle.
 const (
 	evRead = 1 << 28 // a read or copy-out: a first-read candidate
 	evSet  = 2 << 28 // a write or copy-in: a first-write candidate
@@ -92,16 +101,15 @@ func (f *File) NewSweep() *Sweep {
 	return &Sweep{recs: make([]sweepTouch, n), copies: make(map[uint32]*copyEdge), slot: make([]uint32, n), n: n}
 }
 
-// setCycle is TraceCycle for the sweep: it marks where cycle c's log
-// entries begin.
+// setCycle is TraceCycle for the sweep: while a window is open it marks
+// where cycle c's log entries begin.
 func (s *Sweep) setCycle(c uint32) {
 	if len(s.wins) > 0 {
-		if len(s.marks) == 0 {
-			s.markCy = c
-		} else if c != s.markCy+uint32(len(s.marks)) {
-			panic(fmt.Sprintf("state: sweep cycle %d does not follow %d", c, s.markCy+uint32(len(s.marks))-1))
+		if c != s.next {
+			panic(fmt.Sprintf("state: sweep cycle %d does not follow %d", c, s.next-1))
 		}
-		s.marks = append(s.marks, uint32(s.logPos+len(s.log)))
+		s.push(0)
+		s.next = c + 1
 	}
 	s.cycle = c
 }
@@ -114,10 +122,43 @@ func (s *Sweep) OpenWindow(start uint64) {
 		panic(fmt.Sprintf("state: OpenWindow(%d) out of order (newest %d, cycle %d)", start, s.newest, s.cycle))
 	}
 	if len(s.wins) == 0 {
-		s.log, s.logPos, s.marks = s.log[:0], 0, s.marks[:0]
+		s.clearLog()
+		s.next = uint32(start) + 1
 	}
-	s.wins = append(s.wins, sweepWin{start: uint32(start), pos: s.logPos + len(s.log)})
+	s.wins = append(s.wins, sweepWin{start: uint32(start), pos: s.logEnd})
 	s.newest = uint32(start)
+}
+
+// push appends one word to the log.
+func (s *Sweep) push(w uint32) {
+	i := s.logEnd - s.logPos
+	if i == len(s.log)<<logChunkBits {
+		s.addChunk()
+	}
+	s.log[i>>logChunkBits][i&(1<<logChunkBits-1)] = w
+	s.logEnd++
+}
+
+// addChunk appends a chunk to the log, a released one if there is one.
+func (s *Sweep) addChunk() {
+	if n := len(s.spare); n > 0 {
+		s.log, s.spare = append(s.log, s.spare[n-1]), s.spare[:n-1]
+	} else {
+		s.log = append(s.log, new(logChunk))
+	}
+}
+
+// word returns the log word at position p.
+func (s *Sweep) word(p int) uint32 {
+	i := p - s.logPos
+	return s.log[i>>logChunkBits][i&(1<<logChunkBits-1)]
+}
+
+// clearLog releases every log chunk.
+func (s *Sweep) clearLog() {
+	s.spare = append(s.spare, s.log...)
+	s.log = s.log[:0]
+	s.logPos, s.logEnd = 0, 0
 }
 
 // Open returns the number of open windows.
@@ -131,41 +172,58 @@ func (s *Sweep) CloseWindow(dst *WindowTrace) {
 	s.wins = append(s.wins[:0], s.wins[1:]...)
 	c := w.start
 	dst.n = s.n
-	dst.keys, dst.recs = dst.keys[:0], dst.recs[:0]
-	log := s.log[w.pos-s.logPos:]
-	mi := int(c + 1 - s.markCy) // the window's first cycle
-	for i := 0; i < len(log); i++ {
-		for p := uint32(w.pos + i); mi+1 < len(s.marks) && s.marks[mi+1] <= p; {
-			mi++
+
+	// The view holds one record per key the window's log names: count them,
+	// numbering each key's slot, and size the view once.
+	n := 0
+	for p := w.pos; p < s.logEnd; p++ {
+		e := s.word(p)
+		if k := e & evKey; e&^evKey != 0 && s.slot[k] == 0 {
+			n++
+			s.slot[k] = uint32(n)
 		}
-		e := log[i]
+		if e&evMask != 0 {
+			p += 2
+		}
+	}
+	if cap(dst.recs) < n {
+		// Headroom, so a reused view rarely grows again.
+		dst.keys, dst.recs = make([]uint32, n, n+n/8), make([]touch, n, n+n/8)
+	}
+	dst.keys, dst.recs = dst.keys[:n], dst.recs[:n]
+	clear(dst.recs)
+
+	// rel is the window cycle of the log words being read; an access
+	// logged before the window's first cycle mark counts at that cycle.
+	rel := uint32(0)
+	for p := w.pos; p < s.logEnd; p++ {
+		e := s.word(p)
+		if e&^evKey == 0 {
+			rel++
+			continue
+		}
 		k := e & evKey
 		sl := s.slot[k]
-		if sl == 0 {
-			dst.keys = append(dst.keys, k)
-			dst.recs = append(dst.recs, touch{})
-			sl = uint32(len(dst.recs))
-			s.slot[k] = sl
-		}
+		dst.keys[sl-1] = k
 		r := &dst.recs[sl-1]
-		rel := s.markCy + uint32(mi) - c
+		at := max(rel, 1)
 		if e&evRead != 0 && r.firstRead == 0 {
-			r.firstRead = rel
+			r.firstRead = at
 		}
 		if e&evSet != 0 && r.firstSet == 0 {
-			r.firstSet = rel
+			r.firstSet = at
 		}
 		if e&evFull != 0 && r.firstSet == 0 {
 			r.obsPre = ^uint64(0)
 		}
 		if e&evMask != 0 {
 			if r.firstSet == 0 {
-				r.obsPre |= uint64(log[i+1]) | uint64(log[i+2])<<32
+				r.obsPre |= uint64(s.word(p+1)) | uint64(s.word(p+2))<<32
 			}
-			i += 2
+			p += 2
 		}
 	}
-	rel := func(a uint32) uint32 {
+	rl := func(a uint32) uint32 {
 		if a > c {
 			return a - c
 		}
@@ -174,7 +232,7 @@ func (s *Sweep) CloseWindow(dst *WindowTrace) {
 	for i, k := range dst.keys {
 		s.slot[k] = 0
 		a, r := &s.recs[k], &dst.recs[i]
-		r.lastRead, r.lastSet, r.lastCopy = rel(a.lastRead), rel(a.lastSet), rel(a.lastCopy)
+		r.lastRead, r.lastSet, r.lastCopy = rl(a.lastRead), rl(a.lastSet), rl(a.lastCopy)
 		if ce := s.copies[k]; ce != nil {
 			switch {
 			case ce.lastOut <= c:
@@ -187,19 +245,15 @@ func (s *Sweep) CloseWindow(dst *WindowTrace) {
 	}
 	sort.Sort(byKey{dst})
 
-	// Drop the log and marks no open window can see.
+	// Release the log chunks no open window can see.
 	if len(s.wins) == 0 {
-		s.log, s.logPos, s.marks = s.log[:0], 0, s.marks[:0]
+		s.clearLog()
 		return
 	}
-	if drop := s.wins[0].pos - s.logPos; drop > 0 {
-		s.log = s.log[:copy(s.log, s.log[drop:])]
-		s.logPos += drop
-	}
-	if drop := int(s.wins[0].start + 1 - s.markCy); drop > 0 && drop <= len(s.marks) {
-		s.marks = s.marks[:copy(s.marks, s.marks[drop:])]
-		s.markCy += uint32(drop)
-	}
+	drop := (s.wins[0].pos - s.logPos) >> logChunkBits
+	s.spare = append(s.spare, s.log[:drop]...)
+	s.log = s.log[:copy(s.log, s.log[drop:])]
+	s.logPos += drop << logChunkBits
 }
 
 // byKey sorts a view's records by key.
@@ -212,9 +266,9 @@ func (b byKey) Swap(i, j int) {
 	b.t.recs[i], b.t.recs[j] = b.t.recs[j], b.t.recs[i]
 }
 
-// LogLen returns the number of log words held (for tests and
-// instrumentation).
-func (s *Sweep) LogLen() int { return len(s.log) }
+// LogLen returns the number of log words held, cycle marks included (for
+// tests and instrumentation).
+func (s *Sweep) LogLen() int { return s.logEnd - s.logPos }
 
 // read stamps a plain read of entry g. An entry read whole since the
 // newest window start is no open window's first read and adds nothing to
@@ -251,21 +305,31 @@ func (s *Sweep) observe(g, mask uint64, full bool) {
 		r.lastFull = t
 	}
 	if kind != 0 {
-		s.log = append(s.log, uint32(g)|kind)
+		s.push(uint32(g) | kind)
 		if kind&evMask != 0 {
-			s.log = append(s.log, uint32(mask), uint32(mask>>32))
+			s.push(uint32(mask))
+			s.push(uint32(mask >> 32))
 		}
 	}
 }
 
-// set stamps a behavioral write of entry g; an entry written since the
-// newest window start is no open window's first write.
-func (s *Sweep) set(g uint64) {
+// set stamps a behavioral write of entry g. An entry written since the
+// newest window start is no open window's first write: like read, that
+// compare is the common path, small enough to inline into Set. It reports
+// false, stamping nothing, when the write must be logged (logSet).
+func (s *Sweep) set(g uint64) bool {
 	r := &s.recs[g]
 	if r.lastSet <= s.newest && r.lastCopy <= s.newest {
-		s.log = append(s.log, uint32(g)|evSet)
+		return false
 	}
 	r.lastSet = s.cycle
+	return true
+}
+
+// logSet stamps a write of entry g that may be some open window's first.
+func (s *Sweep) logSet(g uint64) {
+	s.push(uint32(g) | evSet)
+	s.recs[g].lastSet = s.cycle
 }
 
 // copy stamps CopyEntry data movement: a whole-row copy-out of src (not a
@@ -281,7 +345,7 @@ func (s *Sweep) copy(src, dst uint64) {
 		kind |= evFull
 	}
 	if kind != 0 {
-		s.log = append(s.log, uint32(src)|kind)
+		s.push(uint32(src) | kind)
 	}
 	r.lastFull = t
 	ce := s.copies[uint32(src)]
@@ -295,7 +359,7 @@ func (s *Sweep) copy(src, dst uint64) {
 	ce.lastOut = t
 	d := &s.recs[dst]
 	if max(d.lastSet, d.lastCopy) <= nw {
-		s.log = append(s.log, uint32(dst)|evSet)
+		s.push(uint32(dst) | evSet)
 	}
 	d.lastCopy = t
 }

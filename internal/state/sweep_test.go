@@ -86,13 +86,16 @@ func naiveWindow(elems []*Elem, script [][]sweepOp, start, h int) map[uint64]*na
 // random access scripts and random window schedules (duplicate starts,
 // dense overlaps, gaps with no window open), every window's view must
 // equal, entry for entry and accessor for accessor, the naive reference
-// trace of that window computed from the script (naiveWindow).
+// trace of that window computed from the script (naiveWindow). The last
+// seeds run long scripts whose logs span many chunks.
 func TestSweepMatchesWindowTraces(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
+	for seed := int64(1); seed <= 44; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			const cycles = 400
-			h := 20 + rng.Intn(80)
+			cycles, h, windows := 400, 20+rng.Intn(80), 12
+			if seed > 40 {
+				cycles, h, windows = 30000, 4000+rng.Intn(8000), 40
+			}
 			// A few hot entries per element keep first touches rare and
 			// repeated touches common, the shape the epoch test is for.
 			script := make([][]sweepOp, cycles+1)
@@ -107,7 +110,7 @@ func TestSweepMatchesWindowTraces(t *testing.T) {
 				}
 			}
 			var starts []int
-			for n := 1 + rng.Intn(12); n > 0; n-- {
+			for n := 1 + rng.Intn(windows); n > 0; n-- {
 				starts = append(starts, rng.Intn(cycles-h))
 			}
 			if rng.Intn(2) == 0 {

@@ -322,12 +322,11 @@ func (m *Machine) RollbackTo(p *MarkPoint) {
 	m.seqROB = p.seqROB
 }
 
-// InFlightSeqs returns the shadow sequence numbers of every instruction
-// currently in flight (fetch queue, decode/rename latches, ROB), for the
-// Figure 6 utilization analysis.
-func (m *Machine) InFlightSeqs() []uint64 {
+// InFlightSeqs appends to out the shadow sequence numbers of every
+// instruction currently in flight (fetch queue, decode/rename latches,
+// ROB), for the Figure 6 utilization analysis, and returns the result.
+func (m *Machine) InFlightSeqs(out []uint64) []uint64 {
 	e := m.e
-	var out []uint64
 	cnt := int(e.fqCount.Get(0))
 	head := int(e.fqHead.Get(0))
 	for i := 0; i < cnt && i < FetchQSize; i++ {

@@ -309,7 +309,7 @@ func TestInFlightSeqs(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		m.Step()
 	}
-	seqs := m.InFlightSeqs()
+	seqs := m.InFlightSeqs(nil)
 	if len(seqs) == 0 {
 		t.Fatal("no instructions in flight at cycle 500")
 	}
